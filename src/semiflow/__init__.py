@@ -3,6 +3,7 @@
 from .state_space import (
     Grid,
     GridFunction,
+    NonFiniteValuesError,
     NormSpec,
     VectorState,
     grid_create,

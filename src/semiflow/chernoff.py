@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .state_space import GridFunction, NormSpec, VectorState, distance as grid_distance
+from .state_space import NonFiniteValuesError, NormSpec, distance as grid_distance
 
 __all__ = [
     "DyadicPartition",
@@ -135,11 +135,6 @@ class GeneratingFamilyDescriptor:
         return self.distance(x, self.zero_state)
 
 
-def _state_finite(state) -> bool:
-    arr = state.coordinates if isinstance(state, VectorState) else state.values
-    return bool(np.all(np.isfinite(arr)))
-
-
 _ENVELOPE_TRIPLES = (
     (0.0, 0.25, 0.5),
     (0.5, 0.25, 0.25),
@@ -210,13 +205,9 @@ def apply_partition(family: GeneratingFamilyDescriptor,
     for i in range(partition.step_count):
         try:
             x = family.step(dt, x)
-        except ValueError as e:
-            # state constructors reject non-finite values at construction
-            if "finite" in str(e):
-                raise NonFiniteStateError(i) from e
-            raise
-        if not _state_finite(x):
-            raise NonFiniteStateError(i)
+        except NonFiniteValuesError as e:
+            # the state constructors scan every new state once
+            raise NonFiniteStateError(i) from e
     return x
 
 

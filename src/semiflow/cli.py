@@ -43,7 +43,6 @@ from .chernoff import (
 from .families_linear import (
     GbmParams,
     HeatDriftParams,
-    make_gbm_linear_family,
     make_heat_family,
     make_identity_base_family,
 )

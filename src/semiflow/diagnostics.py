@@ -113,19 +113,33 @@ def _classify(ratios) -> str:
     return "inconclusive"
 
 
-def lipschitz_certificate(family: GeneratingFamilyDescriptor, x, T: float,
-                          levels, state_id: str = "state") -> LipschitzCertificate:
-    """Probe d(I(t)x, x)/t over the dyadic ladders t in {2^-n, 2 2^-n, ..., T}."""
+def _ladder_quotients(family: GeneratingFamilyDescriptor, states, T: float,
+                      levels) -> list[dict]:
+    """d(I(t)x, x)/t per state at every distinct ladder time t = k 2^-n.
+
+    The ladders of different levels share their times, so each I(t)x is
+    evaluated once; all states take a time before the next one, so
+    consecutive steps share one dt.
+    """
     if T <= 0:
         raise ValueError("horizon must be positive")
     dyadic_partition(T, min(levels))
+    times = dict.fromkeys(k * 2.0**-n for n in levels
+                          for k in range(1, int(round(T * 2.0**n)) + 1))
+    quotients = [{} for _ in states]
+    for t in times:
+        for q, x in zip(quotients, states):
+            q[t] = family.distance(family.step(t, x), x) / t
+    return quotients
+
+
+def _certificate(quotients: dict, T: float, levels,
+                 state_id: str) -> LipschitzCertificate:
     ratios = []
     for n in levels:
-        k_max = int(round(T * 2.0**n))
         best = 0.0
-        for k in range(1, k_max + 1):
-            t = k * 2.0**-n
-            best = max(best, family.distance(family.step(t, x), x) / t)
+        for k in range(1, int(round(T * 2.0**n)) + 1):
+            best = max(best, quotients[k * 2.0**-n])
         ratios.append(best)
     growth = tuple(b / a if a > _RATIO_FLOOR else float("nan")
                    for a, b in zip(ratios, ratios[1:]))
@@ -140,6 +154,13 @@ def lipschitz_certificate(family: GeneratingFamilyDescriptor, x, T: float,
     )
 
 
+def lipschitz_certificate(family: GeneratingFamilyDescriptor, x, T: float,
+                          levels, state_id: str = "state") -> LipschitzCertificate:
+    """Probe d(I(t)x, x)/t over the dyadic ladders t in {2^-n, 2 2^-n, ..., T}."""
+    quotients, = _ladder_quotients(family, [x], T, levels)
+    return _certificate(quotients, T, levels, state_id)
+
+
 def symmetric_lipschitz_certificate(family: GeneratingFamilyDescriptor,
                                     f: GridFunction, T: float, levels,
                                     state_id: str = "state"):
@@ -151,10 +172,9 @@ def symmetric_lipschitz_certificate(family: GeneratingFamilyDescriptor,
     """
     if not family.minus_conjugate:
         raise ValueError(f"{family.name}: conjugate family is not available")
-    cert_plus = lipschitz_certificate(family, f, T, levels,
-                                      state_id=f"{state_id}+")
-    cert_minus = lipschitz_certificate(family, negate(f), T, levels,
-                                       state_id=f"{state_id}-")
+    q_plus, q_minus = _ladder_quotients(family, [f, negate(f)], T, levels)
+    cert_plus = _certificate(q_plus, T, levels, f"{state_id}+")
+    cert_minus = _certificate(q_minus, T, levels, f"{state_id}-")
     if cert_plus.verdict == "bounded" and cert_minus.verdict == "bounded":
         joint = "bounded"
     elif "diverging" in (cert_plus.verdict, cert_minus.verdict):
@@ -352,11 +372,22 @@ class AuditReport:
         }
 
 
+def _full_distance(family: GeneratingFamilyDescriptor, x, y) -> float:
+    """d(x, y) in the family's norm over every node.
+
+    The envelopes alpha and beta refer to balls and distances of the whole
+    space; a comparison mask restricts only where images are compared.
+    """
+    if family.state_kind == "vector":
+        return family.distance(x, y)
+    return grid_distance(x, y, family.norm)
+
+
 def random_ball_state(family: GeneratingFamilyDescriptor, rng,
                       radius: float):
     """Seeded random state in B(x0, R): a sum of three Gaussian bumps with
     random centers and widths (a random direction for vector states),
-    rescaled to a random fraction of the ball radius."""
+    rescaled to a random fraction of the ball radius in the full norm."""
     target = radius * rng.uniform(0.2, 1.0)
     if family.state_kind == "vector":
         d = family.zero_state.coordinates.size
@@ -372,11 +403,11 @@ def random_ball_state(family: GeneratingFamilyDescriptor, rng,
         amp = rng.uniform(-1.0, 1.0)
         vals += amp * np.exp(-np.sum((coords - center) ** 2, axis=1) / width**2)
     state = with_values(family.zero_state, vals[:, None])
-    nrm = family.norm_of(state)
+    nrm = _full_distance(family, state, family.zero_state)
     if nrm == 0.0:
         vals[:] = 1.0
         state = with_values(family.zero_state, vals[:, None])
-        nrm = family.norm_of(state)
+        nrm = _full_distance(family, state, family.zero_state)
     return with_values(family.zero_state, state.values * (target / nrm))
 
 
@@ -389,6 +420,8 @@ def alpha_beta_audit(family: GeneratingFamilyDescriptor, n_samples: int,
         d(I(t)x, I(t)y)     <= beta(R, t) d(x, y) + slack,
 
     plus the composition laws of alpha and beta on sampled (R, s, t) triples.
+    The ball and d(x, y) are measured in the full norm, the images through
+    the family's comparison mask.
     Violations become report entries (with the seed), never exceptions.
     """
     rng = np.random.default_rng(seed)
@@ -402,17 +435,26 @@ def alpha_beta_audit(family: GeneratingFamilyDescriptor, n_samples: int,
         if margin < -slack:
             violations.append(entry)
 
+    dxy = [_full_distance(family, x, states[(i + 1) % n_samples])
+           for i, x in enumerate(states)]
+    # I(t)x_i serves the bound check of sample i, the x side of its Lipschitz
+    # check and the y side of sample i - 1's; one t at a time, so consecutive
+    # steps share one dt
     ts = [0.0] + [float(t) for t in t_list]
-    for i, x in enumerate(states):
+    bound = {}
+    lip = {}
+    for t in ts:
+        first = nxt = family.step(t, states[0]) if states else None
+        for i in range(n_samples):
+            im = nxt
+            nxt = family.step(t, states[i + 1]) if i + 1 < n_samples else first
+            bound[i, t] = family.alpha(R, t) - family.norm_of(im)
+            lip[i, t] = family.beta(R, t) * dxy[i] - family.distance(im, nxt)
+    for i in range(n_samples):
         for t in ts:
-            im = family.step(t, x)
-            record("bounded", family.alpha(R, t) - family.norm_of(im),
-                   t=t, sample=i)
-        y = states[(i + 1) % n_samples]
-        dxy = family.distance(x, y)
+            record("bounded", bound[i, t], t=t, sample=i)
         for t in ts:
-            dIm = family.distance(family.step(t, x), family.step(t, y))
-            record("lipschitz", family.beta(R, t) * dxy - dIm, t=t, sample=i)
+            record("lipschitz", lip[i, t], t=t, sample=i)
 
     for _ in range(max(8, n_samples // 4)):
         Rr = rng.uniform(0.0, 2.0 * R)

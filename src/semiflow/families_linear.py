@@ -12,6 +12,16 @@ Two kernels are provided:
   8 standard deviations per axis; the truncated tail mass (< 1e-15) is
   dropped, not renormalized, preserving the zero-extension semantics.
 
+  The weights of one dt are the same for all 2^n steps of a level, so they
+  are compiled once into a step plan per axis and dt: the weights of every
+  candidate stacked over the union of their tap ranges, the boundary
+  coefficients and the pure-drift interpolation indices.  A step applies
+  the plan to all candidates in one batched pass: an FFT convolution
+  (numpy.fft) from FFT_MIN_TAPS taps on and on 2D grids, a direct batched
+  sum below, then the boundary terms.  Plans live in a least-recently-used
+  cache bounded by PLAN_CACHE_BYTES; the FFT work runs over chunks of
+  candidates, so its temporaries stay bounded as well.
+
 * the geometric Brownian motion operator f(x) -> E[f(x X_t)] with
   X_t = exp((mu - sigma^2/2) t + sigma W_t), evaluated by Gauss-Hermite
   quadrature in the Brownian variable with f read through clamped linear
@@ -27,7 +37,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -163,81 +175,244 @@ def _ramp_weights(x_edge: float, h: float, means: np.ndarray, s: float,
     return ((b - means) * i0 - i1) / h
 
 
-def _heat_axis_apply(mesh: np.ndarray, axis_nodes: np.ndarray, h: float,
-                     t: float, shifts: np.ndarray, sigmas: np.ndarray,
-                     ext_mode: str) -> np.ndarray:
-    """Apply the 1D heat kernel along axis 0 of mesh for a batch of candidates.
+# ---------------------------------------------------------------------------
+# step plans: the heat kernels of one dt, compiled once and applied batched
+# ---------------------------------------------------------------------------
 
-    mesh has shape (n, ...); shifts[c] = lambda_c * t and sigmas[c] are the
-    per-candidate drift displacement and diffusion scale.  Returns an array of
-    shape (C, n, ...).
+# Below this many taps a direct batched sum beats the FFT: on a 2-core x86 VM
+# the two crossed between 15 and 27 taps for 41, 6 and 1 candidates on
+# 1201-1601 nodes.  2D grids always use the FFT.
+FFT_MIN_TAPS = 24
+# Bound on the bytes of the cached plans, and on the FFT temporaries of one
+# chunk of candidates.
+PLAN_CACHE_BYTES = 3 * 2**19
+_CHUNK_BYTES = 2**17
+_PLAN_CACHE: OrderedDict = OrderedDict()
+
+
+def _fft_size(n: int) -> int:
+    """Smallest 5-smooth integer >= n, a fast FFT length."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+@dataclass(frozen=True)
+class _AxisPlan:
+    """The 1D heat step of every candidate along one grid axis, for one dt.
+
+    Diffusive candidates (indices `diffuse`) convolve with their tap weights
+    over the union tap range r_lo .. r_lo + taps - 1, which contains 0 so
+    that padding and slicing need no clipping.  The weights are held either
+    as a (C, taps) matrix, reversed for the direct sum, or as its rFFT of
+    length nfft; a candidate's row is zero outside its own reach.  edge_lo
+    and edge_hi multiply the first and the last node value on the first and
+    the last nodes of the axis: the phantom ramp cells of the zero-padded
+    convolution, the clamp tails, and the far-field clamp (coefficient 1
+    where the whole kernel lies outside the box).  Pure-drift candidates
+    (indices `drift`) read the piecewise-linear reconstruction at nodes j
+    and j + 1 with weights w_lo and w_hi, both 0 outside the box in zero
+    mode.  A plan depends only on its cache key, so results do not depend
+    on what the cache holds.
     """
-    n = mesh.shape[0]
-    trailing = mesh.shape[1:]
-    flat = mesh.reshape(n, -1)
-    C = len(shifts)
+
+    n: int
+    r_lo: int
+    taps: int
+    nfft: int
+    diffuse: np.ndarray
+    kernels: np.ndarray | None
+    spectra: np.ndarray | None
+    edge_lo: np.ndarray
+    edge_hi: np.ndarray
+    drift: np.ndarray
+    drift_j: np.ndarray
+    w_lo: np.ndarray
+    w_hi: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.kernels, self.spectra, self.edge_lo,
+                                      self.edge_hi, self.drift_j, self.w_lo,
+                                      self.w_hi) if a is not None)
+
+
+def _edge_coefficients(means: np.ndarray, sd: np.ndarray, reach: np.ndarray,
+                       h: float, x0: float, xN: float, rising: bool,
+                       clamp: bool) -> np.ndarray:
+    """Coefficients of the first (rising) or last node value at kernel means
+    near that edge: the phantom ramp cell of the zero-padded convolution,
+    the constant tail in clamp mode, and 1 where in clamp mode the whole
+    kernel lies beyond the edge."""
+    x_edge = x0 if rising else xN
+    near = np.abs(means - x_edge) <= reach
+    coef = -_ramp_weights(x_edge, h, means, sd, rising=rising)
+    if clamp:
+        tail = ndtr((x_edge - means) / sd)
+        coef += tail if rising else 1.0 - tail
+        far = means < x0 - reach if rising else means > xN + reach
+        coef[far] = 1.0
+        near |= far
+    coef[~near] = 0.0
+    return coef
+
+
+def _build_axis_plan(axis_nodes: np.ndarray, h: float, shifts: np.ndarray,
+                     s: np.ndarray, ext_mode: str, always_fft: bool,
+                     make_room) -> _AxisPlan:
+    """Compile a plan; make_room(nbytes) is called with the plan's size
+    before its large arrays are allocated."""
+    n = axis_nodes.size
     x0 = axis_nodes[0]
     xN = axis_nodes[-1]
-    out = np.empty((C, n, flat.shape[1]))
+    clamp = ext_mode == "clamp"
+    diffuse = np.flatnonzero(s != 0.0)
+    drift = np.flatnonzero(s == 0.0)
 
-    s_arr = np.asarray([sig * math.sqrt(t) for sig in sigmas])
-    for c in range(C):
-        s = s_arr[c]
-        shift = shifts[c]
-        if s == 0.0:
-            # pure drift: evaluate the extended piecewise-linear reconstruction
-            pts = axis_nodes + shift
-            u = (np.clip(pts, x0, xN) - x0) / h
-            j = np.minimum(u.astype(np.int64), n - 2)
-            w = (u - j)[:, None]
-            vals = (1.0 - w) * flat[j] + w * flat[j + 1]
-            if ext_mode == "zero":
-                vals[(pts < x0) | (pts > xN)] = 0.0
-            out[c] = vals
-            continue
+    # pure drift: the extended piecewise-linear reconstruction at x + shift
+    pts = axis_nodes + shifts[drift, None]
+    u = (np.clip(pts, x0, xN) - x0) / h
+    drift_j = np.minimum(u.astype(np.int64), n - 2)
+    w_hi = u - drift_j
+    w_lo = 1.0 - w_hi
+    if not clamp:
+        outside = (pts < x0) | (pts > xN)
+        w_lo[outside] = 0.0
+        w_hi[outside] = 0.0
 
-        reach = KERNEL_CUTOFF_SIGMAS * s + h
-        r_lo = math.ceil((-reach - shift) / h)
-        r_hi = math.floor((reach - shift) / h)
-        r = np.arange(r_lo, r_hi + 1)
-        kernel = _hat_weights(r * h + shift, s, h)
-        taps = kernel.size
+    sd = s[diffuse, None]
+    shift = shifts[diffuse, None]
+    reach = KERNEL_CUTOFF_SIGMAS * sd + h
+    lo = np.ceil((-reach - shift) / h).astype(np.int64)
+    hi = np.floor((reach - shift) / h).astype(np.int64)
+    r_lo = int(lo.min(initial=0))
+    taps = int(hi.max(initial=0)) - r_lo + 1
+    r = np.arange(r_lo, r_lo + taps)
+    nfft = _fft_size(n + taps - 1)
+    fft = always_fft or taps >= FFT_MIN_TAPS
+    # node i sees the left edge only if i <= hi, the right one only if
+    # n - 1 - i <= -lo; one node of slack absorbs rounding
+    lo_cols = int(np.clip(hi.max(initial=-2) + 2, 0, n))
+    hi_cols = int(np.clip(2 - lo.min(initial=2), 0, n))
 
-        pad = np.zeros((n + taps - 1, flat.shape[1]))
-        pad[r_hi:r_hi + n] = flat
-        windows = np.lib.stride_tricks.sliding_window_view(pad, taps, axis=0)
-        # windows[i, :, j] = pad[i + j] = f[i - r_hi + j]; kernel index r = r_hi - j
-        res = windows @ kernel[::-1]
+    count = diffuse.size
+    width = (nfft // 2 + 1) * 16 if fft else taps * 8
+    make_room(count * (width + 8 * (lo_cols + hi_cols))
+              + drift_j.nbytes + w_lo.nbytes + w_hi.nbytes)
+    kernels = None if fft else np.empty((count, taps))
+    spectra = np.empty((count, nfft // 2 + 1), complex) if fft else None
+    edge_lo = np.empty((count, lo_cols))
+    edge_hi = np.empty((count, hi_cols))
+    # a few candidates at a time bound the temporaries of the weight formulas
+    per = max(1, _CHUNK_BYTES // (16 * max(taps, n)))
+    for c0 in range(0, count, per):
+        c = slice(c0, c0 + per)
+        k = _hat_weights(r * h + shift[c], sd[c], h)
+        k[(r < lo[c]) | (r > hi[c])] = 0.0
+        if fft:
+            spectra[c] = np.fft.rfft(k, nfft, axis=1)
+        else:
+            kernels[c] = k[:, ::-1]
+        edge_lo[c] = _edge_coefficients(axis_nodes[:lo_cols] + shift[c], sd[c],
+                                        reach[c], h, x0, xN, True, clamp)
+        edge_hi[c] = _edge_coefficients(axis_nodes[n - hi_cols:] + shift[c], sd[c],
+                                        reach[c], h, x0, xN, False, clamp)
+    return _AxisPlan(n=n, r_lo=r_lo, taps=taps, nfft=nfft, diffuse=diffuse,
+                     kernels=kernels, spectra=spectra, edge_lo=edge_lo,
+                     edge_hi=edge_hi, drift=drift, drift_j=drift_j,
+                     w_lo=w_lo, w_hi=w_hi)
 
-        # boundary corrections near each edge (phantom ramp cells of the
-        # zero-padded convolution, and constant tails in clamp mode)
-        means = axis_nodes + shift
-        left = np.abs(means - x0) <= reach
-        right = np.abs(means - xN) <= reach
-        if np.any(left):
-            m = means[left]
-            ramp = _ramp_weights(x0, h, m, s, rising=True)
-            if ext_mode == "clamp":
-                res[left] += np.outer(ndtr((x0 - m) / s) - ramp, flat[0])
-            else:
-                res[left] -= np.outer(ramp, flat[0])
-        if np.any(right):
-            m = means[right]
-            ramp = _ramp_weights(xN, h, m, s, rising=False)
-            if ext_mode == "clamp":
-                res[right] += np.outer(1.0 - ndtr((xN - m) / s) - ramp, flat[-1])
-            else:
-                res[right] -= np.outer(ramp, flat[-1])
-        # clamp mode also picks up full tails for means far outside the box
-        if ext_mode == "clamp":
-            far_l = means < x0 - reach
-            far_r = means > xN + reach
-            if np.any(far_l):
-                res[far_l] = flat[0]
-            if np.any(far_r):
-                res[far_r] = flat[-1]
-        out[c] = res
-    return out.reshape(C, n, *trailing)
+
+def _evict(limit: int) -> None:
+    """Drop least recently used plans until the cache holds <= limit bytes."""
+    held = sum(p.nbytes for p in _PLAN_CACHE.values())
+    while _PLAN_CACHE and held > limit:
+        held -= _PLAN_CACHE.popitem(last=False)[1].nbytes
+
+
+def _axis_plan(grid: Grid, a: int, t: float, drifts: np.ndarray,
+               sigmas: np.ndarray, ext_mode: str, always_fft: bool) -> _AxisPlan:
+    """The plan of grid axis a and dt, from the cache when it is there.
+
+    The cache holds at most PLAN_CACHE_BYTES; room for a new plan is made
+    before it is built, so old and new plans never add up past the bound.
+    A plan larger than the bound is used once and not kept.
+    """
+    shifts = drifts * t
+    s = sigmas * math.sqrt(t)
+    key = (grid.x_max[a], grid.n_points[a], t, shifts.tobytes(), s.tobytes(),
+           ext_mode, always_fft)
+    plan = _PLAN_CACHE.get(key)
+    if plan is not None:
+        _PLAN_CACHE.move_to_end(key)
+        return plan
+    plan = _build_axis_plan(grid.axis(a), grid.h[a], shifts, s, ext_mode,
+                            always_fft, lambda size: _evict(PLAN_CACHE_BYTES - size))
+    if plan.nbytes <= PLAN_CACHE_BYTES:
+        _PLAN_CACHE[key] = plan
+    return plan
+
+
+def _add_edges(plan: _AxisPlan, c0: int, res: np.ndarray, data: np.ndarray):
+    """Add the edge terms of diffusive candidates c0, c0 + 1, ... to their
+    convolutions res, shape (k, P, n, Q); data holds their inputs."""
+    k = res.shape[0]
+    lo = plan.edge_lo[c0:c0 + k, None, :, None]
+    hi = plan.edge_hi[c0:c0 + k, None, :, None]
+    res[:, :, :lo.shape[2]] += lo * data[:, :, :1]
+    res[:, :, plan.n - hi.shape[2]:] += hi * data[:, :, -1:]
+
+
+def _apply_axis_plan(plan: _AxisPlan, data: np.ndarray, out: np.ndarray) -> None:
+    """Apply a plan along axis 2 of data, shape (B, P, n, Q), into out, shape
+    (C, P, n, Q).
+
+    B is 1 (all candidates read the same data) or C (candidate c reads
+    data[c]); out may be data itself.  FFT work runs over chunks of
+    candidates, so no temporary holds the spectra of all of them.
+    """
+    shared = data.shape[0] == 1
+    if plan.drift.size:
+        src = data if shared else data[plan.drift]
+        j = plan.drift_j[:, None, :, None]
+        out[plan.drift] = (plan.w_lo[:, None, :, None] * np.take_along_axis(src, j, 2)
+                           + plan.w_hi[:, None, :, None]
+                           * np.take_along_axis(src, j + 1, 2))
+    rows = plan.diffuse
+    if not rows.size:
+        return
+    n = plan.n
+    if plan.spectra is None:
+        # direct batched sum over windows of the zero-padded data (1D grids)
+        r_hi = plan.r_lo + plan.taps - 1
+        pad = np.zeros((n + plan.taps - 1, data.shape[3]))
+        pad[r_hi:r_hi + n] = data[0, 0]
+        windows = np.lib.stride_tricks.sliding_window_view(pad, plan.taps, axis=0)
+        q = data.shape[3]
+        res = np.ascontiguousarray(windows).reshape(n * q, -1) @ plan.kernels.T
+        res = res.T.reshape(rows.size, 1, n, q)
+        _add_edges(plan, 0, res, data)
+        out[rows] = res
+        return
+    nfft = plan.nfft
+    spectra = plan.spectra[:, None, :, None]
+    freq = np.fft.rfft(data, nfft, axis=2) if shared else None
+    per = max(1, _CHUNK_BYTES // (32 * spectra.shape[2] * data.shape[1]
+                                  * data.shape[3]))
+    for c0 in range(0, rows.size, per):
+        sel = rows[c0:c0 + per]
+        part = data if shared else data[sel]
+        f_hat = freq if shared else np.fft.rfft(part, nfft, axis=2)
+        conv = np.fft.irfft(spectra[c0:c0 + per] * f_hat, nfft, axis=2)
+        # node i is linear-convolution index i - r_lo
+        res = conv[:, :, -plan.r_lo:n - plan.r_lo]
+        _add_edges(plan, c0, res, part)
+        out[sel] = res
 
 
 def heat_multi_step(f: GridFunction, t: float, drifts: np.ndarray,
@@ -246,6 +421,9 @@ def heat_multi_step(f: GridFunction, t: float, drifts: np.ndarray,
 
     drifts has shape (C, dim); sigmas shape (C,) (isotropic per candidate) or
     (C, dim) for diagonal diffusion.  Returns values of shape (C, n_nodes, m).
+    Each axis applies the cached plan of its dt: on a 2D grid axis 0 runs
+    over all candidates at once, then axis 1 runs slab by slab, candidate c
+    with its own kernel on its own slab.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -257,24 +435,18 @@ def heat_multi_step(f: GridFunction, t: float, drifts: np.ndarray,
     if t == 0.0:
         return np.broadcast_to(f.values, (C, *f.values.shape)).copy()
 
-    mesh = f.as_mesh()
-    if f.grid.dim == 1:
-        res = _heat_axis_apply(mesh, f.grid.axis(0), f.grid.h[0], t,
-                               drifts[:, 0] * t, sigmas[:, 0], f.extension_mode)
-        return res.reshape(C, f.grid.n_nodes, f.codomain_dim)
-
-    # dim 2: tensor-product kernel, one axis at a time
-    out = np.empty((C, *mesh.shape))
-    for c in range(C):
-        step0 = _heat_axis_apply(mesh, f.grid.axis(0), f.grid.h[0], t,
-                                 drifts[c:c + 1, 0] * t, sigmas[c:c + 1, 0],
-                                 f.extension_mode)[0]
-        moved = np.moveaxis(step0, 1, 0)
-        step1 = _heat_axis_apply(moved, f.grid.axis(1), f.grid.h[1], t,
-                                 drifts[c:c + 1, 1] * t, sigmas[c:c + 1, 1],
-                                 f.extension_mode)[0]
-        out[c] = np.moveaxis(step1, 0, 1)
-    return out.reshape(C, f.grid.n_nodes, f.codomain_dim)
+    grid = f.grid
+    multi = grid.dim == 2
+    plans = [_axis_plan(grid, a, t, drifts[:, a], sigmas[:, a],
+                        f.extension_mode, multi) for a in range(grid.dim)]
+    n0 = grid.n_points[0]
+    data = f.values.reshape(1, 1, n0, -1)
+    out = np.empty((C, 1, n0, data.shape[3]))
+    _apply_axis_plan(plans[0], data, out)
+    if multi:
+        slabs = out.reshape(C, n0, grid.n_points[1], f.codomain_dim)
+        _apply_axis_plan(plans[1], slabs, slabs)
+    return out.reshape(C, grid.n_nodes, f.codomain_dim)
 
 
 def heat_drift_step(f: GridFunction, t: float, params: HeatDriftParams) -> GridFunction:
@@ -315,6 +487,14 @@ def _gbm_escape_mass(x: np.ndarray, t: float, mu: float, sigma: float,
     return out
 
 
+@lru_cache(maxsize=None)
+def _gauss_hermite(points: int) -> tuple[np.ndarray, np.ndarray]:
+    z, w = hermgauss(points)
+    z.flags.writeable = False
+    w.flags.writeable = False
+    return z, w
+
+
 def gbm_step(f: GridFunction, t: float, params: GbmParams,
              trusted_radius: float | None = None) -> GridFunction:
     """E[f(x X_t)] by Gauss-Hermite quadrature in the Brownian variable.
@@ -342,7 +522,7 @@ def gbm_step(f: GridFunction, t: float, params: GbmParams,
                 "the trusted interior",
                 stacklevel=2,
             )
-    z, w = hermgauss(params.quad_points)
+    z, w = _gauss_hermite(params.quad_points)
     factors = np.exp((params.mu - params.sigma**2 / 2.0) * t
                      + params.sigma * math.sqrt(2.0 * t) * z)
     pts = x[:, None] * factors[None, :]

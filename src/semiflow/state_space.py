@@ -24,6 +24,7 @@ import numpy as np
 __all__ = [
     "Grid",
     "GridFunction",
+    "NonFiniteValuesError",
     "NormSpec",
     "VectorState",
     "grid_create",
@@ -40,6 +41,10 @@ __all__ = [
     "read_csv_table",
     "PRESET_NAMES",
 ]
+
+
+class NonFiniteValuesError(ValueError):
+    """Raised by the state constructors when given NaN or infinite values."""
 
 
 def _as_axis_tuple(value, dim, kind):
@@ -83,7 +88,7 @@ class Grid:
 
     @property
     def n_nodes(self) -> int:
-        return int(np.prod(self.n_points))
+        return math.prod(self.n_points)
 
     def node_coords(self) -> np.ndarray:
         """All node coordinates, shape (n_nodes, dim), row-major order."""
@@ -127,7 +132,7 @@ class GridFunction:
                 f"({self.grid.n_nodes}, {self.codomain_dim})"
             )
         if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
+            raise NonFiniteValuesError("values must be finite")
         vals = np.ascontiguousarray(vals)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -167,7 +172,7 @@ class VectorState:
     def __post_init__(self):
         c = np.asarray(self.coordinates, dtype=np.float64).ravel()
         if not np.all(np.isfinite(c)):
-            raise ValueError("coordinates must be finite")
+            raise NonFiniteValuesError("coordinates must be finite")
         c = np.ascontiguousarray(c)
         c.flags.writeable = False
         object.__setattr__(self, "coordinates", c)

@@ -19,7 +19,7 @@ from semiflow.chernoff import (
 )
 from semiflow.diagnostics import lipschitz_certificate, random_ball_state
 from semiflow.families_nonlinear import make_ode_family, vector_field_preset
-from semiflow.state_space import VectorState, sample_function
+from semiflow.state_space import NormSpec, VectorState, sample_function
 
 
 class TestDyadicPartition:
@@ -87,6 +87,38 @@ class TestApplyPartition:
         with pytest.raises(NonFiniteStateError) as exc:
             apply_partition(fam, dyadic_partition(1.0, 2), VectorState([1.0]))
         assert exc.value.step_index == 1
+
+    def test_nonfinite_grid_abort_carries_step_index(self, grid_small):
+        from semiflow.chernoff import GeneratingFamilyDescriptor
+        from semiflow.state_space import NonFiniteValuesError, with_values
+
+        fam = GeneratingFamilyDescriptor(
+            name="grid_blowup", state_kind="grid",
+            step=lambda t, f: with_values(f, f.values * 1e200),
+            alpha=lambda R, t: R, beta=lambda R, t: 1.0,
+            zero_state=sample_function("zero", grid_small),
+            norm=NormSpec("sup"))
+        bump = sample_function("gaussian_bump", grid_small)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteStateError) as exc:
+                apply_partition(fam, dyadic_partition(1.0, 2), bump)
+        assert exc.value.step_index == 1
+        assert isinstance(exc.value.__cause__, NonFiniteValuesError)
+
+    def test_other_value_errors_pass_through(self, grid_small):
+        from semiflow.chernoff import GeneratingFamilyDescriptor
+
+        def step(t, f):
+            raise ValueError("drift must be finite")
+
+        fam = GeneratingFamilyDescriptor(
+            name="rejects", state_kind="grid", step=step,
+            alpha=lambda R, t: R, beta=lambda R, t: 1.0,
+            zero_state=sample_function("zero", grid_small),
+            norm=NormSpec("sup"))
+        with pytest.raises(ValueError, match="drift"):
+            apply_partition(fam, dyadic_partition(1.0, 2),
+                            sample_function("gaussian_bump", grid_small))
 
 
 class TestChernoffLimit:

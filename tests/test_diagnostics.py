@@ -224,6 +224,34 @@ class TestAlphaBetaAudit:
                                   t_list=[0.25, 0.5], seed=42)
         assert report.violation_count == 0
 
+    @pytest.fixture(scope="class")
+    def masked_gbm_family(self, gbm_grid):
+        from semiflow.families_linear import GbmParams
+        from semiflow.families_nonlinear import SigmaLambdaSet, make_robust_gbm_family
+        uset = SigmaLambdaSet(pairs=((0.1, 0.2), (-0.1, 0.2), (0.05, 0.3),
+                                     (0.0, 0.1)), kind="gbm")
+        fam = make_robust_gbm_family(uset, GbmParams(mu=0.1, sigma=0.2),
+                                     gbm_grid, trust_horizon=0.5)
+        assert not fam.comparison_mask.all()
+        return fam
+
+    @pytest.mark.parametrize("seed", [1, 9])
+    def test_masked_family_inputs_in_full_norm(self, masked_gbm_family, seed):
+        # the robust GBM family compares images on its trusted interior only;
+        # alpha and beta refer to the ball and to d(x, y) in the full weighted
+        # norm, and masked inputs understated both on these seeds
+        report = alpha_beta_audit(masked_gbm_family, n_samples=6, R=1.0,
+                                  t_list=[0.25, 0.5], seed=seed)
+        assert report.violation_count == 0
+
+    def test_masked_ball_sampling_uses_full_norm(self, masked_gbm_family):
+        from semiflow.state_space import distance
+        rng = np.random.default_rng(0)
+        fam = masked_gbm_family
+        for _ in range(10):
+            x = random_ball_state(fam, rng, 0.7)
+            assert distance(x, fam.zero_state, fam.norm) <= 0.7 + 1e-12
+
     def test_t_zero_rows_present(self, heat_family):
         report = alpha_beta_audit(heat_family, n_samples=4, R=1.0,
                                   t_list=[0.5], seed=1)
