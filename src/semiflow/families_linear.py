@@ -16,10 +16,10 @@ Two kernels are provided:
   are compiled once into a step plan per axis and dt: the weights of every
   candidate stacked over the union of their tap ranges, the boundary
   coefficients and the pure-drift interpolation indices.  A step applies
-  the plan to all candidates in one batched pass: an FFT convolution
-  (numpy.fft) from FFT_MIN_TAPS taps on and on 2D grids, a direct batched
-  sum below, then the boundary terms.  Plans live in a least-recently-used
-  cache bounded by PLAN_CACHE_BYTES; the FFT work runs over chunks of
+  the plan to all candidates in one batched pass, an FFT convolution
+  (numpy.fft), then the boundary terms.  Only the last plan of each grid
+  axis is kept, and it is dropped before the next one is built, so the
+  cache holds at most one plan per axis; the FFT work runs over chunks of
   candidates, so its temporaries stay bounded as well.
 
 * the geometric Brownian motion operator f(x) -> E[f(x X_t)] with
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -179,15 +178,11 @@ def _ramp_weights(x_edge: float, h: float, means: np.ndarray, s: float,
 # step plans: the heat kernels of one dt, compiled once and applied batched
 # ---------------------------------------------------------------------------
 
-# Below this many taps a direct batched sum beats the FFT: on a 2-core x86 VM
-# the two crossed between 15 and 27 taps for 41, 6 and 1 candidates on
-# 1201-1601 nodes.  2D grids always use the FFT.
-FFT_MIN_TAPS = 24
-# Bound on the bytes of the cached plans, and on the FFT temporaries of one
-# chunk of candidates.
-PLAN_CACHE_BYTES = 3 * 2**19
+# Bound on the FFT temporaries of one chunk of candidates.
 _CHUNK_BYTES = 2**17
-_PLAN_CACHE: OrderedDict = OrderedDict()
+# (key, plan) of the last plan of each grid axis: all steps of a level, and
+# both states of a certificate check, share one dt.
+_LAST_PLAN: dict = {}
 
 
 def _fft_size(n: int) -> int:
@@ -207,39 +202,30 @@ class _AxisPlan:
     """The 1D heat step of every candidate along one grid axis, for one dt.
 
     Diffusive candidates (indices `diffuse`) convolve with their tap weights
-    over the union tap range r_lo .. r_lo + taps - 1, which contains 0 so
-    that padding and slicing need no clipping.  The weights are held either
-    as a (C, taps) matrix, reversed for the direct sum, or as its rFFT of
-    length nfft; a candidate's row is zero outside its own reach.  edge_lo
-    and edge_hi multiply the first and the last node value on the first and
-    the last nodes of the axis: the phantom ramp cells of the zero-padded
-    convolution, the clamp tails, and the far-field clamp (coefficient 1
-    where the whole kernel lies outside the box).  Pure-drift candidates
-    (indices `drift`) read the piecewise-linear reconstruction at nodes j
-    and j + 1 with weights w_lo and w_hi, both 0 outside the box in zero
-    mode.  A plan depends only on its cache key, so results do not depend
-    on what the cache holds.
+    over the union of their tap ranges, which starts at r_lo and contains 0
+    so that padding and slicing need no clipping.  The weights are held as
+    the rFFT of length nfft of a (C, taps) matrix whose row is zero outside
+    the candidate's own reach.  edge_lo and edge_hi multiply the first and
+    the last node value on the first and the last nodes of the axis: the
+    phantom ramp cells of the zero-padded convolution, the clamp tails, and
+    the far-field clamp (coefficient 1 where the whole kernel lies outside
+    the box).  Pure-drift candidates (indices `drift`) read the
+    piecewise-linear reconstruction at nodes j and j + 1 with weights w_lo
+    and w_hi, both 0 outside the box in zero mode.  A plan depends only on
+    its cache key, so results do not depend on what the cache holds.
     """
 
     n: int
     r_lo: int
-    taps: int
     nfft: int
     diffuse: np.ndarray
-    kernels: np.ndarray | None
-    spectra: np.ndarray | None
+    spectra: np.ndarray
     edge_lo: np.ndarray
     edge_hi: np.ndarray
     drift: np.ndarray
     drift_j: np.ndarray
     w_lo: np.ndarray
     w_hi: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.kernels, self.spectra, self.edge_lo,
-                                      self.edge_hi, self.drift_j, self.w_lo,
-                                      self.w_hi) if a is not None)
 
 
 def _edge_coefficients(means: np.ndarray, sd: np.ndarray, reach: np.ndarray,
@@ -263,10 +249,8 @@ def _edge_coefficients(means: np.ndarray, sd: np.ndarray, reach: np.ndarray,
 
 
 def _build_axis_plan(axis_nodes: np.ndarray, h: float, shifts: np.ndarray,
-                     s: np.ndarray, ext_mode: str, always_fft: bool,
-                     make_room) -> _AxisPlan:
-    """Compile a plan; make_room(nbytes) is called with the plan's size
-    before its large arrays are allocated."""
+                     s: np.ndarray, ext_mode: str) -> _AxisPlan:
+    """Compile the plan of one axis for one-step shifts and scales s."""
     n = axis_nodes.size
     x0 = axis_nodes[0]
     xN = axis_nodes[-1]
@@ -294,18 +278,13 @@ def _build_axis_plan(axis_nodes: np.ndarray, h: float, shifts: np.ndarray,
     taps = int(hi.max(initial=0)) - r_lo + 1
     r = np.arange(r_lo, r_lo + taps)
     nfft = _fft_size(n + taps - 1)
-    fft = always_fft or taps >= FFT_MIN_TAPS
     # node i sees the left edge only if i <= hi, the right one only if
     # n - 1 - i <= -lo; one node of slack absorbs rounding
     lo_cols = int(np.clip(hi.max(initial=-2) + 2, 0, n))
     hi_cols = int(np.clip(2 - lo.min(initial=2), 0, n))
 
     count = diffuse.size
-    width = (nfft // 2 + 1) * 16 if fft else taps * 8
-    make_room(count * (width + 8 * (lo_cols + hi_cols))
-              + drift_j.nbytes + w_lo.nbytes + w_hi.nbytes)
-    kernels = None if fft else np.empty((count, taps))
-    spectra = np.empty((count, nfft // 2 + 1), complex) if fft else None
+    spectra = np.empty((count, nfft // 2 + 1), complex)
     edge_lo = np.empty((count, lo_cols))
     edge_hi = np.empty((count, hi_cols))
     # a few candidates at a time bound the temporaries of the weight formulas
@@ -314,48 +293,30 @@ def _build_axis_plan(axis_nodes: np.ndarray, h: float, shifts: np.ndarray,
         c = slice(c0, c0 + per)
         k = _hat_weights(r * h + shift[c], sd[c], h)
         k[(r < lo[c]) | (r > hi[c])] = 0.0
-        if fft:
-            spectra[c] = np.fft.rfft(k, nfft, axis=1)
-        else:
-            kernels[c] = k[:, ::-1]
+        spectra[c] = np.fft.rfft(k, nfft, axis=1)
         edge_lo[c] = _edge_coefficients(axis_nodes[:lo_cols] + shift[c], sd[c],
                                         reach[c], h, x0, xN, True, clamp)
         edge_hi[c] = _edge_coefficients(axis_nodes[n - hi_cols:] + shift[c], sd[c],
                                         reach[c], h, x0, xN, False, clamp)
-    return _AxisPlan(n=n, r_lo=r_lo, taps=taps, nfft=nfft, diffuse=diffuse,
-                     kernels=kernels, spectra=spectra, edge_lo=edge_lo,
-                     edge_hi=edge_hi, drift=drift, drift_j=drift_j,
-                     w_lo=w_lo, w_hi=w_hi)
-
-
-def _evict(limit: int) -> None:
-    """Drop least recently used plans until the cache holds <= limit bytes."""
-    held = sum(p.nbytes for p in _PLAN_CACHE.values())
-    while _PLAN_CACHE and held > limit:
-        held -= _PLAN_CACHE.popitem(last=False)[1].nbytes
+    return _AxisPlan(n=n, r_lo=r_lo, nfft=nfft, diffuse=diffuse,
+                     spectra=spectra, edge_lo=edge_lo, edge_hi=edge_hi,
+                     drift=drift, drift_j=drift_j, w_lo=w_lo, w_hi=w_hi)
 
 
 def _axis_plan(grid: Grid, a: int, t: float, drifts: np.ndarray,
-               sigmas: np.ndarray, ext_mode: str, always_fft: bool) -> _AxisPlan:
-    """The plan of grid axis a and dt, from the cache when it is there.
-
-    The cache holds at most PLAN_CACHE_BYTES; room for a new plan is made
-    before it is built, so old and new plans never add up past the bound.
-    A plan larger than the bound is used once and not kept.
-    """
+               sigmas: np.ndarray, ext_mode: str) -> _AxisPlan:
+    """The plan of grid axis a and dt: the axis's last plan when its key
+    matches, else a new one, built after the old one is dropped."""
     shifts = drifts * t
     s = sigmas * math.sqrt(t)
     key = (grid.x_max[a], grid.n_points[a], t, shifts.tobytes(), s.tobytes(),
-           ext_mode, always_fft)
-    plan = _PLAN_CACHE.get(key)
-    if plan is not None:
-        _PLAN_CACHE.move_to_end(key)
-        return plan
-    plan = _build_axis_plan(grid.axis(a), grid.h[a], shifts, s, ext_mode,
-                            always_fft, lambda size: _evict(PLAN_CACHE_BYTES - size))
-    if plan.nbytes <= PLAN_CACHE_BYTES:
-        _PLAN_CACHE[key] = plan
-    return plan
+           ext_mode)
+    held = _LAST_PLAN.pop(a, None)
+    if held is None or held[0] != key:
+        held = None  # frees the old plan before the new one is allocated
+        held = (key, _build_axis_plan(grid.axis(a), grid.h[a], shifts, s, ext_mode))
+    _LAST_PLAN[a] = held
+    return held[1]
 
 
 def _add_edges(plan: _AxisPlan, c0: int, res: np.ndarray, data: np.ndarray):
@@ -387,18 +348,6 @@ def _apply_axis_plan(plan: _AxisPlan, data: np.ndarray, out: np.ndarray) -> None
     if not rows.size:
         return
     n = plan.n
-    if plan.spectra is None:
-        # direct batched sum over windows of the zero-padded data (1D grids)
-        r_hi = plan.r_lo + plan.taps - 1
-        pad = np.zeros((n + plan.taps - 1, data.shape[3]))
-        pad[r_hi:r_hi + n] = data[0, 0]
-        windows = np.lib.stride_tricks.sliding_window_view(pad, plan.taps, axis=0)
-        q = data.shape[3]
-        res = np.ascontiguousarray(windows).reshape(n * q, -1) @ plan.kernels.T
-        res = res.T.reshape(rows.size, 1, n, q)
-        _add_edges(plan, 0, res, data)
-        out[rows] = res
-        return
     nfft = plan.nfft
     spectra = plan.spectra[:, None, :, None]
     freq = np.fft.rfft(data, nfft, axis=2) if shared else None
@@ -436,14 +385,13 @@ def heat_multi_step(f: GridFunction, t: float, drifts: np.ndarray,
         return np.broadcast_to(f.values, (C, *f.values.shape)).copy()
 
     grid = f.grid
-    multi = grid.dim == 2
-    plans = [_axis_plan(grid, a, t, drifts[:, a], sigmas[:, a],
-                        f.extension_mode, multi) for a in range(grid.dim)]
+    plans = [_axis_plan(grid, a, t, drifts[:, a], sigmas[:, a], f.extension_mode)
+             for a in range(grid.dim)]
     n0 = grid.n_points[0]
     data = f.values.reshape(1, 1, n0, -1)
     out = np.empty((C, 1, n0, data.shape[3]))
     _apply_axis_plan(plans[0], data, out)
-    if multi:
+    if grid.dim == 2:
         slabs = out.reshape(C, n0, grid.n_points[1], f.codomain_dim)
         _apply_axis_plan(plans[1], slabs, slabs)
     return out.reshape(C, grid.n_nodes, f.codomain_dim)

@@ -88,7 +88,7 @@ class Grid:
 
     @property
     def n_nodes(self) -> int:
-        return math.prod(self.n_points)
+        return int(np.prod(self.n_points))
 
     def node_coords(self) -> np.ndarray:
         """All node coordinates, shape (n_nodes, dim), row-major order."""
