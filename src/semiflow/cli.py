@@ -34,11 +34,14 @@ import numpy as np
 
 from . import diagnostics as diag
 from .chernoff import (
+    DEFAULT_N_MAX,
+    DEFAULT_N_MIN,
+    DEFAULT_TOL,
     GeneratingFamilyDescriptor,
     chernoff_limit,
+    dyadic_partition,
     evolve_path,
     semigroup_defect,
-    smallest_dyadic_level,
 )
 from .families_linear import (
     GbmParams,
@@ -77,9 +80,6 @@ from .state_space import (
 __all__ = ["ExperimentSpec", "ConfigError", "parse_config", "run_experiment",
            "emit_plot", "main"]
 
-DEFAULT_TOL = 1e-4
-DEFAULT_N_MIN = 4
-DEFAULT_N_MAX = 14
 DEFAULT_QUAD_POINTS = 64
 DEFAULT_WEIGHT_P = 3.0
 
@@ -135,12 +135,41 @@ def _require(mapping, key, path, default=None, required=False):
 
 
 def _check_dyadic(t, level, path):
-    k = t * 2.0**level
-    if k != math.floor(k) or math.floor(k) * 2.0**-level != t:
-        lvl = smallest_dyadic_level(t)
-        hint = (f"; smallest admissible level is {lvl}" if lvl is not None
-                else "; not dyadic at any level <= 60")
-        raise ConfigError(path, f"time {t!r} is not dyadic at level {level}{hint}")
+    """ConfigError at path unless t is a dyadic time at the given level."""
+    try:
+        dyadic_partition(float(t), int(level))
+    except ValueError as e:  # NonDyadicTimeError carries the level hint
+        raise ConfigError(path, str(e)) from None
+
+
+def _check_derived_times(schedule, tasks):
+    """The times the selected tasks derive from the schedule must be dyadic
+    at the levels those tasks run them at: the generator starts each h at
+    its smallest dyadic level, which must lie within n_max."""
+    path = "config.schedule"
+    if "defect" in tasks:
+        _check_dyadic(schedule.get("defect_t", schedule["t_list"][0] / 2.0),
+                      schedule["n_min"], f"{path}.defect_t")
+    if "monotonicity" in tasks:
+        levels = schedule.get("monotonicity_levels", [2, 3, 4, 5])
+        if len(levels) < 2:
+            raise ConfigError(f"{path}.monotonicity_levels",
+                              "need at least two levels")
+        _check_dyadic(schedule.get("monotonicity_t", schedule["t_list"][0]),
+                      min(levels), f"{path}.monotonicity_t")
+    if "generator" in tasks:
+        hs = schedule.get("h_levels", [2.0**-k for k in range(4, 9)])
+        for i, h in enumerate(hs):
+            if not h > 0 or (i and h >= hs[i - 1]):
+                raise ConfigError(f"{path}.h_levels[{i}]",
+                                  "must be positive and strictly decreasing")
+            _check_dyadic(h, schedule["n_max"], f"{path}.h_levels[{i}]")
+    if "certificate" in tasks:
+        T = schedule.get("certificate_horizon", 0.5)
+        if not T > 0:
+            raise ConfigError(f"{path}.certificate_horizon", "must be positive")
+        _check_dyadic(T, min(schedule.get("certificate_levels", [4, 5, 6, 7, 8])),
+                      f"{path}.certificate_horizon")
 
 
 def parse_config(path) -> ExperimentSpec:
@@ -217,6 +246,13 @@ def parse_config(path) -> ExperimentSpec:
         if task not in TASK_NAMES:
             raise ConfigError(f"config.tasks[{i}]",
                               f"unknown task {task!r}{_suggest(task, TASK_NAMES)}")
+
+    if "monotonicity" in tasks and fname.startswith("ode_"):
+        raise ConfigError("config.tasks", "monotonicity requires a grid family")
+    if "telescoping" in tasks and fname != "perturbation":
+        raise ConfigError("config.tasks",
+                          "telescoping requires a perturbation family")
+    _check_derived_times(schedule, tasks)
 
     seed = int(_require(raw, "seed", "config", default=0))
     randomized = {"audit"}
@@ -448,8 +484,6 @@ def _task_monotonicity(spec, family, state):
     sched = spec.schedule
     levels = sched.get("monotonicity_levels", [2, 3, 4, 5])
     t = sched.get("monotonicity_t", sched["t_list"][0])
-    if family.state_kind != "grid":
-        raise ConfigError("config.tasks", "monotonicity requires a grid family")
     value = diag.partition_monotonicity_check(family, state, t, levels)
     return {"task": "monotonicity", "t": t, "levels": levels,
             "min_increment": value, "bound": -1e-10,
@@ -457,9 +491,6 @@ def _task_monotonicity(spec, family, state):
 
 
 def _task_telescoping(spec, family, state):
-    if family.params.get("kind") != "perturbation":
-        raise ConfigError("config.tasks",
-                          "telescoping requires a perturbation family")
     base_kind = family.params["base"]
     grid = state.grid
     norm = _build_norm(spec)
@@ -515,8 +546,6 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> dict:
                 results[task] = _task_evolve(spec, family, state, outdir, writes)
             else:
                 results[task] = _TASK_RUNNERS[task](spec, family, state)
-        except (ConfigError,) as e:
-            raise
         except Exception as e:  # recorded, not fatal: the manifest carries it
             errors[task] = f"{type(e).__name__}: {e}"
             results[task] = {"task": task, "passed": False, "error": errors[task]}

@@ -29,6 +29,16 @@ Two kernels are provided:
   interior radius marks the nodes where the escaping lognormal mass is below
   1e-10, and norms are restricted to that interior.
 
+  For one (mu, sigma) member and one dt this operator is a fixed sparse
+  matrix, so it is compiled once into a plan: the interpolation cells and
+  weights of every node and quadrature point, merged where consecutive
+  points share a cell, as two CSR matrices (low and high weights) over the
+  x >= 0 half of the grid, plus the escape-mass flag.  The nodes are
+  exactly symmetric, so the same rows applied to the reversed values serve
+  x <= 0.  The last plan of each member is kept, and a step on another grid
+  drops them all.  scipy.sparse is imported only when a plan is built, so
+  runs without GBM do not load it.
+
 In 2D only diagonal (and scalar) diffusion matrices are supported, through
 tensor-product application of the 1D kernel along each axis.
 """
@@ -443,13 +453,104 @@ def _gauss_hermite(points: int) -> tuple[np.ndarray, np.ndarray]:
     return z, w
 
 
+@dataclass(frozen=True)
+class _GbmPlan:
+    """The GBM step of one member for one dt, on the x >= 0 half of the grid.
+
+    Row k maps the half-grid values v[mid:] to the step at node mid + k:
+    low @ v[mid:-1] + high @ v[mid + 1:].  The nodes are exactly symmetric,
+    so the same rows applied to the reversed values v[mid::-1] give the step
+    at node mid - k.  low and high are CSR matrices that share one index
+    array, the quadrature cells; escapes is the one-step escape-mass flag of
+    the trusted interior the plan was built for.
+    """
+
+    t: float
+    low: object
+    high: object
+    escapes: bool
+
+
+# The last plan of each GBM member, all on the grid _GBM_GRID: all steps of
+# a level share one dt, and a robust family steps its members in turn.
+_GBM_GRID: Grid | None = None
+_GBM_PLANS: dict = {}
+
+
+def _build_gbm_plan(grid: Grid, t: float, params: GbmParams,
+                    trusted_radius: float | None) -> _GbmPlan:
+    """Compile E[f(x X_t)] on the x >= 0 half of the grid into a plan.
+
+    Node x and quadrature factor F_q read f in the cell j of x F_q with
+    weights 1 - w and w, w = (x F_q - x[j]) / (x[j+1] - x[j]) as in
+    np.interp; beyond the box the last cell with w = 1 clamps.  Consecutive
+    quadrature nodes of one row in the same cell are merged into one entry.
+    """
+    from scipy.sparse import csr_matrix
+
+    x = grid.axis(0)
+    mid = x.size // 2
+    half = x[mid:]
+    m = half.size
+    escapes = False
+    if trusted_radius is not None:
+        esc = _gbm_escape_mass(x[np.abs(x) <= trusted_radius], t, params.mu,
+                               params.sigma, grid.x_max[0])
+        escapes = bool(np.any(esc > GBM_ESCAPE_THRESHOLD))
+    z, w = _gauss_hermite(params.quad_points)
+    factors = np.exp((params.mu - params.sigma**2 / 2.0) * t
+                     + params.sigma * math.sqrt(2.0 * t) * z)
+    pts = np.multiply.outer(half, factors)
+    # clamped before the cast, which is undefined beyond int32; fmin also
+    # maps a NaN (0 x inf) to a cell, whose weights stay NaN
+    j = np.fmin(pts / grid.h[0], m - 2).astype(np.int32)
+    # w overwrites the points; the clip sets w = 1 beyond the box, and puts
+    # back a w an ulp past 0 or 1 where the floor rounded to the next cell
+    frac = pts
+    frac -= half[j]
+    frac /= np.diff(half)[j]
+    np.clip(frac, 0.0, 1.0, out=frac)
+    new = np.ones(j.shape, bool)
+    np.not_equal(j[:, 1:], j[:, :-1], out=new[:, 1:])
+    run = np.cumsum(new, dtype=np.intp) - 1
+    indices = j[new]
+    indptr = np.zeros(m + 1, np.int32)
+    np.cumsum(np.count_nonzero(new, axis=1), out=indptr[1:])
+    qw = w / math.sqrt(math.pi)
+    frac *= qw  # the high weights q w
+    hi = np.bincount(run, weights=frac.ravel())
+    np.subtract(qw, frac, out=frac)  # the low weights q (1 - w)
+    lo = np.bincount(run, weights=frac.ravel())
+    shape = (m, m - 1)
+    return _GbmPlan(t=t, low=csr_matrix((lo, indices, indptr), shape=shape),
+                    high=csr_matrix((hi, indices, indptr), shape=shape),
+                    escapes=escapes)
+
+
+def _gbm_plan(grid: Grid, t: float, params: GbmParams,
+              trusted_radius: float | None) -> _GbmPlan:
+    """The member's last plan when its dt matches, else a new one, built
+    after the old one is dropped; a call on another grid drops all plans."""
+    global _GBM_GRID
+    if _GBM_GRID != grid:
+        _GBM_PLANS.clear()
+        _GBM_GRID = grid
+    member = (params.mu, params.sigma, params.quad_points, trusted_radius)
+    plan = _GBM_PLANS.pop(member, None)
+    if plan is None or plan.t != t:
+        plan = None  # frees the old plan before the new one is allocated
+        plan = _build_gbm_plan(grid, t, params, trusted_radius)
+    _GBM_PLANS[member] = plan
+    return plan
+
+
 def gbm_step(f: GridFunction, t: float, params: GbmParams,
              trusted_radius: float | None = None) -> GridFunction:
     """E[f(x X_t)] by Gauss-Hermite quadrature in the Brownian variable.
 
-    f is read through clamped linear interpolation; x = 0 maps to f(0)
-    exactly.  Emits a warning (never fails) when the one-step escaping mass
-    exceeds the threshold at some node of the declared trusted interior.
+    f is read through clamped linear interpolation; x = 0 maps to f(0).
+    Emits a warning (never fails) when the one-step escaping mass exceeds
+    the threshold at some node of the declared trusted interior.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -459,26 +560,22 @@ def gbm_step(f: GridFunction, t: float, params: GbmParams,
         raise ValueError("GBM operator requires clamp extension")
     if t == 0.0:
         return f
-    x = f.grid.axis(0)
-    if trusted_radius is not None:
-        inside = np.abs(x) <= trusted_radius
-        esc = _gbm_escape_mass(x[inside], t, params.mu, params.sigma,
-                               f.grid.x_max[0])
-        if np.any(esc > GBM_ESCAPE_THRESHOLD):
-            warnings.warn(
-                "gbm_step: escaping lognormal mass exceeds threshold inside "
-                "the trusted interior",
-                stacklevel=2,
-            )
-    z, w = _gauss_hermite(params.quad_points)
-    factors = np.exp((params.mu - params.sigma**2 / 2.0) * t
-                     + params.sigma * math.sqrt(2.0 * t) * z)
-    pts = x[:, None] * factors[None, :]
-    mesh = f.values  # (n, m)
-    out = np.empty_like(mesh)
-    for comp in range(f.codomain_dim):
-        sampled = np.interp(pts, x, mesh[:, comp])  # np.interp clamps at edges
-        out[:, comp] = sampled @ w / math.sqrt(math.pi)
+    plan = _gbm_plan(f.grid, t, params, trusted_radius)
+    if plan.escapes:
+        warnings.warn(
+            "gbm_step: escaping lognormal mass exceeds threshold inside "
+            "the trusted interior",
+            stacklevel=2,
+        )
+    vals = f.values
+    c = f.codomain_dim
+    mid = vals.shape[0] // 2
+    both = np.concatenate([vals[mid:], vals[mid::-1]], axis=1)
+    res = plan.low @ both[:-1]
+    res += plan.high @ both[1:]
+    out = np.empty_like(vals)
+    out[mid:] = res[:, :c]
+    out[:mid] = res[:0:-1, c:]
     return with_values(f, out)
 
 

@@ -14,6 +14,7 @@ makes the node set exactly symmetric and places 0.0 exactly on the grid.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -369,11 +370,9 @@ def scale_values(f: GridFunction, a: float) -> GridFunction:
 def serialize_csv(f: GridFunction) -> str:
     coord_names = ["x", "y"][: f.grid.dim]
     header = ",".join(coord_names + [f"v{i + 1}" for i in range(f.codomain_dim)])
-    coords = f.grid.node_coords()
-    rows = [header]
-    for c_row, v_row in zip(coords, f.values):
-        rows.append(",".join("%.17g" % v for v in (*c_row, *v_row)))
-    return "\n".join(rows) + "\n"
+    table = np.concatenate([f.grid.node_coords(), f.values], axis=1)
+    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return header + "\n" + (row_fmt * table.shape[0]) % tuple(table.ravel().tolist())
 
 
 def write_csv(f: GridFunction, path) -> None:
@@ -381,12 +380,25 @@ def write_csv(f: GridFunction, path) -> None:
 
 
 def read_csv_table(path) -> tuple[list[str], np.ndarray]:
-    """Read a serialized grid function; returns (column names, data matrix)."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty CSV")
-    names = lines[0].split(",")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    if data.ndim != 2 or data.shape[1] != len(names):
+    """Read a serialized grid function; returns (column names, data matrix).
+
+    np.loadtxt parses the rows straight from the file, so no copy of the
+    whole text is held.
+    """
+    with open(path) as fh:
+        lines = (ln for ln in fh if ln.strip())
+        header = next(lines, None)
+        if header is None:
+            raise ValueError(f"{path}: empty CSV")
+        names = header.strip().split(",")
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: malformed CSV")
+        try:
+            data = np.loadtxt(itertools.chain([first], fh), delimiter=",",
+                              ndmin=2)
+        except ValueError:
+            raise ValueError(f"{path}: malformed CSV") from None
+    if data.shape[1] != len(names):
         raise ValueError(f"{path}: malformed CSV")
     return names, data

@@ -228,6 +228,48 @@ class TestMainEntry:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["run", str(cfg_path)]) == 2
 
+    HEAT_41 = {"family": {"name": "heat"},
+               "grid": {"dim": 1, "x_max": 2.0, "n_points": 41}}
+
+    @pytest.mark.parametrize("cfg,field", [
+        # defect_t defaults to t_list[0] / 2 = 2^-5, not dyadic at n_min = 4
+        (dict(HEAT_41, schedule={"t_list": [0.0625], "n_min": 4},
+              tasks=["evolve", "defect"]), "defect_t"),
+        (dict(HEAT_41, schedule={"t_list": [0.5], "defect_t": 0.3},
+              tasks=["defect"]), "defect_t"),
+        (dict(HEAT_41, schedule={"t_list": [0.5], "monotonicity_t": 0.125,
+                                 "monotonicity_levels": [2, 3]},
+              tasks=["monotonicity"]), "monotonicity_t"),
+        (dict(HEAT_41, schedule={"t_list": [0.5], "monotonicity_levels": [3]},
+              tasks=["monotonicity"]), "monotonicity_levels"),
+        (dict(HEAT_41, schedule={"t_list": [0.5], "h_levels": [0.25, 0.1]},
+              tasks=["generator"]), "h_levels[1]"),
+        (dict(HEAT_41, schedule={"t_list": [0.5], "h_levels": [0.125, 0.25]},
+              tasks=["generator"]), "h_levels[1]"),
+        (dict(HEAT_41, schedule={"t_list": [0.5], "certificate_horizon": 0.25,
+                                 "certificate_levels": [1, 2, 3]},
+              tasks=["certificate"]), "certificate_horizon"),
+        (dict(HEAT_41, schedule={"t_list": [0.5], "certificate_horizon": 0.0},
+              tasks=["certificate"]), "certificate_horizon"),
+        (dict(MINIMAL_ODE, tasks=["evolve", "monotonicity"]), "tasks"),
+        (dict(HEAT_41, schedule={"t_list": [0.5]},
+              tasks=["evolve", "telescoping"], seed=1), "tasks"),
+    ])
+    def test_parse_time_config_errors(self, tmp_path, capsys, cfg, field):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(write_config(tmp_path, cfg))
+        assert exc.value.field_path.endswith(field)
+        out = tmp_path / "o"
+        assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+        assert "config error" in capsys.readouterr().err
+
+    def test_non_dyadic_hint_names_smallest_level(self, tmp_path):
+        cfg = dict(self.HEAT_41, schedule={"t_list": [0.5], "defect_t": 0.03125},
+                   tasks=["defect"])
+        with pytest.raises(ConfigError, match="smallest admissible level is 5"):
+            parse_config(write_config(tmp_path, cfg))
+
     def test_assertion_failure_exit_one(self, tmp_path):
         cfg = dict(MINIMAL_ODE,
                    schedule={"t_list": [1.0], "tol": 1e-13, "n_max": 6})

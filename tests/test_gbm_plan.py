@@ -1,0 +1,99 @@
+"""Differential test of the GBM step plans against an np.interp loop.
+
+The reference evaluates E[f(x X_t)] as the GBM step did before plans: on
+every call it reads f at x F_q for all nodes and quadrature factors with
+np.interp, which clamps beyond the box, and sums with the Gauss-Hermite
+weights.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from semiflow import families_linear as fl
+from semiflow.families_linear import GbmParams, gbm_step
+from semiflow.state_space import GridFunction, grid_create
+
+
+def reference_gbm_step(f, t, params):
+    x = f.grid.axis(0)
+    z, w = np.polynomial.hermite.hermgauss(params.quad_points)
+    factors = np.exp((params.mu - params.sigma**2 / 2.0) * t
+                     + params.sigma * math.sqrt(2.0 * t) * z)
+    pts = x[:, None] * factors[None, :]
+    out = np.empty_like(f.values)
+    for comp in range(f.codomain_dim):
+        sampled = np.interp(pts, x, f.values[:, comp])
+        out[:, comp] = sampled @ w / math.sqrt(math.pi)
+    return out
+
+
+def _state(n, seed=5):
+    g = grid_create(1, 16.0, n)
+    rng = np.random.default_rng(seed)
+    walk = np.cumsum(rng.uniform(-1.0, 1.0, n)) * g.h[0]
+    return GridFunction(g, 2, np.stack([g.axis(0), walk], axis=1), "clamp")
+
+
+PAIRS = [(0.1, 0.2), (-0.1, 0.2), (0.05, 0.3), (-0.3, 0.0), (0.2, 0.0),
+         (0.0, 1.5)]
+
+
+@pytest.mark.parametrize("n", [41, 1601])
+@pytest.mark.parametrize("mu,sigma", PAIRS)
+def test_plan_matches_interp_loop(n, mu, sigma):
+    f = _state(n)
+    params = GbmParams(mu=mu, sigma=sigma)
+    for k in range(13):
+        t = 2.0**-k
+        ref = reference_gbm_step(f, t, params)
+        got = gbm_step(f, t, params).values
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_small_quadrature():
+    f = _state(41)
+    params = GbmParams(mu=0.1, sigma=0.4, quad_points=8)
+    ref = reference_gbm_step(f, 0.25, params)
+    got = gbm_step(f, 0.25, params).values
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_escape_warning_on_every_flagged_call():
+    g = grid_create(1, 4.0, 81)
+    f = GridFunction(g, 1, g.axis(0), "clamp")
+    params = GbmParams(mu=0.5, sigma=0.5)
+    fl._GBM_PLANS.clear()
+    for _ in range(3):
+        with pytest.warns(UserWarning, match="escaping"):
+            gbm_step(f, 4.0, params, trusted_radius=3.9)
+    assert len(fl._GBM_PLANS) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gbm_step(f, 2.0**-6, params, trusted_radius=0.5)
+
+
+def test_plan_cache_keeps_last_plan_per_member():
+    f = _state(41)
+    a = GbmParams(mu=0.1, sigma=0.2)
+    b = GbmParams(mu=-0.1, sigma=0.3)
+    fl._GBM_PLANS.clear()
+    gbm_step(f, 0.25, a)
+    gbm_step(f, 0.25, b)
+    assert len(fl._GBM_PLANS) == 2
+    plan_a = fl._gbm_plan(f.grid, 0.25, a, None)
+    plan_b = fl._gbm_plan(f.grid, 0.25, b, None)
+    # the same dt reuses the held plan
+    gbm_step(f, 0.25, a)
+    assert fl._gbm_plan(f.grid, 0.25, a, None) is plan_a
+    # a new dt replaces the member's plan and leaves the other's
+    gbm_step(f, 0.125, a)
+    assert fl._gbm_plan(f.grid, 0.125, a, None) is not plan_a
+    assert fl._gbm_plan(f.grid, 0.25, b, None) is plan_b
+    assert len(fl._GBM_PLANS) == 2
+    # a call on another grid drops every held plan
+    gbm_step(_state(81), 0.25, a)
+    assert len(fl._GBM_PLANS) == 1
+    assert fl._GBM_GRID == grid_create(1, 16.0, 81)

@@ -257,6 +257,39 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             read_csv_table(path)
 
+    @pytest.mark.parametrize("text", [
+        "",                       # empty
+        "\n\n",                   # blank lines only
+        "x,v1\n",                 # header only
+        "x,v1\n1.0,2.0\n3.0\n",   # ragged rows
+        "x,v1\n1.0,2.0,3.0\n",    # more columns than names
+        "x,v1\n1.0,abc\n",        # not a number
+    ])
+    def test_malformed_csv_kinds(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            read_csv_table(path)
+
+    @pytest.mark.parametrize("dim,n,m", [(1, 41, 1), (1, 3, 2), (2, 21, 3)])
+    def test_serialize_matches_row_loop(self, tmp_path, dim, n, m):
+        g = grid_create(dim, 3.0, n)
+        rng = np.random.default_rng(11)
+        vals = (rng.standard_normal((g.n_nodes, m))
+                * 10.0 ** rng.integers(-300, 300, (g.n_nodes, m)))
+        vals[0, 0] = -0.0
+        f = GridFunction(g, m, vals, "clamp")
+        header = ",".join(["x", "y"][:dim] + [f"v{i + 1}" for i in range(m)])
+        rows = [header] + [",".join("%.17g" % v for v in (*c, *v))
+                           for c, v in zip(g.node_coords(), f.values)]
+        text = serialize_csv(f)
+        assert text == "\n".join(rows) + "\n"
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        names, data = read_csv_table(path)
+        assert names == header.split(",")
+        assert np.array_equal(data, np.concatenate([g.node_coords(), f.values], 1))
+
 
 class TestImmutability:
     def test_values_read_only(self):
