@@ -30,7 +30,6 @@ from .families_linear import (
     heat_drift_step,
     gbm_step,
     make_heat_family,
-    make_gbm_linear_family,
     make_identity_base_family,
 )
 from .families_nonlinear import (

@@ -106,8 +106,7 @@ class GeneratingFamilyDescriptor:
 
     step(t, x) realizes I(t); alpha and beta are the declared bound and
     Lipschitz envelopes of the family (alpha(R, t) maps the ball radius, beta
-    the Lipschitz constant on B(x0, R)).  lip_growth is the optional
-    Lipschitz-seminorm growth rho(c, t), analytic_generator the optional
+    the Lipschitz constant on B(x0, R)).  analytic_generator is the optional
     closed-form generator.  minus_conjugate marks families for which the
     order-conjugate family f -> -I(t)(-f) is meaningful.
     """
@@ -119,7 +118,6 @@ class GeneratingFamilyDescriptor:
     beta: Callable[[float, float], float]
     zero_state: object
     norm: NormSpec | None = None
-    lip_growth: Callable[[float, float], float] | None = None
     analytic_generator: Callable | None = None
     minus_conjugate: bool = False
     comparison_mask: np.ndarray | None = None

@@ -228,6 +228,12 @@ def parse_config(path) -> ExperimentSpec:
     schedule.setdefault("n_max", DEFAULT_N_MAX)
     if schedule["tol"] <= 0:
         raise ConfigError("config.schedule.tol", "tolerance must be positive")
+    for key in ("n_min", "n_max"):
+        if type(schedule[key]) is not int or schedule[key] < 0:
+            raise ConfigError(f"config.schedule.{key}",
+                              "must be a nonnegative integer")
+    if schedule["n_min"] > schedule["n_max"]:
+        raise ConfigError("config.schedule.n_max", "must be >= n_min")
     if not schedule["t_list"]:
         raise ConfigError("config.schedule.t_list", "must be nonempty")
     prev = 0.0
@@ -235,7 +241,7 @@ def parse_config(path) -> ExperimentSpec:
         if t <= prev and not (i == 0 and t == 0.0):
             raise ConfigError(f"config.schedule.t_list[{i}]",
                               "times must be strictly increasing")
-        _check_dyadic(float(t), int(schedule["n_min"]),
+        _check_dyadic(float(t), schedule["n_min"],
                       f"config.schedule.t_list[{i}]")
         prev = t
 
@@ -491,18 +497,8 @@ def _task_monotonicity(spec, family, state):
 
 
 def _task_telescoping(spec, family, state):
-    base_kind = family.params["base"]
-    grid = state.grid
-    norm = _build_norm(spec)
-    if base_kind == "heat":
-        base = make_heat_family(
-            HeatDriftParams.create(spec.family.get("drift", 0.0),
-                                   spec.family.get("sigma", 1.0), grid.dim),
-            norm, grid)
-    else:
-        base = make_identity_base_family(grid, norm)
-    psi_cfg = dict(spec.family["psi"])
-    pert = perturbation_preset(psi_cfg.pop("name"), **psi_cfg)
+    base = family.params["base_family"]
+    pert = family.params["perturbation"]
     rng = np.random.default_rng(spec.seed)
     g_state = diag.random_ball_state(family, rng, 1.0)
     probes = []
@@ -533,9 +529,14 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> dict:
     recorded in the manifest; the manifest's `passed` flag is the exit-code
     contract (true iff every asserted check passed).
     """
+    try:
+        family, state = build_family(spec)
+    except ConfigError:
+        raise
+    except ValueError as e:  # a family constructor rejected the config
+        raise ConfigError("config.family", str(e)) from None
     outdir = Path(out_dir or spec.output_dir or os.environ.get("SEMIFLOW_OUT", "out"))
     outdir.mkdir(parents=True, exist_ok=True)
-    family, state = build_family(spec)
 
     writes: list[str] = []
     results = {}

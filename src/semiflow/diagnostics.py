@@ -38,6 +38,7 @@ from .chernoff import (
     apply_partition,
     chernoff_limit,
     dyadic_partition,
+    smallest_dyadic_level,
 )
 from .state_space import (
     GridFunction,
@@ -260,24 +261,27 @@ def generator_estimate(family: GeneratingFamilyDescriptor, f, h_levels,
                        mask: np.ndarray | None = None) -> GeneratorTable:
     """Difference-quotient check of the analytic generator.
 
-    Each S(h)f is computed by chernoff_limit starting at the level where h is
-    a single step.  h_levels must be dyadic and decreasing.  A non-convergent
-    limit flags its entry but does not abort the table.
+    Each S(h)f is computed by chernoff_limit starting at the smallest level
+    at which h is dyadic.  h_levels must be strictly decreasing and dyadic at
+    a level <= n_max.  A non-convergent limit flags its entry but does not
+    abort the table.
     """
     if family.analytic_generator is None:
         raise ValueError(f"{family.name}: no analytic generator declared")
     hs = [float(h) for h in h_levels]
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("h_levels must be strictly decreasing")
+    levels = [smallest_dyadic_level(h, n_max) for h in hs]
+    for h, level in zip(hs, levels):
+        if level is None:
+            raise ValueError(f"h={h!r} is not dyadic at any level <= n_max={n_max}")
     if mask is None and family.state_kind == "grid":
         mask = default_collar_mask(family, f, max(hs))
     errors = []
     flagged = []
-    for h in hs:
-        base_level = _single_step_level(h)
-        evolved, rep = chernoff_limit(family, h, f, tol=tol,
-                                      n_min=base_level,
-                                      n_max=max(n_max, base_level + 4))
+    for h, level in zip(hs, levels):
+        evolved, rep = chernoff_limit(family, h, f, tol=tol, n_min=level,
+                                      n_max=max(n_max, level + 4))
         flagged.append(not rep.converged)
         errors.append(_quotient_error(family, f, evolved, h, mask))
     return GeneratorTable(
@@ -287,17 +291,6 @@ def generator_estimate(family: GeneratingFamilyDescriptor, f, h_levels,
         smallest_error=float(min(errors)),
         flagged=tuple(flagged),
     )
-
-
-def _single_step_level(h: float) -> int:
-    n = int(round(-math.log2(h)))
-    if 2.0**-n != h:
-        from .chernoff import smallest_dyadic_level
-        lvl = smallest_dyadic_level(h)
-        if lvl is None:
-            raise ValueError(f"h={h!r} is not dyadic")
-        return lvl
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +309,9 @@ def gen_condition_probe(family: GeneratingFamilyDescriptor, f, g, t0: float,
         raise ValueError("t0 must be positive")
     if any(not (0 < lam <= 1) for lam in lambda_list):
         raise ValueError("lambda_list must lie in (0, 1]")
-    n0 = _single_step_level(t0)
+    n0 = smallest_dyadic_level(t0)
+    if n0 is None:
+        raise ValueError(f"t0={t0!r} is not dyadic")
     best = 0.0
     for n in (n0, n0 + 1, n0 + 2):
         k_max = int(round(t0 * 2.0**n))

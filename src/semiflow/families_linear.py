@@ -41,6 +41,11 @@ Two kernels are provided:
 
 In 2D only diagonal (and scalar) diffusion matrices are supported, through
 tensor-product application of the 1D kernel along each axis.
+
+Every grid family has one form: the nodewise max over a finite candidate set
+of (one of these linear transitions - cost t).  kernel_family builds the
+descriptor of such a set, with envelopes e^{omega t} and the generator
+kernel_generator, the same max taken over the candidates' linear generators.
 """
 
 from __future__ import annotations
@@ -59,7 +64,6 @@ from .state_space import (
     Grid,
     GridFunction,
     NormSpec,
-    interp_eval,
     sample_function,
     with_values,
 )
@@ -70,8 +74,9 @@ __all__ = [
     "heat_drift_step",
     "gbm_step",
     "make_heat_family",
-    "make_gbm_linear_family",
     "make_identity_base_family",
+    "kernel_family",
+    "kernel_generator",
     "gbm_trusted_radius",
     "gbm_growth_rate",
     "central_diff",
@@ -103,9 +108,7 @@ class HeatDriftParams:
 
     @staticmethod
     def create(drift, sigma, dim: int = 1) -> "HeatDriftParams":
-        d = (float(drift),) * 1 if np.isscalar(drift) else tuple(float(v) for v in drift)
-        if np.isscalar(drift) and dim == 2:
-            d = (float(drift), float(drift))
+        d = (float(drift),) * dim if np.isscalar(drift) else tuple(float(v) for v in drift)
         s = (float(sigma),) * dim if np.isscalar(sigma) else tuple(float(v) for v in sigma)
         if len(d) != dim or len(s) != dim:
             raise ValueError("drift/sigma length must match dim")
@@ -409,8 +412,6 @@ def heat_multi_step(f: GridFunction, t: float, drifts: np.ndarray,
 
 def heat_drift_step(f: GridFunction, t: float, params: HeatDriftParams) -> GridFunction:
     """One Gaussian transition step; t = 0 returns f unchanged."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     if t == 0.0:
         return f
     vals = heat_multi_step(f, t, np.array([params.drift]),
@@ -603,111 +604,85 @@ def second_diff(mesh: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def heat_generator_values(f: GridFunction, params: HeatDriftParams) -> np.ndarray:
-    """(1/2) tr(sigma sigma^T D^2 f) + <lambda, grad f> by central differences."""
+def kernel_generator(f: GridFunction, drifts, sigmas, costs) -> GridFunction:
+    """The generator of a candidate set: nodewise max over candidates c of
+
+        sum_a sigma_ca^2 / 2 d_a^2 f + b_ca d_a f - cost_c
+
+    by central differences.  The arrays drifts b and sigmas have shape
+    (C, dim), one coefficient per candidate and axis, or (C, dim, n_nodes)
+    for coefficients that vary by node (mu x and sigma x for GBM); costs has
+    shape (C,).
+    """
+    grid = f.grid
     mesh = f.as_mesh()
-    out = np.zeros_like(mesh)
-    for a in range(f.grid.dim):
-        h = f.grid.h[a]
-        out += 0.5 * params.sigma[a] ** 2 * second_diff(mesh, h, axis=a)
-        out += params.drift[a] * central_diff(mesh, h, axis=a)
-    return out.reshape(f.grid.n_nodes, f.codomain_dim)
+    flat = (costs.size,) + (1,) * (grid.dim + 1)
+    per_node = flat if drifts.ndim == 2 else (costs.size, *grid.n_points, 1)
+    diffusion = drift = 0.0
+    for a in range(grid.dim):
+        h = grid.h[a]
+        diffusion = diffusion + (0.5 * sigmas[:, a].reshape(per_node) ** 2
+                                 * second_diff(mesh, h, axis=a))
+        drift = drift + drifts[:, a].reshape(per_node) * central_diff(mesh, h, axis=a)
+    vals = np.max(diffusion + (drift - costs.reshape(flat)), axis=0)
+    return with_values(f, vals.reshape(grid.n_nodes, f.codomain_dim))
 
 
 # ---------------------------------------------------------------------------
 # family descriptors
 # ---------------------------------------------------------------------------
 
-def make_heat_family(params: HeatDriftParams, norm: NormSpec, grid: Grid,
-                     name: str = "heat") -> GeneratingFamilyDescriptor:
-    """Heat-with-drift generating family: a sup-norm contraction, so the
-    declared envelopes are alpha(R, t) = R and beta(R, t) = 1."""
-    zero = sample_function("zero", grid)
+def kernel_family(name: str, step, grid: Grid, norm: NormSpec, drifts, sigmas,
+                  costs, params: dict, omega: float = 0.0,
+                  zero: GridFunction | None = None,
+                  comparison_mask: np.ndarray | None = None
+                  ) -> GeneratingFamilyDescriptor:
+    """Descriptor of a family I(t)f = max over candidates c of (linear
+    Gaussian or lognormal transition of c - cost_c t).
 
-    def step(t, f):
-        return heat_drift_step(f, t, params)
-
-    def generator(f):
-        return with_values(f, heat_generator_values(f, params))
-
+    step realizes I(t); drifts, sigmas and costs are the candidates'
+    coefficients as kernel_generator takes them, which gives the declared
+    generator.  The envelopes are alpha(R, t) = e^{omega t} R and
+    beta(R, t) = e^{omega t}; omega = 0 is the contraction alpha = R,
+    beta = 1.  Gaussian kernels (one sigma per candidate and axis) set the
+    generator collar; per-node coefficients (lognormal transitions) have no
+    kernel width in x, and their comparisons go through comparison_mask.
+    """
+    zero = sample_function("zero", grid) if zero is None else zero
+    drifts, sigmas, costs = (np.asarray(v, dtype=np.float64)
+                             for v in (drifts, sigmas, costs))
     fam = GeneratingFamilyDescriptor(
         name=name,
-        state_kind="grid",
-        step=step,
-        alpha=lambda R, t: R,
-        beta=lambda R, t: 1.0,
-        zero_state=zero,
-        norm=norm,
-        lip_growth=lambda c, t: c,
-        analytic_generator=generator,
-        minus_conjugate=True,
-        kernel_sigma_max=max(params.sigma),
-        params={"kind": "heat", "drift": params.drift, "sigma": params.sigma},
-    )
-    check_family_contract(fam, probe_states=[zero])
-    return fam
-
-
-def make_identity_base_family(grid: Grid, norm: NormSpec) -> GeneratingFamilyDescriptor:
-    """The identity semigroup I0(t) = id, a trivial linear base for
-    Lipschitz perturbations."""
-    zero = sample_function("zero", grid)
-    fam = GeneratingFamilyDescriptor(
-        name="identity_base",
-        state_kind="grid",
-        step=lambda t, f: f,
-        alpha=lambda R, t: R,
-        beta=lambda R, t: 1.0,
-        zero_state=zero,
-        norm=norm,
-        lip_growth=lambda c, t: c,
-        analytic_generator=lambda f: with_values(f, np.zeros_like(f.values)),
-        minus_conjugate=False,
-        params={"kind": "identity_base"},
-    )
-    check_family_contract(fam, probe_states=[zero])
-    return fam
-
-
-def make_gbm_linear_family(params: GbmParams, grid: Grid,
-                           trust_horizon: float = 1.0) -> GeneratingFamilyDescriptor:
-    """Single-(mu, sigma) GBM family on the weighted space.
-
-    Envelopes alpha(R, t) = e^{omega t} R and beta(R, t) = e^{omega t} with
-    omega = p (mu + (p-1) sigma^2 / 2)^+; generator mu x f' + sigma^2 x^2 f''/2.
-    The weighted norm is mandatory and is restricted to the trusted interior.
-    """
-    norm = NormSpec(kind="weighted", p=params.p)
-    pairs = [(params.mu, params.sigma)]
-    omega = params.omega
-    radius = gbm_trusted_radius(pairs, grid.x_max[0], trust_horizon)
-    mask = np.abs(grid.node_coords()[:, 0]) <= radius
-    zero = GridFunction(grid, 1, np.zeros((grid.n_nodes, 1)), extension_mode="clamp")
-
-    def step(t, f):
-        return gbm_step(f, t, params, trusted_radius=radius)
-
-    def generator(f):
-        mesh = f.as_mesh()
-        x = grid.axis(0).reshape(-1, *([1] * (mesh.ndim - 1)))
-        vals = (params.mu * x * central_diff(mesh, grid.h[0])
-                + 0.5 * params.sigma**2 * x**2 * second_diff(mesh, grid.h[0]))
-        return with_values(f, vals.reshape(grid.n_nodes, f.codomain_dim))
-
-    fam = GeneratingFamilyDescriptor(
-        name="gbm",
         state_kind="grid",
         step=step,
         alpha=lambda R, t: math.exp(omega * t) * R,
         beta=lambda R, t: math.exp(omega * t),
         zero_state=zero,
         norm=norm,
-        lip_growth=lambda c, t: math.exp(omega * t) * c,
-        analytic_generator=generator,
+        analytic_generator=lambda f: kernel_generator(f, drifts, sigmas, costs),
         minus_conjugate=True,
-        comparison_mask=mask,
-        params={"kind": "gbm", "mu": params.mu, "sigma": params.sigma,
-                "p": params.p, "omega": omega, "trusted_radius": radius},
+        comparison_mask=comparison_mask,
+        kernel_sigma_max=float(np.max(np.abs(sigmas))) if sigmas.ndim == 2 else 0.0,
+        params=params,
     )
     check_family_contract(fam, probe_states=[zero])
     return fam
+
+
+def make_heat_family(params: HeatDriftParams, norm: NormSpec, grid: Grid,
+                     name: str = "heat") -> GeneratingFamilyDescriptor:
+    """Heat-with-drift generating family, a single candidate without cost:
+    a sup-norm contraction."""
+    return kernel_family(
+        name, lambda t, f: heat_drift_step(f, t, params), grid, norm,
+        [params.drift], [params.sigma], [0.0],
+        {"kind": "heat", "drift": params.drift, "sigma": params.sigma})
+
+
+def make_identity_base_family(grid: Grid, norm: NormSpec) -> GeneratingFamilyDescriptor:
+    """The identity semigroup I0(t) = id, a trivial linear base for
+    Lipschitz perturbations: one candidate with no drift, no diffusion and
+    no cost."""
+    still = np.zeros((1, grid.dim))
+    return kernel_family("identity_base", lambda t, f: f, grid, norm, still,
+                         still, [0.0], {"kind": "identity_base"})

@@ -14,10 +14,15 @@ All of these are one-step operators built from the linear kernels:
 * Lipschitz perturbations I(t)f = I0(t)f + t Psi(f) of a linear base
   semigroup (heat or identity).
 
-Each family is wrapped as a GeneratingFamilyDescriptor carrying its declared
-envelopes alpha / beta (and Lipschitz growth rho where the construction
-provides one) together with the analytic generator evaluated by central
-differences.
+The first three are one candidate set each: the nodewise max over
+candidates c of (a linear Gaussian or lognormal transition - cost_c t).  Each
+builds its candidates' drifts, scales and costs once, and
+families_linear.kernel_family wraps them as a GeneratingFamilyDescriptor with
+envelopes alpha(R, t) = e^{omega t} R, beta(R, t) = e^{omega t} and, as the
+generator, the same max over the candidates' linear generators minus their
+costs, by central differences.  The Euler and perturbation families declare
+their own envelopes and generators; a perturbation family's params carry its
+base family and Psi.
 """
 
 from __future__ import annotations
@@ -31,12 +36,11 @@ import numpy as np
 from .chernoff import GeneratingFamilyDescriptor, check_family_contract
 from .families_linear import (
     GbmParams,
-    central_diff,
     gbm_growth_rate,
     gbm_step,
     gbm_trusted_radius,
     heat_multi_step,
-    second_diff,
+    kernel_family,
 )
 from .state_space import (
     Grid,
@@ -231,25 +235,36 @@ def legendre_transform(cost: CostFunction, lambda_grid: LambdaGrid):
 # convex drift-control expectation
 # ---------------------------------------------------------------------------
 
+def _sup_heat_step(f: GridFunction, t: float, drifts: np.ndarray,
+                   sigmas: np.ndarray, costs: np.ndarray) -> GridFunction:
+    """Nodewise max over candidates c of (heat step with drift drifts[c]
+    and scales sigmas[c], minus costs[c] t); t = 0 returns f unchanged."""
+    if t == 0.0:
+        return f
+    batch = heat_multi_step(f, t, drifts, sigmas)
+    if costs.any():
+        batch -= (costs * t)[:, None, None]
+    return with_values(f, np.max(batch, axis=0))
+
+
+def _gexp_candidates(lambda_grid: LambdaGrid, cost: CostFunction, dim: int):
+    """(drifts, sigmas, costs) of a drift grid: unit diffusion, finite costs."""
+    lams = lambda_grid.lambdas
+    costs = cost.evaluate(lams)
+    if not np.all(np.isfinite(costs)):
+        raise ValueError("all drift candidates must have finite cost")
+    if lams.shape[1] != dim:
+        raise ValueError("drift dimension does not match the grid")
+    return lams, np.ones(lams.shape), costs
+
+
 def gexp_step(f: GridFunction, t: float, lambda_grid: LambdaGrid,
               cost: CostFunction) -> GridFunction:
     """Nodewise max over drift candidates of (heat shift - cost * t).
 
     Unit diffusion; t = 0 returns f unchanged.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    costs = cost.evaluate(lambda_grid.lambdas)
-    if not np.all(np.isfinite(costs)):
-        raise ValueError("all drift candidates must have finite cost")
-    if t == 0.0:
-        return f
-    lams = lambda_grid.lambdas
-    if lams.shape[1] != f.grid.dim:
-        raise ValueError("drift dimension does not match the grid")
-    batch = heat_multi_step(f, t, lams, np.ones(lams.shape[0]))
-    batch -= (costs * t)[:, None, None]
-    return with_values(f, np.max(batch, axis=0))
+    return _sup_heat_step(f, t, *_gexp_candidates(lambda_grid, cost, f.grid.dim))
 
 
 def make_gexp_family(lambda_grid: LambdaGrid, cost: CostFunction, grid: Grid,
@@ -257,46 +272,18 @@ def make_gexp_family(lambda_grid: LambdaGrid, cost: CostFunction, grid: Grid,
                      name: str = "gexp") -> GeneratingFamilyDescriptor:
     """Convex expectation family on the sup-norm space.
 
-    A contraction (alpha(R,t) = R, beta = 1); the generator is
+    A contraction (alpha(R,t) = R, beta = 1); the generator is the max over
+    the drift grid of (1/2) Lap f + <lam, grad f> - L(lam), that is
     (1/2) Lap f + H(grad f) with H the drift-grid conjugate of the cost, so
     that generator comparisons see the same discretization as the step.
     """
-    norm = norm or NormSpec(kind="sup")
-    zero = sample_function("zero", grid)
-    H = legendre_transform(cost, lambda_grid)
-
-    def step(t, f):
-        return gexp_step(f, t, lambda_grid, cost)
-
-    def generator(f):
-        mesh = f.as_mesh()
-        lap = np.zeros_like(mesh)
-        grads = []
-        for a in range(grid.dim):
-            lap += second_diff(mesh, grid.h[a], axis=a)
-            grads.append(central_diff(mesh, grid.h[a], axis=a))
-        grad = np.stack(grads, axis=-1)  # (*mesh_shape, m, d)
-        vals = 0.5 * lap + H(grad)
-        return with_values(f, vals.reshape(grid.n_nodes, f.codomain_dim))
-
-    fam = GeneratingFamilyDescriptor(
-        name=name,
-        state_kind="grid",
-        step=step,
-        alpha=lambda R, t: R,
-        beta=lambda R, t: 1.0,
-        zero_state=zero,
-        norm=norm,
-        lip_growth=lambda c, t: c,
-        analytic_generator=generator,
-        minus_conjugate=True,
-        kernel_sigma_max=1.0,
-        params={"kind": "gexp", "cost": cost.name,
-                "n_lambda": int(lambda_grid.lambdas.shape[0]),
-                "lambda_provenance": lambda_grid.provenance},
-    )
-    check_family_contract(fam, probe_states=[zero])
-    return fam
+    drifts, sigmas, costs = _gexp_candidates(lambda_grid, cost, grid.dim)
+    return kernel_family(
+        name, lambda t, f: _sup_heat_step(f, t, drifts, sigmas, costs), grid,
+        norm or NormSpec(kind="sup"), drifts, sigmas, costs,
+        {"kind": "gexp", "cost": cost.name,
+         "n_lambda": int(lambda_grid.lambdas.shape[0]),
+         "lambda_provenance": lambda_grid.provenance})
 
 
 # ---------------------------------------------------------------------------
@@ -322,26 +309,25 @@ class SigmaLambdaSet:
                     raise ValueError("uncertainty set entries must be finite")
 
 
+def _g_expectation_candidates(sigma_lambda_set: SigmaLambdaSet, dim: int):
+    """(drifts, sigmas, costs) of the (sigma, lambda) pairs; a scalar sigma
+    or lambda applies to every axis, and no pair has a cost."""
+    if sigma_lambda_set.kind != "diffusion_drift":
+        raise ValueError("expected a (sigma, lambda) uncertainty set")
+
+    def per_axis(v):
+        return np.broadcast_to(np.asarray(v, dtype=np.float64), (dim,))
+
+    pairs = sigma_lambda_set.pairs
+    return (np.array([per_axis(lam) for _, lam in pairs]),
+            np.array([per_axis(sig) for sig, _ in pairs]), np.zeros(len(pairs)))
+
+
 def g_expectation_step(f: GridFunction, t: float,
                        sigma_lambda_set: SigmaLambdaSet) -> GridFunction:
     """Nodewise max over (sigma, lambda) pairs of Gaussian transitions."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if sigma_lambda_set.kind != "diffusion_drift":
-        raise ValueError("expected a (sigma, lambda) uncertainty set")
-    if t == 0.0:
-        return f
-    dim = f.grid.dim
-    sig_rows = []
-    lam_rows = []
-    for sig, lam in sigma_lambda_set.pairs:
-        sig_rows.append((float(sig),) * dim if np.isscalar(sig)
-                        else tuple(float(v) for v in sig))
-        lam_rows.append((float(lam),) * 1 if np.isscalar(lam) and dim == 1
-                        else ((float(lam),) * dim if np.isscalar(lam)
-                              else tuple(float(v) for v in lam)))
-    batch = heat_multi_step(f, t, np.asarray(lam_rows), np.asarray(sig_rows))
-    return with_values(f, np.max(batch, axis=0))
+    return _sup_heat_step(f, t, *_g_expectation_candidates(sigma_lambda_set,
+                                                           f.grid.dim))
 
 
 def _g_expectation_omega(sigma_lambda_set: SigmaLambdaSet) -> float:
@@ -364,55 +350,15 @@ def make_g_expectation_family(sigma_lambda_set: SigmaLambdaSet, grid: Grid,
     envelopes grow like e^{omega t}.
     """
     norm = norm or NormSpec(kind="sup")
-    zero = sample_function("zero", grid)
-    if norm.kind == "sup":
-        alpha = lambda R, t: R
-        beta = lambda R, t: 1.0
-        omega = 0.0
-    else:
-        omega = _g_expectation_omega(sigma_lambda_set)
-        alpha = lambda R, t: math.exp(omega * t) * R
-        beta = lambda R, t: math.exp(omega * t)
-
-    def step(t, f):
-        return g_expectation_step(f, t, sigma_lambda_set)
-
-    def generator(f):
-        mesh = f.as_mesh()
-        lap_terms = [second_diff(mesh, grid.h[a], axis=a) for a in range(grid.dim)]
-        grad_terms = [central_diff(mesh, grid.h[a], axis=a) for a in range(grid.dim)]
-        best = None
-        for sig, lam in sigma_lambda_set.pairs:
-            sigs = (float(sig),) * grid.dim if np.isscalar(sig) else sig
-            lams = ((float(lam),) * grid.dim if np.isscalar(lam) and grid.dim > 1
-                    else np.atleast_1d(lam))
-            vals = sum(0.5 * float(sigs[a]) ** 2 * lap_terms[a]
-                       + float(np.atleast_1d(lams)[a]) * grad_terms[a]
-                       for a in range(grid.dim))
-            best = vals if best is None else np.maximum(best, vals)
-        return with_values(f, best.reshape(grid.n_nodes, f.codomain_dim))
-
-    sig_max = max(float(np.max(np.abs(np.atleast_1d(s)))) for s, _ in
-                  sigma_lambda_set.pairs)
-    fam = GeneratingFamilyDescriptor(
-        name=name,
-        state_kind="grid",
-        step=step,
-        alpha=alpha,
-        beta=beta,
-        zero_state=zero,
-        norm=norm,
-        lip_growth=(lambda c, t: c) if norm.kind == "sup"
-        else (lambda c, t: math.exp(omega * t) * c),
-        analytic_generator=generator,
-        minus_conjugate=True,
-        kernel_sigma_max=sig_max,
-        params={"kind": "g_expectation", "pairs": [tuple(map(float, np.ravel(p)))
-                                                   for p in sigma_lambda_set.pairs],
-                "omega": omega, "norm": norm.kind},
-    )
-    check_family_contract(fam, probe_states=[zero])
-    return fam
+    omega = 0.0 if norm.kind == "sup" else _g_expectation_omega(sigma_lambda_set)
+    drifts, sigmas, costs = _g_expectation_candidates(sigma_lambda_set, grid.dim)
+    return kernel_family(
+        name, lambda t, f: _sup_heat_step(f, t, drifts, sigmas, costs), grid,
+        norm, drifts, sigmas, costs,
+        {"kind": "g_expectation", "pairs": [tuple(map(float, np.ravel(p)))
+                                            for p in sigma_lambda_set.pairs],
+         "omega": omega, "norm": norm.kind},
+        omega=omega)
 
 
 def make_robust_gbm_family(sigma_lambda_set: SigmaLambdaSet,
@@ -421,61 +367,41 @@ def make_robust_gbm_family(sigma_lambda_set: SigmaLambdaSet,
                            name: str = "robust_gbm") -> GeneratingFamilyDescriptor:
     """Robust GBM: nodewise max of GBM transitions over (mu, sigma) pairs.
 
-    Weighted norm is mandatory; envelopes alpha(R,t) = e^{omega t} R,
-    beta(R,t) = e^{omega t} and Lipschitz growth rho(c,t) = e^{omega t} c with
-    omega the max growth rate over the pair set.  Comparisons are restricted
-    to the trusted interior where escaping lognormal mass stays below the
-    threshold over the trust horizon.
+    Weighted norm is mandatory; envelopes alpha(R,t) = e^{omega t} R and
+    beta(R,t) = e^{omega t} with omega the max growth rate over the pair
+    set; the generator is the max of mu x f' + sigma^2 x^2 f''/2.
+    Comparisons are restricted to the trusted interior where escaping
+    lognormal mass stays below the threshold over the trust horizon.
     """
     if sigma_lambda_set.kind != "gbm":
         raise ValueError("expected a (mu, sigma) uncertainty set")
+    if grid.dim != 1:
+        raise ValueError("GBM operator is one-dimensional")
     pairs = [(float(mu), float(sig)) for mu, sig in sigma_lambda_set.pairs]
     p = gbm_params.p
     omega = gbm_growth_rate(pairs, p)
-    norm = NormSpec(kind="weighted", p=p)
     radius = gbm_trusted_radius(pairs, grid.x_max[0], trust_horizon)
-    mask = np.abs(grid.node_coords()[:, 0]) <= radius
-    zero = GridFunction(grid, 1, np.zeros((grid.n_nodes, 1)), extension_mode="clamp")
     members = [GbmParams(mu=mu, sigma=sig, quad_points=gbm_params.quad_points, p=p)
                for mu, sig in pairs]
 
     def step(t, f):
         if t == 0.0:
             return f
-        best = None
-        for mp in members:
-            vals = gbm_step(f, t, mp, trusted_radius=radius).values
-            best = vals if best is None else np.maximum(best, vals)
-        return with_values(f, best)
+        return with_values(f, np.max([gbm_step(f, t, mp, trusted_radius=radius).values
+                                      for mp in members], axis=0))
 
-    def generator(f):
-        mesh = f.as_mesh()
-        x = grid.axis(0).reshape(-1, *([1] * (mesh.ndim - 1)))
-        d1 = central_diff(mesh, grid.h[0])
-        d2 = second_diff(mesh, grid.h[0])
-        best = None
-        for mu, sig in pairs:
-            vals = mu * x * d1 + 0.5 * sig * sig * x * x * d2
-            best = vals if best is None else np.maximum(best, vals)
-        return with_values(f, best.reshape(grid.n_nodes, f.codomain_dim))
-
-    fam = GeneratingFamilyDescriptor(
-        name=name,
-        state_kind="grid",
-        step=step,
-        alpha=lambda R, t: math.exp(omega * t) * R,
-        beta=lambda R, t: math.exp(omega * t),
-        zero_state=zero,
-        norm=norm,
-        lip_growth=lambda c, t: math.exp(omega * t) * c,
-        analytic_generator=generator,
-        minus_conjugate=True,
-        comparison_mask=mask,
-        params={"kind": "robust_gbm", "pairs": pairs, "p": p, "omega": omega,
-                "trusted_radius": radius},
-    )
-    check_family_contract(fam, probe_states=[zero])
-    return fam
+    x = grid.axis(0)
+    mus, sigs = np.array(pairs).T
+    return kernel_family(
+        name, step, grid, NormSpec(kind="weighted", p=p),
+        np.multiply.outer(mus, x)[:, None], np.multiply.outer(sigs, x)[:, None],
+        np.zeros(len(pairs)),
+        {"kind": "robust_gbm", "pairs": pairs, "p": p, "omega": omega,
+         "trusted_radius": radius},
+        omega=omega,
+        zero=GridFunction(grid, 1, np.zeros((grid.n_nodes, 1)),
+                          extension_mode="clamp"),
+        comparison_mask=np.abs(x) <= radius)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +568,8 @@ def make_perturbation_family(base_family: GeneratingFamilyDescriptor,
         minus_conjugate=False,
         kernel_sigma_max=base_family.kernel_sigma_max,
         params={"kind": "perturbation", "base": base_family.params.get("kind"),
-                "psi": pert.name, "growth_k": K, "omega": omega},
+                "psi": pert.name, "growth_k": K, "omega": omega,
+                "base_family": base_family, "perturbation": pert},
     )
     check_family_contract(fam, probe_states=[zero])
     return fam

@@ -254,6 +254,8 @@ class TestMainEntry:
         (dict(MINIMAL_ODE, tasks=["evolve", "monotonicity"]), "tasks"),
         (dict(HEAT_41, schedule={"t_list": [0.5]},
               tasks=["evolve", "telescoping"], seed=1), "tasks"),
+        (dict(HEAT_41, schedule={"t_list": [0.5], "n_min": 8, "n_max": 5},
+              tasks=["evolve"]), "n_max"),
     ])
     def test_parse_time_config_errors(self, tmp_path, capsys, cfg, field):
         with pytest.raises(ConfigError) as exc:
@@ -263,6 +265,20 @@ class TestMainEntry:
         assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", [
+        {"name": "robust_gbm", "pairs": []},
+        # the auto drift grid reaches below -1, where the cost is infinite
+        {"name": "gexp", "cost": {"name": "indicator", "lo": -1.0, "hi": 2.0},
+         "lambda_grid": "auto"},
+    ])
+    def test_family_build_errors_exit_two(self, tmp_path, capsys, family):
+        cfg = dict(self.HEAT_41, family=family, schedule={"t_list": [0.5]},
+                   tasks=["evolve"])
+        out = tmp_path / "o"
+        assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_dyadic_hint_names_smallest_level(self, tmp_path):
         cfg = dict(self.HEAT_41, schedule={"t_list": [0.5], "defect_t": 0.03125},

@@ -180,6 +180,15 @@ class TestGeneratorEstimate:
             generator_estimate(ode_decay_family, VectorState([1.0]),
                                [0.125, 0.25])
 
+    # 0.1 is dyadic only at level 55, where its first limit would take
+    # 0.1 * 2^55 steps; both must be rejected before any step
+    @pytest.mark.parametrize("hs,n_max", [([0.25, 0.1], 14),
+                                          ([2.0**-4, 2.0**-10], 8)])
+    def test_h_levels_must_be_dyadic_within_n_max(self, ode_decay_family, hs, n_max):
+        with pytest.raises(ValueError, match="not dyadic"):
+            generator_estimate(ode_decay_family, VectorState([1.0]), hs,
+                               n_max=n_max)
+
 
 class TestGenConditionProbe:
     def test_zero_direction_is_zero(self, heat_family, bump_medium, grid_medium):

@@ -12,9 +12,9 @@ from semiflow.families_linear import (
     gbm_step,
     gbm_trusted_radius,
     heat_drift_step,
-    make_gbm_linear_family,
     make_heat_family,
 )
+from semiflow.families_nonlinear import SigmaLambdaSet, make_robust_gbm_family
 from semiflow.state_space import (
     GridFunction,
     NormSpec,
@@ -259,7 +259,8 @@ class TestFamilyDescriptors:
         assert omega == pytest.approx(3 * (0.1 + 2 * 0.04 / 2), rel=1e-12)
 
     def test_gbm_linear_generator_identity(self, gbm_grid):
-        fam = make_gbm_linear_family(GbmParams(mu=0.1, sigma=0.3), gbm_grid)
+        fam = make_robust_gbm_family(SigmaLambdaSet(pairs=((0.1, 0.3),), kind="gbm"),
+                                     GbmParams(mu=0.1, sigma=0.3), gbm_grid)
         f = sample_function("identity", gbm_grid)
         gen = fam.analytic_generator(f)
         x = gbm_grid.axis(0)

@@ -303,11 +303,6 @@ class TestRobustGbm:
         mask = robust_gbm_family.comparison_mask
         assert np.max(np.abs(lhs - rhs)[mask]) <= 1e-10
 
-    def test_lip_growth_declared(self, robust_gbm_family):
-        omega = robust_gbm_family.params["omega"]
-        assert robust_gbm_family.lip_growth(2.0, 0.5) == \
-            pytest.approx(2.0 * math.exp(0.5 * omega), rel=1e-12)
-
 
 class TestOdeFamily:
     def test_euler_formula(self):
