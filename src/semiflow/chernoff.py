@@ -226,28 +226,24 @@ def chernoff_limit(family: GeneratingFamilyDescriptor, t: float, state,
         report = ConvergenceReport(t=0.0, n_min=n_min, n_last=n_min, tol=tol,
                                    deltas=(), converged=True, steps_total=0)
         return state, report
-    dyadic_partition(t, n_min)  # validates representability at the base level
-
-    steps_total = 0
+    part = dyadic_partition(t, n_min)  # validates t at the base level
+    u = apply_partition(family, part, state)
+    steps_total = part.step_count
     deltas: list[float] = []
-    u_prev = apply_partition(family, dyadic_partition(t, n_min), state)
-    steps_total += dyadic_partition(t, n_min).step_count
+    n = n_min
     for n in range(n_min + 1, n_max + 1):
         part = dyadic_partition(t, n)
-        u = apply_partition(family, part, state)
+        u_next = apply_partition(family, part, state)
         steps_total += part.step_count
-        delta = family.distance(u, u_prev)
-        deltas.append(delta)
-        if delta <= tol:
-            report = ConvergenceReport(t=t, n_min=n_min, n_last=n, tol=tol,
-                                       deltas=tuple(deltas), converged=True,
-                                       steps_total=steps_total)
-            return u, report
-        u_prev = u
-    report = ConvergenceReport(t=t, n_min=n_min, n_last=n_max, tol=tol,
-                               deltas=tuple(deltas), converged=False,
+        deltas.append(family.distance(u_next, u))
+        u = u_next
+        if deltas[-1] <= tol:
+            break
+    report = ConvergenceReport(t=t, n_min=n_min, n_last=n, tol=tol,
+                               deltas=tuple(deltas),
+                               converged=bool(deltas and deltas[-1] <= tol),
                                steps_total=steps_total)
-    return u_prev, report
+    return u, report
 
 
 def semigroup_defect(family: GeneratingFamilyDescriptor, s: float, t: float,
@@ -298,15 +294,8 @@ def evolve_path(family: GeneratingFamilyDescriptor, t_list, state,
     current = state
     prev_t = 0.0
     for t in ts:
-        inc = t - prev_t
-        if inc > 0:
-            dyadic_partition(inc, n_min)
-            current, rep = chernoff_limit(family, inc, current, tol, n_min, n_max)
-            reports.append(rep)
-        else:
-            reports.append(ConvergenceReport(t=0.0, n_min=n_min, n_last=n_min,
-                                             tol=tol, deltas=(), converged=True,
-                                             steps_total=0))
+        current, rep = chernoff_limit(family, t - prev_t, current, tol, n_min, n_max)
+        reports.append(rep)
         states.append(current)
         prev_t = t
     if collect_reports:

@@ -20,6 +20,7 @@ output directory.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import difflib
 import hashlib
@@ -80,18 +81,32 @@ from .state_space import (
 __all__ = ["ExperimentSpec", "ConfigError", "parse_config", "run_experiment",
            "emit_plot", "main"]
 
-DEFAULT_QUAD_POINTS = 64
-DEFAULT_WEIGHT_P = 3.0
-
-FAMILY_NAMES = (
-    "ode_neg_identity",
-    "ode_rotation",
-    "heat",
-    "gexp",
-    "g_expectation",
-    "robust_gbm",
-    "perturbation",
-)
+# Every default a family reads, by family; parse_config fills them in.
+_FAMILY_DEFAULTS = {
+    "ode_neg_identity": {},
+    "ode_rotation": {},
+    "heat": {"drift": 0.0, "sigma": 1.0},
+    "gexp": {"cost": {"name": "quadratic", "a": 0.5}, "lambda_grid": "auto"},
+    "g_expectation": {"sigmas": [0.5, 1.0], "lambdas": [-1.0, 0.0, 1.0]},
+    "robust_gbm": {"pairs": [[0.1, 0.2], [-0.1, 0.2]],
+                   "M": GbmParams.quad_points, "p": GbmParams.p},
+    "perturbation": {"base": "heat", "drift": 0.0, "sigma": 1.0,
+                     "psi": {"name": "sin"}},
+}
+FAMILY_NAMES = tuple(_FAMILY_DEFAULTS)
+# Every schedule default a task reads.  Derived from t_list at parse time:
+# defect_t = t_list[0] / 2 and monotonicity_t = t_list[0].
+_SCHEDULE_DEFAULTS = {
+    "t_list": [0.5], "tol": DEFAULT_TOL, "n_min": DEFAULT_N_MIN, "n_max": DEFAULT_N_MAX,
+    "h_levels": [2.0**-k for k in range(4, 9)], "monotonicity_levels": [2, 3, 4, 5],
+    "certificate_horizon": 0.5, "certificate_levels": [4, 5, 6, 7, 8],
+    "audit_samples": 20, "audit_radius": 1.0, "audit_times": [0.25, 0.5],
+}
+# Most steps the Chernoff limits of one selected task may take; a schedule
+# that allows more is a config error.  A limit over a span T takes fewer than
+# T 2^(n_max+1) steps; evolve spans t_list[-1], defect 4 defect_t (limits at
+# 2t, t and t).  Every shipped config and benchmark workload stays below 2^18.
+MAX_LIMIT_STEPS = 2**27
 TASK_NAMES = ("evolve", "defect", "generator", "certificate", "audit",
               "monotonicity", "telescoping")
 
@@ -134,42 +149,53 @@ def _require(mapping, key, path, default=None, required=False):
     return mapping[key]
 
 
-def _check_dyadic(t, level, path):
-    """ConfigError at path unless t is a dyadic time at the given level."""
+def _validated(path, build, *args):
+    """build(*args), with a ValueError or TypeError it raises re-raised as
+    a ConfigError at path: the library's constructors and checks state the
+    rules."""
     try:
-        dyadic_partition(float(t), int(level))
-    except ValueError as e:  # NonDyadicTimeError carries the level hint
+        return build(*args)
+    except (TypeError, ValueError) as e:
         raise ConfigError(path, str(e)) from None
 
 
-def _check_derived_times(schedule, tasks):
+def _check_tasks(schedule, tasks):
     """The times the selected tasks derive from the schedule must be dyadic
     at the levels those tasks run them at: the generator starts each h at
-    its smallest dyadic level, which must lie within n_max."""
+    its smallest dyadic level, which must lie within n_max.  The steps their
+    limits can take must stay within MAX_LIMIT_STEPS."""
     path = "config.schedule"
+    spans = {"evolve": schedule["t_list"][-1]} if "evolve" in tasks else {}
     if "defect" in tasks:
-        _check_dyadic(schedule.get("defect_t", schedule["t_list"][0] / 2.0),
-                      schedule["n_min"], f"{path}.defect_t")
+        _validated(f"{path}.defect_t", dyadic_partition, schedule["defect_t"],
+                   schedule["n_min"])
+        spans["defect"] = 4.0 * schedule["defect_t"]
     if "monotonicity" in tasks:
-        levels = schedule.get("monotonicity_levels", [2, 3, 4, 5])
+        levels = schedule["monotonicity_levels"]
         if len(levels) < 2:
             raise ConfigError(f"{path}.monotonicity_levels",
                               "need at least two levels")
-        _check_dyadic(schedule.get("monotonicity_t", schedule["t_list"][0]),
-                      min(levels), f"{path}.monotonicity_t")
+        _validated(f"{path}.monotonicity_t", dyadic_partition,
+                   schedule["monotonicity_t"], min(levels))
     if "generator" in tasks:
-        hs = schedule.get("h_levels", [2.0**-k for k in range(4, 9)])
+        hs = schedule["h_levels"]
         for i, h in enumerate(hs):
             if not h > 0 or (i and h >= hs[i - 1]):
                 raise ConfigError(f"{path}.h_levels[{i}]",
                                   "must be positive and strictly decreasing")
-            _check_dyadic(h, schedule["n_max"], f"{path}.h_levels[{i}]")
+            _validated(f"{path}.h_levels[{i}]", dyadic_partition, h,
+                       schedule["n_max"])
     if "certificate" in tasks:
-        T = schedule.get("certificate_horizon", 0.5)
+        T = schedule["certificate_horizon"]
         if not T > 0:
             raise ConfigError(f"{path}.certificate_horizon", "must be positive")
-        _check_dyadic(T, min(schedule.get("certificate_levels", [4, 5, 6, 7, 8])),
-                      f"{path}.certificate_horizon")
+        _validated(f"{path}.certificate_horizon", dyadic_partition, T,
+                   min(schedule["certificate_levels"]))
+    level = schedule["n_max"] + 1  # compared in log2: 2.0**level overflows
+    for task, span in spans.items():
+        if span > 0 and math.log2(span) + level > math.log2(MAX_LIMIT_STEPS):
+            raise ConfigError(f"{path}.n_max", f"{task} may take up to {span:g}"
+                              f" * 2^{level} steps, more than {MAX_LIMIT_STEPS}")
 
 
 def parse_config(path) -> ExperimentSpec:
@@ -183,30 +209,19 @@ def parse_config(path) -> ExperimentSpec:
     if not isinstance(raw, dict):
         raise ConfigError(str(path), "top-level config must be an object")
 
-    family = dict(_require(raw, "family", "config", required=True))
-    fname = _require(family, "name", "config.family", required=True)
+    given = _require(raw, "family", "config", required=True)
+    fname = _require(given, "name", "config.family", required=True)
     if fname not in FAMILY_NAMES:
         raise ConfigError("config.family.name",
                           f"unknown family {fname!r}{_suggest(fname, FAMILY_NAMES)}")
+    family = {**copy.deepcopy(_FAMILY_DEFAULTS[fname]), **given}
 
-    grid = dict(_require(raw, "grid", "config", default={}))
-    grid.setdefault("dim", 1)
-    grid.setdefault("x_max", 8.0)
-    grid.setdefault("n_points", 1601)
-    if grid["dim"] not in (1, 2):
-        raise ConfigError("config.grid.dim", "dim must be 1 or 2")
-    npts = grid["n_points"]
-    for v in np.atleast_1d(npts):
-        if int(v) % 2 == 0 or int(v) < 3:
-            raise ConfigError("config.grid.n_points", "must be odd and >= 3")
-
-    norm = dict(_require(raw, "norm", "config", default={}))
-    norm.setdefault("kind", "sup")
-    norm.setdefault("p", DEFAULT_WEIGHT_P)
-    if norm["kind"] not in ("sup", "weighted"):
-        raise ConfigError("config.norm.kind", "must be 'sup' or 'weighted'")
-    if norm["kind"] == "weighted" and not norm["p"] > 1:
-        raise ConfigError("config.norm.p", "weight exponent must be > 1")
+    grid = {"dim": 1, "x_max": 8.0, "n_points": 1601,
+            **_require(raw, "grid", "config", default={})}
+    _validated("config.grid", _build_grid, grid)
+    norm = {**dataclasses.asdict(NormSpec()),
+            **_require(raw, "norm", "config", default={})}
+    _validated("config.norm", _build_norm, norm)
 
     initial = dict(_require(raw, "initial", "config", default={}))
     if fname.startswith("ode_"):
@@ -221,11 +236,8 @@ def parse_config(path) -> ExperimentSpec:
                 "config.initial.preset",
                 f"unknown preset {preset!r}{_suggest(preset, PRESET_NAMES)}")
 
-    schedule = dict(_require(raw, "schedule", "config", default={}))
-    schedule.setdefault("t_list", [0.5])
-    schedule.setdefault("tol", DEFAULT_TOL)
-    schedule.setdefault("n_min", DEFAULT_N_MIN)
-    schedule.setdefault("n_max", DEFAULT_N_MAX)
+    schedule = {**copy.deepcopy(_SCHEDULE_DEFAULTS),
+                **_require(raw, "schedule", "config", default={})}
     if schedule["tol"] <= 0:
         raise ConfigError("config.schedule.tol", "tolerance must be positive")
     for key in ("n_min", "n_max"):
@@ -241,9 +253,16 @@ def parse_config(path) -> ExperimentSpec:
         if t <= prev and not (i == 0 and t == 0.0):
             raise ConfigError(f"config.schedule.t_list[{i}]",
                               "times must be strictly increasing")
-        _check_dyadic(float(t), schedule["n_min"],
-                      f"config.schedule.t_list[{i}]")
+        _validated(f"config.schedule.t_list[{i}]", dyadic_partition, t,
+                   schedule["n_min"])
         prev = t
+    schedule.setdefault("defect_t", schedule["t_list"][0] / 2.0)
+    schedule.setdefault("monotonicity_t", schedule["t_list"][0])
+    if fname == "robust_gbm":
+        family.setdefault("trust_horizon", schedule["t_list"][-1])
+        norm = {"kind": "weighted", "p": family["p"]}
+    elif fname == "perturbation" and family["base"] not in ("heat", "identity"):
+        raise ConfigError("config.family.base", "must be 'heat' or 'identity'")
 
     tasks = _require(raw, "tasks", "config", default=["evolve"])
     if not tasks:
@@ -258,37 +277,12 @@ def parse_config(path) -> ExperimentSpec:
     if "telescoping" in tasks and fname != "perturbation":
         raise ConfigError("config.tasks",
                           "telescoping requires a perturbation family")
-    _check_derived_times(schedule, tasks)
+    _check_tasks(schedule, tasks)
 
     seed = int(_require(raw, "seed", "config", default=0))
-    randomized = {"audit"}
-    if randomized & set(tasks) and "seed" not in raw:
+    if "audit" in tasks and "seed" not in raw:
         raise ConfigError("config.seed",
                           "a seed is required when randomized tasks are selected")
-
-    # family parameter defaults
-    if fname == "heat":
-        family.setdefault("drift", 0.0)
-        family.setdefault("sigma", 1.0)
-    elif fname == "gexp":
-        family.setdefault("cost", {"name": "quadratic", "a": 0.5})
-        family.setdefault("lambda_grid", "auto")
-    elif fname == "g_expectation":
-        family.setdefault("sigmas", [0.5, 1.0])
-        family.setdefault("lambdas", [-1.0, 0.0, 1.0])
-    elif fname == "robust_gbm":
-        family.setdefault("pairs", [[0.1, 0.2], [-0.1, 0.2]])
-        family.setdefault("M", DEFAULT_QUAD_POINTS)
-        family.setdefault("p", DEFAULT_WEIGHT_P)
-        family.setdefault("trust_horizon", max(schedule["t_list"]))
-        if int(family["M"]) < 8:
-            raise ConfigError("config.family.M", "quadrature nodes must be >= 8")
-        norm = {"kind": "weighted", "p": family["p"]}
-    elif fname == "perturbation":
-        family.setdefault("base", "heat")
-        family.setdefault("psi", {"name": "sin"})
-        if family["base"] not in ("heat", "identity"):
-            raise ConfigError("config.family.base", "must be 'heat' or 'identity'")
 
     return ExperimentSpec(
         family=family,
@@ -306,13 +300,12 @@ def parse_config(path) -> ExperimentSpec:
 # building families and states from a spec
 # ---------------------------------------------------------------------------
 
-def _build_grid(spec: ExperimentSpec) -> Grid:
-    g = spec.grid
-    return grid_create(int(g["dim"]), g["x_max"], g["n_points"])
+def _build_grid(g: dict) -> Grid:
+    return grid_create(g["dim"], g["x_max"], g["n_points"])
 
 
-def _build_norm(spec: ExperimentSpec) -> NormSpec:
-    return NormSpec(kind=spec.norm["kind"], p=float(spec.norm["p"]))
+def _build_norm(norm: dict) -> NormSpec:
+    return NormSpec(kind=norm["kind"], p=float(norm["p"]))
 
 
 def _build_cost(cfg, path):
@@ -340,8 +333,8 @@ def build_family(spec: ExperimentSpec):
                               f"expected {vf.dim} coordinates")
         return family, VectorState(value)
 
-    grid = _build_grid(spec)
-    norm = _build_norm(spec)
+    grid = _build_grid(spec.grid)
+    norm = _build_norm(spec.norm)
     initial = _build_initial_grid_state(spec, grid)
 
     if name == "heat":
@@ -374,13 +367,9 @@ def build_family(spec: ExperimentSpec):
                                         trust_horizon=float(fam_cfg["trust_horizon"]))
         return family, _coerce_clamp(initial)
     if name == "perturbation":
-        if fam_cfg["base"] == "heat":
-            base = make_heat_family(
-                HeatDriftParams.create(fam_cfg.get("drift", 0.0),
-                                       fam_cfg.get("sigma", 1.0), grid.dim),
-                norm, grid)
-        else:
-            base = make_identity_base_family(grid, norm)
+        base = (make_heat_family(HeatDriftParams.create(
+                    fam_cfg["drift"], fam_cfg["sigma"], grid.dim), norm, grid)
+                if fam_cfg["base"] == "heat" else make_identity_base_family(grid, norm))
         psi_cfg = dict(fam_cfg["psi"])
         pert = perturbation_preset(psi_cfg.pop("name"), **psi_cfg)
         return make_perturbation_family(base, pert, grid), initial
@@ -436,7 +425,7 @@ def _task_evolve(spec, family, state, outdir, writes):
 
 def _task_defect(spec, family, state):
     sched = spec.schedule
-    t = sched.get("defect_t", sched["t_list"][0] / 2.0)
+    t = sched["defect_t"]
     tol = sched["tol"]
     value = semigroup_defect(family, t, t, state, tol=tol,
                              n_min=sched["n_min"], n_max=sched["n_max"])
@@ -446,8 +435,7 @@ def _task_defect(spec, family, state):
 
 def _task_generator(spec, family, state):
     sched = spec.schedule
-    hs = sched.get("h_levels", [2.0**-k for k in range(4, 9)])
-    table = diag.generator_estimate(family, state, hs,
+    table = diag.generator_estimate(family, state, sched["h_levels"],
                                     tol=max(sched["tol"], 1e-3),
                                     n_max=sched["n_max"])
     return {"task": "generator", "table": table.to_json_dict(),
@@ -456,8 +444,8 @@ def _task_generator(spec, family, state):
 
 def _task_certificate(spec, family, state):
     sched = spec.schedule
-    levels = sched.get("certificate_levels", [4, 5, 6, 7, 8])
-    T = sched.get("certificate_horizon", 0.5)
+    levels = sched["certificate_levels"]
+    T = sched["certificate_horizon"]
     if family.minus_conjugate and family.state_kind == "grid":
         plus, minus, joint = diag.symmetric_lipschitz_certificate(
             family, state, T, levels)
@@ -477,9 +465,9 @@ def _task_audit(spec, family, state):
     sched = spec.schedule
     report = diag.alpha_beta_audit(
         family,
-        n_samples=int(sched.get("audit_samples", 20)),
-        R=float(sched.get("audit_radius", 1.0)),
-        t_list=sched.get("audit_times", [0.25, 0.5]),
+        n_samples=int(sched["audit_samples"]),
+        R=float(sched["audit_radius"]),
+        t_list=sched["audit_times"],
         seed=spec.seed,
     )
     return {"task": "audit", "report": report.to_json_dict(),
@@ -488,8 +476,8 @@ def _task_audit(spec, family, state):
 
 def _task_monotonicity(spec, family, state):
     sched = spec.schedule
-    levels = sched.get("monotonicity_levels", [2, 3, 4, 5])
-    t = sched.get("monotonicity_t", sched["t_list"][0])
+    levels = sched["monotonicity_levels"]
+    t = sched["monotonicity_t"]
     value = diag.partition_monotonicity_check(family, state, t, levels)
     return {"task": "monotonicity", "t": t, "levels": levels,
             "min_increment": value, "bound": -1e-10,

@@ -355,8 +355,8 @@ def make_g_expectation_family(sigma_lambda_set: SigmaLambdaSet, grid: Grid,
     return kernel_family(
         name, lambda t, f: _sup_heat_step(f, t, drifts, sigmas, costs), grid,
         norm, drifts, sigmas, costs,
-        {"kind": "g_expectation", "pairs": [tuple(map(float, np.ravel(p)))
-                                            for p in sigma_lambda_set.pairs],
+        {"kind": "g_expectation",
+         "pairs": [tuple(c) for c in np.hstack([sigmas, drifts]).tolist()],
          "omega": omega, "norm": norm.kind},
         omega=omega)
 

@@ -35,7 +35,11 @@ LAMBDAS = {"1d": np.linspace(-2.0, 2.0, 9),
            "2d": [(a, b) for a in (-1.0, 0.0, 1.5) for b in (-0.5, 0.0, 2.0)]}
 PAIRS = {"1d": ((0.5, -1.0), (1.0, 0.0), (0.25, 1.5)),
          "2d": (((0.5, 0.5), (-1.0, 0.0)), ((1.0, 0.25), (0.5, 1.0)),
-                ((0.75, 1.0), (-0.5, 0.25)))}
+                ((0.75, 1.0), (-0.5, 0.25))),
+         # a scalar entry applies to every axis
+         "2d_mixed": ((0.5, (1.0, -1.0)), ((1.0, 0.25), 0.5), (0.75, -0.5))}
+for table in (GRIDS, HEAT, LAMBDAS):
+    table["2d_mixed"] = table["2d"]
 GBM_PAIRS = ((0.1, 0.2), (-0.1, 0.3), (0.05, 0.0))
 
 
@@ -128,7 +132,7 @@ def test_gexp_generator(dim):
     assert_close(fam.analytic_generator(f).values, gexp_reference(f, lgrid, cost))
 
 
-@pytest.mark.parametrize("dim", ["1d", "2d"])
+@pytest.mark.parametrize("dim", ["1d", "2d", "2d_mixed"])
 def test_g_expectation_generator(dim):
     grid, pairs = GRIDS[dim], PAIRS[dim]
     f = random_bumps(grid, seed=3)
@@ -146,7 +150,7 @@ def test_robust_gbm_generator():
 
 # -- each family's step against its public step function -----------------------
 
-@pytest.mark.parametrize("dim", ["1d", "2d"])
+@pytest.mark.parametrize("dim", ["1d", "2d", "2d_mixed"])
 @pytest.mark.parametrize("t", [2.0**-6, 0.25])
 def test_steps_match_public_step_functions(dim, t):
     grid = GRIDS[dim]

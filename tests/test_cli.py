@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from semiflow.cli import (
+    _SCHEDULE_DEFAULTS,
     ConfigError,
     ExperimentSpec,
     build_family,
@@ -16,6 +18,8 @@ from semiflow.cli import (
     run_experiment,
 )
 from semiflow.state_space import grid_create, sample_function, write_csv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -39,6 +43,11 @@ class TestParseConfig:
         assert spec.schedule["n_min"] == 4
         assert spec.schedule["n_max"] == 14
         assert spec.seed == 0
+        for key, default in _SCHEDULE_DEFAULTS.items():
+            if key != "t_list":
+                assert spec.schedule[key] == default, key
+        assert spec.schedule["defect_t"] == 0.5
+        assert spec.schedule["monotonicity_t"] == 1.0
 
     def test_gbm_defaults(self, tmp_path):
         cfg = {"family": {"name": "robust_gbm"},
@@ -87,6 +96,24 @@ class TestParseConfig:
         again = parse_config(write_config(tmp_path, spec.to_json_dict(),
                                           name="round.json"))
         assert again == spec
+
+    def test_benchmark_configs_parse(self, tmp_path):
+        """The shipped configs and every benchmark workload's configs parse,
+        and parse -> to_json_dict -> parse is the identity on each."""
+        mod = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(mod)
+        mod.loader.exec_module(workloads)
+        paths = sorted((ROOT / "scripts" / "configs").glob("*.json"))
+        assert paths
+        for name in workloads.WORKLOAD_NAMES:
+            paths += [Path(e["config"]) for e in workloads.make_workload(
+                name, 1, tmp_path / name / "inputs", tmp_path / name / "out")]
+        for path in paths:
+            spec = parse_config(path)
+            again = parse_config(write_config(tmp_path, spec.to_json_dict(),
+                                              name="round.json"))
+            assert again == spec, path
 
     def test_table_initial_state(self, tmp_path):
         g = grid_create(1, 2.0, 41)
@@ -256,6 +283,14 @@ class TestMainEntry:
               tasks=["evolve", "telescoping"], seed=1), "tasks"),
         (dict(HEAT_41, schedule={"t_list": [0.5], "n_min": 8, "n_max": 5},
               tasks=["evolve"]), "n_max"),
+        (dict(HEAT_41, grid={"x_max": -1}, schedule={"t_list": [0.5]}), "grid"),
+        (dict(HEAT_41, norm={"kind": "l2"}, schedule={"t_list": [0.5]}), "norm"),
+        # 0.3 is dyadic at level 54: about 0.3 * 2^55 steps
+        (dict(HEAT_41, schedule={"t_list": [0.3], "n_min": 54, "n_max": 54},
+              tasks=["evolve"]), "n_max"),
+        # the defect's limits reach 4 * 0.25 * 2^28 steps; evolve alone fits
+        (dict(HEAT_41, schedule={"t_list": [0.5], "n_max": 27},
+              tasks=["defect"]), "n_max"),
     ])
     def test_parse_time_config_errors(self, tmp_path, capsys, cfg, field):
         with pytest.raises(ConfigError) as exc:
@@ -268,6 +303,7 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("family", [
         {"name": "robust_gbm", "pairs": []},
+        {"name": "robust_gbm", "M": 4},
         # the auto drift grid reaches below -1, where the cost is infinite
         {"name": "gexp", "cost": {"name": "indicator", "lo": -1.0, "hi": 2.0},
          "lambda_grid": "auto"},
