@@ -16,10 +16,9 @@ in binary floating point, so the partition arithmetic is exact.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -30,6 +29,7 @@ __all__ = [
     "DyadicPartition",
     "GeneratingFamilyDescriptor",
     "ConvergenceReport",
+    "Record",
     "NonFiniteStateError",
     "NonDyadicTimeError",
     "dyadic_partition",
@@ -168,8 +168,15 @@ def check_family_contract(family: GeneratingFamilyDescriptor, probe_states=()):
             )
 
 
+class Record:
+    """A record whose JSON form is its dataclass fields, stated once."""
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
+
 @dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Record):
     """Successive-distance record for the dyadic Chernoff iteration."""
 
     t: float
@@ -179,20 +186,6 @@ class ConvergenceReport:
     deltas: tuple[float, ...]
     converged: bool
     steps_total: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "n_min": self.n_min,
-            "n_last": self.n_last,
-            "tol": self.tol,
-            "deltas": list(self.deltas),
-            "converged": self.converged,
-            "steps_total": self.steps_total,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def apply_partition(family: GeneratingFamilyDescriptor,

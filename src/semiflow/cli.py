@@ -28,7 +28,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +38,7 @@ from .chernoff import (
     DEFAULT_N_MAX,
     DEFAULT_N_MIN,
     DEFAULT_TOL,
-    GeneratingFamilyDescriptor,
-    chernoff_limit,
+    Record,
     dyadic_partition,
     evolve_path,
     semigroup_defect,
@@ -86,7 +85,7 @@ _FAMILY_DEFAULTS = {
     "ode_neg_identity": {},
     "ode_rotation": {},
     "heat": {"drift": 0.0, "sigma": 1.0},
-    "gexp": {"cost": {"name": "quadratic", "a": 0.5}, "lambda_grid": "auto"},
+    "gexp": {"cost": {"name": "quadratic"}, "lambda_grid": "auto"},
     "g_expectation": {"sigmas": [0.5, 1.0], "lambdas": [-1.0, 0.0, 1.0]},
     "robust_gbm": {"pairs": [[0.1, 0.2], [-0.1, 0.2]],
                    "M": GbmParams.quad_points, "p": GbmParams.p},
@@ -94,6 +93,8 @@ _FAMILY_DEFAULTS = {
                      "psi": {"name": "sin"}},
 }
 FAMILY_NAMES = tuple(_FAMILY_DEFAULTS)
+# Every default a gexp cost reads, by cost name.
+_COST_DEFAULTS = {"quadratic": {"a": 0.5}, "indicator": {"lo": -1.0, "hi": 1.0}}
 # Every schedule default a task reads.  Derived from t_list at parse time:
 # defect_t = t_list[0] / 2 and monotonicity_t = t_list[0].
 _SCHEDULE_DEFAULTS = {
@@ -102,10 +103,11 @@ _SCHEDULE_DEFAULTS = {
     "certificate_horizon": 0.5, "certificate_levels": [4, 5, 6, 7, 8],
     "audit_samples": 20, "audit_radius": 1.0, "audit_times": [0.25, 0.5],
 }
-# Most steps the Chernoff limits of one selected task may take; a schedule
-# that allows more is a config error.  A limit over a span T takes fewer than
-# T 2^(n_max+1) steps; evolve spans t_list[-1], defect 4 defect_t (limits at
-# 2t, t and t).  Every shipped config and benchmark workload stays below 2^18.
+# Most steps one selected task may take; a schedule that allows more is a
+# config error.  A limit over a span T takes fewer than T 2^(n_max+1) steps;
+# the generator runs each h up to level n_max + 4, and a certificate ladder
+# (two states when symmetric) up to level n takes fewer than T 2^(n+1) steps.
+# Every shipped config and benchmark workload stays below 2^18.
 MAX_LIMIT_STEPS = 2**27
 TASK_NAMES = ("evolve", "defect", "generator", "certificate", "audit",
               "monotonicity", "telescoping")
@@ -125,7 +127,7 @@ def _suggest(name, candidates):
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Record):
     family: dict
     grid: dict
     norm: dict
@@ -134,11 +136,6 @@ class ExperimentSpec:
     tasks: tuple[str, ...]
     output_dir: str | None
     seed: int
-
-    def to_json_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["tasks"] = list(self.tasks)
-        return d
 
 
 def _require(mapping, key, path, default=None, required=False):
@@ -162,14 +159,18 @@ def _validated(path, build, *args):
 def _check_tasks(schedule, tasks):
     """The times the selected tasks derive from the schedule must be dyadic
     at the levels those tasks run them at: the generator starts each h at
-    its smallest dyadic level, which must lie within n_max.  The steps their
-    limits can take must stay within MAX_LIMIT_STEPS."""
+    its smallest dyadic level, which must lie within n_max.  The steps each
+    task can take must stay within MAX_LIMIT_STEPS."""
     path = "config.schedule"
-    spans = {"evolve": schedule["t_list"][-1]} if "evolve" in tasks else {}
+    top = schedule["n_max"] + 1
+    # task -> (the field setting its levels, span, level): < span 2^level steps
+    budget = {}
+    if "evolve" in tasks:
+        budget["evolve"] = ("n_max", schedule["t_list"][-1], top)
     if "defect" in tasks:
         _validated(f"{path}.defect_t", dyadic_partition, schedule["defect_t"],
                    schedule["n_min"])
-        spans["defect"] = 4.0 * schedule["defect_t"]
+        budget["defect"] = ("n_max", 4.0 * schedule["defect_t"], top)
     if "monotonicity" in tasks:
         levels = schedule["monotonicity_levels"]
         if len(levels) < 2:
@@ -177,6 +178,8 @@ def _check_tasks(schedule, tasks):
                               "need at least two levels")
         _validated(f"{path}.monotonicity_t", dyadic_partition,
                    schedule["monotonicity_t"], min(levels))
+        budget["monotonicity"] = ("monotonicity_levels",
+                                  schedule["monotonicity_t"], max(levels) + 1)
     if "generator" in tasks:
         hs = schedule["h_levels"]
         for i, h in enumerate(hs):
@@ -185,16 +188,19 @@ def _check_tasks(schedule, tasks):
                                   "must be positive and strictly decreasing")
             _validated(f"{path}.h_levels[{i}]", dyadic_partition, h,
                        schedule["n_max"])
+        budget["generator"] = ("n_max", sum(hs), top + 4)
     if "certificate" in tasks:
         T = schedule["certificate_horizon"]
         if not T > 0:
             raise ConfigError(f"{path}.certificate_horizon", "must be positive")
+        levels = schedule["certificate_levels"]
         _validated(f"{path}.certificate_horizon", dyadic_partition, T,
-                   min(schedule["certificate_levels"]))
-    level = schedule["n_max"] + 1  # compared in log2: 2.0**level overflows
-    for task, span in spans.items():
+                   min(levels))
+        budget["certificate"] = ("certificate_levels", T, max(levels) + 1)
+    for task, (key, span, level) in budget.items():
+        # compared in log2: 2.0**level overflows
         if span > 0 and math.log2(span) + level > math.log2(MAX_LIMIT_STEPS):
-            raise ConfigError(f"{path}.n_max", f"{task} may take up to {span:g}"
+            raise ConfigError(f"{path}.{key}", f"{task} may take up to {span:g}"
                               f" * 2^{level} steps, more than {MAX_LIMIT_STEPS}")
 
 
@@ -215,6 +221,13 @@ def parse_config(path) -> ExperimentSpec:
         raise ConfigError("config.family.name",
                           f"unknown family {fname!r}{_suggest(fname, FAMILY_NAMES)}")
     family = {**copy.deepcopy(_FAMILY_DEFAULTS[fname]), **given}
+    if fname == "gexp":
+        cost = {**_FAMILY_DEFAULTS["gexp"]["cost"], **family["cost"]}
+        cname, names = cost["name"], tuple(_COST_DEFAULTS)
+        if cname not in names:
+            raise ConfigError("config.family.cost.name",
+                              f"unknown cost {cname!r}{_suggest(cname, names)}")
+        family["cost"] = {**_COST_DEFAULTS[cname], **cost}
 
     grid = {"dim": 1, "x_max": 8.0, "n_points": 1601,
             **_require(raw, "grid", "config", default={})}
@@ -308,14 +321,10 @@ def _build_norm(norm: dict) -> NormSpec:
     return NormSpec(kind=norm["kind"], p=float(norm["p"]))
 
 
-def _build_cost(cfg, path):
-    name = cfg.get("name", "quadratic")
-    if name == "quadratic":
-        return quadratic_cost(float(cfg.get("a", 0.5)))
-    if name == "indicator":
-        return indicator_cost(float(cfg.get("lo", -1.0)), float(cfg.get("hi", 1.0)))
-    raise ConfigError(path, f"unknown cost {name!r}"
-                            f"{_suggest(name, ['quadratic', 'indicator'])}")
+def _build_cost(cfg):
+    if cfg["name"] == "quadratic":
+        return quadratic_cost(float(cfg["a"]))
+    return indicator_cost(float(cfg["lo"]), float(cfg["hi"]))
 
 
 def build_family(spec: ExperimentSpec):
@@ -342,7 +351,7 @@ def build_family(spec: ExperimentSpec):
                                         grid.dim)
         return make_heat_family(params, norm, grid), initial
     if name == "gexp":
-        cost = _build_cost(fam_cfg["cost"], "config.family.cost")
+        cost = _build_cost(fam_cfg["cost"])
         lg_cfg = fam_cfg["lambda_grid"]
         if lg_cfg == "auto":
             lgrid = auto_lambda_grid(cost, lipschitz_constant_estimate(initial))

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chernoff import (
-    ConvergenceReport,
     GeneratingFamilyDescriptor,
+    Record,
     apply_partition,
     chernoff_limit,
     dyadic_partition,
@@ -77,7 +77,7 @@ _RATIO_FLOOR = 1e-14
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LipschitzCertificate:
+class LipschitzCertificate(Record):
     """Per-level time-Lipschitz ratios r_n = max_t d(I(t)x, x)/t and verdict."""
 
     state_id: str
@@ -87,17 +87,6 @@ class LipschitzCertificate:
     gamma_hat: float
     growth_factors: tuple[float, ...]
     verdict: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "state_id": self.state_id,
-            "horizon": self.horizon,
-            "levels": list(self.levels),
-            "ratios": list(self.ratios),
-            "gamma_hat": self.gamma_hat,
-            "growth_factors": list(self.growth_factors),
-            "verdict": self.verdict,
-        }
 
 
 def _classify(ratios) -> str:
@@ -203,7 +192,7 @@ def invariance_probe(family: GeneratingFamilyDescriptor, f: GridFunction,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GeneratorTable:
+class GeneratorTable(Record):
     """Difference-quotient errors ||(S(h)f - f)/h - Af|| per probe step h."""
 
     h_levels: tuple[float, ...]
@@ -211,15 +200,6 @@ class GeneratorTable:
     monotone_decreasing: bool
     smallest_error: float
     flagged: tuple[bool, ...]  # True where the Chernoff limit did not converge
-
-    def to_json_dict(self) -> dict:
-        return {
-            "h_levels": list(self.h_levels),
-            "errors": list(self.errors),
-            "monotone_decreasing": self.monotone_decreasing,
-            "smallest_error": self.smallest_error,
-            "flagged": list(self.flagged),
-        }
 
 
 def _quotient_error(family, f, evolved, h, mask):
@@ -339,7 +319,7 @@ def gen_condition_probe(family: GeneratingFamilyDescriptor, f, g, t0: float,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     """Measured-vs-declared envelope margins; violations carry their seeds."""
 
     family: str
@@ -349,22 +329,10 @@ class AuditReport:
     n_samples: int
     checks: tuple[dict, ...]
     violations: tuple[dict, ...]
+    violation_count: int = field(init=False)
 
-    @property
-    def violation_count(self) -> int:
-        return len(self.violations)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "seed": self.seed,
-            "radius": self.radius,
-            "t_list": list(self.t_list),
-            "n_samples": self.n_samples,
-            "checks": list(self.checks),
-            "violations": list(self.violations),
-            "violation_count": self.violation_count,
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "violation_count", len(self.violations))
 
 
 def _full_distance(family: GeneratingFamilyDescriptor, x, y) -> float:

@@ -28,8 +28,8 @@ base family and Psi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -590,32 +590,24 @@ def telescoping_residual(base_family: GeneratingFamilyDescriptor,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not _is_linear_base(base_family):
-        raise ValueError("base family must be linear")
     dt = 2.0 ** -n
-
-    def bstep(state):
-        return base_family.step(dt, state)
-
-    def istep(state):
-        return with_values(state, bstep(state).values + dt * pert.psi(state.values))
 
     # left side and the Psi increments along both trajectories
     uf, ug = f, g
     psi_diffs = []
     for _ in range(k):
         psi_diffs.append(pert.psi(uf.values) - pert.psi(ug.values))
-        uf = istep(uf)
-        ug = istep(ug)
+        uf = perturbation_step(uf, dt, base_family, pert)
+        ug = perturbation_step(ug, dt, base_family, pert)
     lhs = uf.values - ug.values
 
     # right side, Horner style: R = B R + A_l
     acc = with_values(f, psi_diffs[0])
     for l in range(1, k):
-        acc = with_values(f, bstep(acc).values + psi_diffs[l])
+        acc = with_values(f, base_family.step(dt, acc).values + psi_diffs[l])
     diff = with_values(f, f.values - g.values)
     for _ in range(k):
-        diff = bstep(diff)
+        diff = base_family.step(dt, diff)
     rhs = diff.values + dt * acc.values
 
     gap = with_values(f, lhs - rhs)

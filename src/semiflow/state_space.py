@@ -15,10 +15,8 @@ makes the node set exactly symmetric and places 0.0 exactly on the grid.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Sequence
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,13 +46,22 @@ class NonFiniteValuesError(ValueError):
     """Raised by the state constructors when given NaN or infinite values."""
 
 
-def _as_axis_tuple(value, dim, kind):
-    if np.isscalar(value):
-        return (kind(value),) * dim
-    out = tuple(kind(v) for v in value)
+def _as_axis_tuple(value, dim):
+    if np.ndim(value) == 0:
+        return (value,) * dim
+    out = tuple(value)
     if len(out) != dim:
         raise ValueError(f"expected {dim} per-axis entries, got {len(out)}")
     return out
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_dim(dim):
+    if not (_is_integer(dim) and dim in (1, 2)):
+        raise ValueError(f"dim must be the integer 1 or 2, got {dim!r}")
 
 
 @dataclass(frozen=True)
@@ -66,16 +73,14 @@ class Grid:
     n_points: tuple[int, ...]
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError("dim must be 1 or 2")
+        _check_dim(self.dim)
         for X in self.x_max:
             if not (X > 0):
                 raise ValueError("x_max must be positive")
         for n in self.n_points:
-            if n < 3:
-                raise ValueError("n_points must be >= 3")
-            if n % 2 == 0:
-                raise ValueError("n_points must be odd so that 0 is a node")
+            if not (_is_integer(n) and n >= 3 and n % 2 == 1):
+                raise ValueError("n_points must be odd integers >= 3 so that 0"
+                                 f" is a node, got {n!r}")
 
     @property
     def h(self) -> tuple[float, ...]:
@@ -101,10 +106,11 @@ class Grid:
 
 def grid_create(dim: int, x_max, n_points) -> Grid:
     """Create a uniform grid; x_max and n_points may be scalar or per-axis."""
+    _check_dim(dim)  # before the per-axis tuples are built from it
     return Grid(
         dim=int(dim),
-        x_max=_as_axis_tuple(x_max, dim, float),
-        n_points=_as_axis_tuple(n_points, dim, int),
+        x_max=tuple(map(float, _as_axis_tuple(x_max, dim))),
+        n_points=_as_axis_tuple(n_points, dim),
     )
 
 
@@ -364,19 +370,30 @@ def scale_values(f: GridFunction, a: float) -> GridFunction:
 
 # ---------------------------------------------------------------------------
 # CSV serialization: header x[,y],v1[,v2...], one row per node (row-major),
-# 17 significant digits so a round trip is value-exact.
+# 17 significant digits so a round trip is value-exact.  The rows are
+# formatted in blocks, so only one block's text is held at a time.
 # ---------------------------------------------------------------------------
 
-def serialize_csv(f: GridFunction) -> str:
+_CSV_BLOCK_ROWS = 4096
+
+
+def _csv_blocks(f: GridFunction):
     coord_names = ["x", "y"][: f.grid.dim]
-    header = ",".join(coord_names + [f"v{i + 1}" for i in range(f.codomain_dim)])
+    yield ",".join(coord_names + [f"v{i + 1}" for i in range(f.codomain_dim)]) + "\n"
     table = np.concatenate([f.grid.node_coords(), f.values], axis=1)
     row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    return header + "\n" + (row_fmt * table.shape[0]) % tuple(table.ravel().tolist())
+    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+        block = table[start:start + _CSV_BLOCK_ROWS]
+        yield (row_fmt * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+def serialize_csv(f: GridFunction) -> str:
+    return "".join(_csv_blocks(f))
 
 
 def write_csv(f: GridFunction, path) -> None:
-    Path(path).write_text(serialize_csv(f))
+    with open(path, "w") as fh:
+        fh.writelines(_csv_blocks(f))
 
 
 def read_csv_table(path) -> tuple[list[str], np.ndarray]:

@@ -291,6 +291,21 @@ class TestMainEntry:
         # the defect's limits reach 4 * 0.25 * 2^28 steps; evolve alone fits
         (dict(HEAT_41, schedule={"t_list": [0.5], "n_max": 27},
               tasks=["defect"]), "n_max"),
+        # 0.5 * 2^41 ladder steps
+        (dict(HEAT_41, schedule={"t_list": [0.5], "certificate_levels": [4, 40]},
+              tasks=["certificate"]), "certificate_levels"),
+        # 0.5 * 2^41 steps at the last level
+        (dict(HEAT_41, schedule={"t_list": [0.5], "monotonicity_levels": [2, 40]},
+              tasks=["monotonicity"]), "monotonicity_levels"),
+        # each h runs up to level 44
+        (dict(HEAT_41, schedule={"t_list": [0.5], "n_max": 40},
+              tasks=["generator"]), "n_max"),
+        (dict(HEAT_41, family={"name": "gexp", "cost": {"name": "cubic"}},
+              schedule={"t_list": [0.5]}), "cost.name"),
+        (dict(HEAT_41, grid={"dim": 1.0}, schedule={"t_list": [0.5]}), "grid"),
+        (dict(HEAT_41, grid={"dim": 1.5}, schedule={"t_list": [0.5]}), "grid"),
+        (dict(HEAT_41, grid={"n_points": None}, schedule={"t_list": [0.5]}),
+         "grid"),
     ])
     def test_parse_time_config_errors(self, tmp_path, capsys, cfg, field):
         with pytest.raises(ConfigError) as exc:
@@ -300,6 +315,35 @@ class TestMainEntry:
         assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid,rule", [
+        ({"dim": 1.0}, "dim must be the integer 1 or 2"),
+        ({"dim": 1.5}, "dim must be the integer 1 or 2"),
+        ({"n_points": None}, "n_points must be odd integers >= 3"),
+        ({"n_points": 241.9}, "n_points must be odd integers >= 3"),
+    ])
+    def test_wrong_typed_grid_names_the_rule(self, tmp_path, grid, rule):
+        cfg = dict(self.HEAT_41, grid=grid, schedule={"t_list": [0.5]})
+        with pytest.raises(ConfigError, match=rule):
+            parse_config(write_config(tmp_path, cfg))
+
+    def test_cost_defaults_filled(self, tmp_path):
+        cfg = dict(self.HEAT_41, family={"name": "gexp", "cost": {"name": "indicator",
+                                                                  "hi": 2.0}},
+                   schedule={"t_list": [0.5]})
+        spec = parse_config(write_config(tmp_path, cfg))
+        assert spec.family["cost"] == {"name": "indicator", "lo": -1.0, "hi": 2.0}
+        for cost in ({"name": "quadratic"}, {"a": 0.5}):
+            cfg["family"] = {"name": "gexp", "cost": cost}
+            spec = parse_config(write_config(tmp_path, cfg))
+            assert spec.family["cost"] == {"name": "quadratic", "a": 0.5}
+
+    def test_unknown_cost_suggests(self, tmp_path):
+        cfg = dict(self.HEAT_41, family={"name": "gexp", "cost": {"name": "quadratik"}},
+                   schedule={"t_list": [0.5]})
+        with pytest.raises(ConfigError, match="did you mean: quadratic") as exc:
+            parse_config(write_config(tmp_path, cfg))
+        assert exc.value.field_path == "config.family.cost.name"
 
     @pytest.mark.parametrize("family", [
         {"name": "robust_gbm", "pairs": []},

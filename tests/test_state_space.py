@@ -52,6 +52,17 @@ class TestGridCreate:
         with pytest.raises(ValueError):
             grid_create(1, 0.0, 5)
 
+    @pytest.mark.parametrize("dim,n_points", [(1, 241.9), (1, 241.0), (1, None),
+                                              (2, (61, 41.5)), (1, True)])
+    def test_rejects_non_integer_points(self, dim, n_points):
+        with pytest.raises(ValueError, match="n_points must be odd integers"):
+            grid_create(dim, 6.0, n_points)
+
+    @pytest.mark.parametrize("dim", [1.0, 1.5, "1", None, True, 3])
+    def test_rejects_bad_dim_before_axis_tuples(self, dim):
+        with pytest.raises(ValueError, match="dim must be the integer 1 or 2"):
+            grid_create(dim, 6.0, 241)
+
 
 class TestSampleFunction:
     def test_zero_preset(self):
@@ -271,7 +282,9 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             read_csv_table(path)
 
-    @pytest.mark.parametrize("dim,n,m", [(1, 41, 1), (1, 3, 2), (2, 21, 3)])
+    # (2, 81, 2): 6561 rows, more than one block of rows
+    @pytest.mark.parametrize("dim,n,m", [(1, 41, 1), (1, 3, 2), (2, 21, 3),
+                                         (2, 81, 2)])
     def test_serialize_matches_row_loop(self, tmp_path, dim, n, m):
         g = grid_create(dim, 3.0, n)
         rng = np.random.default_rng(11)
@@ -289,6 +302,14 @@ class TestCsvRoundTrip:
         names, data = read_csv_table(path)
         assert names == header.split(",")
         assert np.array_equal(data, np.concatenate([g.node_coords(), f.values], 1))
+
+
+    def test_write_csv_matches_serialize(self, tmp_path):
+        g = grid_create(2, 3.0, 101)
+        f = sample_function(np.random.default_rng(5).standard_normal(g.n_nodes), g)
+        path = tmp_path / "f.csv"
+        write_csv(f, path)
+        assert path.read_bytes() == serialize_csv(f).encode()
 
 
 class TestImmutability:
