@@ -17,6 +17,7 @@ in binary floating point, so the partition arithmetic is exact.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -32,6 +33,7 @@ __all__ = [
     "Record",
     "NonFiniteStateError",
     "NonDyadicTimeError",
+    "check_level",
     "dyadic_partition",
     "smallest_dyadic_level",
     "apply_partition",
@@ -44,7 +46,6 @@ __all__ = [
 DEFAULT_TOL = 1e-4
 DEFAULT_N_MIN = 4
 DEFAULT_N_MAX = 14
-_MAX_LEVEL_SEARCH = 60
 
 
 class NonDyadicTimeError(ValueError):
@@ -59,13 +60,17 @@ class NonFiniteStateError(RuntimeError):
         super().__init__(message or f"non-finite state after step {step_index}")
 
 
-def smallest_dyadic_level(t: float, max_level: int = _MAX_LEVEL_SEARCH) -> int | None:
-    """Smallest n with t == k * 2^-n exactly, or None if there is none."""
-    for n in range(max_level + 1):
-        k = t * 2.0**n
-        if k == math.floor(k) and math.floor(k) * 2.0**-n == t:
-            return n
-    return None
+def smallest_dyadic_level(t: float) -> int:
+    """Smallest n with t == k * 2^-n exactly; every finite float has one."""
+    if not math.isfinite(t):
+        raise ValueError(f"t={t!r} is not finite")
+    return float(t).as_integer_ratio()[1].bit_length() - 1
+
+
+def check_level(n) -> None:
+    """The rule for a partition level: a nonnegative integer."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"level must be a nonnegative integer, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -82,22 +87,15 @@ class DyadicPartition:
 
 
 def dyadic_partition(t: float, n: int) -> DyadicPartition:
+    check_level(n)
+    smallest = smallest_dyadic_level(t)
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if n < 0:
-        raise ValueError("level must be nonnegative")
-    k = t * 2.0**n
-    if k != math.floor(k) or math.floor(k) * 2.0**-n != t:
-        smallest = smallest_dyadic_level(t)
-        hint = (
-            f"; smallest admissible level is {smallest}"
-            if smallest is not None
-            else "; t is not dyadic at any level <= 60"
-        )
-        raise NonDyadicTimeError(
-            f"t={t!r} is not representable as k*2^-{n} (t*2^n={k!r}){hint}"
-        )
-    return DyadicPartition(t=float(t), level=int(n), step_count=int(k))
+    if smallest > n:
+        raise NonDyadicTimeError(f"t={t!r} is not representable as k*2^-{n}"
+                                 f"; smallest admissible level is {smallest}")
+    k = float(t).as_integer_ratio()[0]  # t = k 2^-smallest; 2.0**n may overflow
+    return DyadicPartition(t=float(t), level=int(n), step_count=k << (n - smallest))
 
 
 @dataclass
@@ -125,8 +123,6 @@ class GeneratingFamilyDescriptor:
     params: dict = field(default_factory=dict)
 
     def distance(self, x, y) -> float:
-        if self.state_kind == "vector":
-            return float(np.linalg.norm(x.coordinates - y.coordinates))
         return grid_distance(x, y, self.norm, mask=self.comparison_mask)
 
     def norm_of(self, x) -> float:

@@ -39,6 +39,7 @@ from .chernoff import (
     DEFAULT_N_MIN,
     DEFAULT_TOL,
     Record,
+    check_level,
     dyadic_partition,
     evolve_path,
     semigroup_defect,
@@ -147,13 +148,29 @@ def _require(mapping, key, path, default=None, required=False):
 
 
 def _validated(path, build, *args):
-    """build(*args), with a ValueError or TypeError it raises re-raised as
-    a ConfigError at path: the library's constructors and checks state the
-    rules."""
+    """build(*args), with a ValueError, TypeError or KeyError it raises
+    re-raised as a ConfigError at path: the library's constructors and
+    checks state the rules.  A ConfigError passes through unchanged."""
     try:
         return build(*args)
+    except ConfigError:
+        raise
+    except KeyError as e:
+        raise ConfigError(path, f"missing key {e}") from None
     except (TypeError, ValueError) as e:
         raise ConfigError(path, str(e)) from None
+
+
+def _entries(schedule, key, least, check, *args):
+    """schedule[key], which must be a list of at least `least` entries, each
+    passed through check(entry, *args) at its own field path."""
+    path = f"config.schedule.{key}"
+    entries = schedule[key]
+    if not isinstance(entries, list) or len(entries) < least:
+        raise ConfigError(path, f"must be a list of {least} or more entries")
+    for i, entry in enumerate(entries):
+        _validated(f"{path}[{i}]", check, entry, *args)
+    return entries
 
 
 def _check_tasks(schedule, tasks):
@@ -172,30 +189,25 @@ def _check_tasks(schedule, tasks):
                    schedule["n_min"])
         budget["defect"] = ("n_max", 4.0 * schedule["defect_t"], top)
     if "monotonicity" in tasks:
-        levels = schedule["monotonicity_levels"]
-        if len(levels) < 2:
-            raise ConfigError(f"{path}.monotonicity_levels",
-                              "need at least two levels")
+        levels = _entries(schedule, "monotonicity_levels", 2, check_level)
         _validated(f"{path}.monotonicity_t", dyadic_partition,
                    schedule["monotonicity_t"], min(levels))
         budget["monotonicity"] = ("monotonicity_levels",
                                   schedule["monotonicity_t"], max(levels) + 1)
     if "generator" in tasks:
-        hs = schedule["h_levels"]
+        hs = _entries(schedule, "h_levels", 1, dyadic_partition, schedule["n_max"])
         for i, h in enumerate(hs):
             if not h > 0 or (i and h >= hs[i - 1]):
                 raise ConfigError(f"{path}.h_levels[{i}]",
                                   "must be positive and strictly decreasing")
-            _validated(f"{path}.h_levels[{i}]", dyadic_partition, h,
-                       schedule["n_max"])
         budget["generator"] = ("n_max", sum(hs), top + 4)
     if "certificate" in tasks:
+        levels = _entries(schedule, "certificate_levels", 1, check_level)
         T = schedule["certificate_horizon"]
-        if not T > 0:
-            raise ConfigError(f"{path}.certificate_horizon", "must be positive")
-        levels = schedule["certificate_levels"]
         _validated(f"{path}.certificate_horizon", dyadic_partition, T,
                    min(levels))
+        if not T > 0:
+            raise ConfigError(f"{path}.certificate_horizon", "must be positive")
         budget["certificate"] = ("certificate_levels", T, max(levels) + 1)
     for task, (key, span, level) in budget.items():
         # compared in log2: 2.0**level overflows
@@ -215,6 +227,9 @@ def parse_config(path) -> ExperimentSpec:
     if not isinstance(raw, dict):
         raise ConfigError(str(path), "top-level config must be an object")
 
+    for key in ("family", "grid", "norm", "initial", "schedule"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise ConfigError(f"config.{key}", "must be an object")
     given = _require(raw, "family", "config", required=True)
     fname = _require(given, "name", "config.family", required=True)
     if fname not in FAMILY_NAMES:
@@ -222,6 +237,8 @@ def parse_config(path) -> ExperimentSpec:
                           f"unknown family {fname!r}{_suggest(fname, FAMILY_NAMES)}")
     family = {**copy.deepcopy(_FAMILY_DEFAULTS[fname]), **given}
     if fname == "gexp":
+        if not isinstance(family["cost"], dict):
+            raise ConfigError("config.family.cost", "must be an object")
         cost = {**_FAMILY_DEFAULTS["gexp"]["cost"], **family["cost"]}
         cname, names = cost["name"], tuple(_COST_DEFAULTS)
         if cname not in names:
@@ -251,23 +268,19 @@ def parse_config(path) -> ExperimentSpec:
 
     schedule = {**copy.deepcopy(_SCHEDULE_DEFAULTS),
                 **_require(raw, "schedule", "config", default={})}
-    if schedule["tol"] <= 0:
-        raise ConfigError("config.schedule.tol", "tolerance must be positive")
+    if type(schedule["tol"]) not in (int, float) or not schedule["tol"] > 0:
+        raise ConfigError("config.schedule.tol",
+                          "tolerance must be a positive number")
     for key in ("n_min", "n_max"):
-        if type(schedule[key]) is not int or schedule[key] < 0:
-            raise ConfigError(f"config.schedule.{key}",
-                              "must be a nonnegative integer")
+        _validated(f"config.schedule.{key}", check_level, schedule[key])
     if schedule["n_min"] > schedule["n_max"]:
         raise ConfigError("config.schedule.n_max", "must be >= n_min")
-    if not schedule["t_list"]:
-        raise ConfigError("config.schedule.t_list", "must be nonempty")
+    ts = _entries(schedule, "t_list", 1, dyadic_partition, schedule["n_min"])
     prev = 0.0
-    for i, t in enumerate(schedule["t_list"]):
+    for i, t in enumerate(ts):
         if t <= prev and not (i == 0 and t == 0.0):
             raise ConfigError(f"config.schedule.t_list[{i}]",
                               "times must be strictly increasing")
-        _validated(f"config.schedule.t_list[{i}]", dyadic_partition, t,
-                   schedule["n_min"])
         prev = t
     schedule.setdefault("defect_t", schedule["t_list"][0] / 2.0)
     schedule.setdefault("monotonicity_t", schedule["t_list"][0])
@@ -374,7 +387,7 @@ def build_family(spec: ExperimentSpec):
                            quad_points=int(fam_cfg["M"]), p=float(fam_cfg["p"]))
         family = make_robust_gbm_family(uset, params, grid,
                                         trust_horizon=float(fam_cfg["trust_horizon"]))
-        return family, _coerce_clamp(initial)
+        return family, dataclasses.replace(initial, extension_mode="clamp")
     if name == "perturbation":
         base = (make_heat_family(HeatDriftParams.create(
                     fam_cfg["drift"], fam_cfg["sigma"], grid.dim), norm, grid)
@@ -396,12 +409,6 @@ def _build_initial_grid_state(spec: ExperimentSpec, grid: Grid) -> GridFunction:
                               "table nodes do not match the configured grid")
         return sample_function(data[:, grid.dim:], grid)
     return sample_function(init["preset"], grid)
-
-
-def _coerce_clamp(f: GridFunction) -> GridFunction:
-    if f.extension_mode == "clamp":
-        return f
-    return GridFunction(f.grid, f.codomain_dim, f.values, extension_mode="clamp")
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +462,7 @@ def _task_certificate(spec, family, state):
     sched = spec.schedule
     levels = sched["certificate_levels"]
     T = sched["certificate_horizon"]
-    if family.minus_conjugate and family.state_kind == "grid":
+    if family.minus_conjugate:
         plus, minus, joint = diag.symmetric_lipschitz_certificate(
             family, state, T, levels)
         result = {"task": "certificate", "plus": plus.to_json_dict(),
@@ -526,12 +533,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> dict:
     recorded in the manifest; the manifest's `passed` flag is the exit-code
     contract (true iff every asserted check passed).
     """
-    try:
-        family, state = build_family(spec)
-    except ConfigError:
-        raise
-    except ValueError as e:  # a family constructor rejected the config
-        raise ConfigError("config.family", str(e)) from None
+    family, state = _validated("config.family", build_family, spec)
     outdir = Path(out_dir or spec.output_dir or os.environ.get("SEMIFLOW_OUT", "out"))
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -113,9 +113,11 @@ def _ladder_quotients(family: GeneratingFamilyDescriptor, states, T: float,
     """
     if T <= 0:
         raise ValueError("horizon must be positive")
-    dyadic_partition(T, min(levels))
-    times = dict.fromkeys(k * 2.0**-n for n in levels
-                          for k in range(1, int(round(T * 2.0**n)) + 1))
+    parts = [dyadic_partition(T, n) for n in levels]
+    if not parts:
+        raise ValueError("need at least one level")
+    times = dict.fromkeys(k * p.step for p in parts
+                          for k in range(1, p.step_count + 1))
     quotients = [{} for _ in states]
     for t in times:
         for q, x in zip(quotients, states):
@@ -203,13 +205,9 @@ class GeneratorTable(Record):
 
 
 def _quotient_error(family, f, evolved, h, mask):
-    gen = family.analytic_generator(f)
-    if family.state_kind == "vector":
-        q = (evolved.coordinates - f.coordinates) / h - gen.coordinates
-        return float(np.linalg.norm(q))
-    quotient = with_values(f, (evolved.values - f.values) / h - gen.values)
-    zero = with_values(f, np.zeros_like(f.values))
-    return grid_distance(quotient, zero, family.norm, mask=mask)
+    quotient = with_values(f, (evolved.values - f.values) / h)
+    return grid_distance(quotient, family.analytic_generator(f), family.norm,
+                         mask=mask)
 
 
 def default_collar_mask(family: GeneratingFamilyDescriptor, f: GridFunction,
@@ -251,11 +249,11 @@ def generator_estimate(family: GeneratingFamilyDescriptor, f, h_levels,
     hs = [float(h) for h in h_levels]
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("h_levels must be strictly decreasing")
-    levels = [smallest_dyadic_level(h, n_max) for h in hs]
+    levels = [smallest_dyadic_level(h) for h in hs]
     for h, level in zip(hs, levels):
-        if level is None:
+        if level > n_max:
             raise ValueError(f"h={h!r} is not dyadic at any level <= n_max={n_max}")
-    if mask is None and family.state_kind == "grid":
+    if mask is None:
         mask = default_collar_mask(family, f, max(hs))
     errors = []
     flagged = []
@@ -290,8 +288,6 @@ def gen_condition_probe(family: GeneratingFamilyDescriptor, f, g, t0: float,
     if any(not (0 < lam <= 1) for lam in lambda_list):
         raise ValueError("lambda_list must lie in (0, 1]")
     n0 = smallest_dyadic_level(t0)
-    if n0 is None:
-        raise ValueError(f"t0={t0!r} is not dyadic")
     best = 0.0
     for n in (n0, n0 + 1, n0 + 2):
         k_max = int(round(t0 * 2.0**n))
@@ -299,18 +295,10 @@ def gen_condition_probe(family: GeneratingFamilyDescriptor, f, g, t0: float,
             part = dyadic_partition(k * 2.0**-n, n)
             base = apply_partition(family, part, f)
             for lam in lambda_list:
-                if family.state_kind == "vector":
-                    shifted = VectorState(f.coordinates + lam * g.coordinates)
-                    pert = apply_partition(family, part, shifted)
-                    q = (pert.coordinates - base.coordinates) / lam - g.coordinates
-                    best = max(best, float(np.linalg.norm(q)))
-                else:
-                    shifted = with_values(f, f.values + lam * g.values)
-                    pert = apply_partition(family, part, shifted)
-                    q = with_values(f, (pert.values - base.values) / lam - g.values)
-                    zero = with_values(f, np.zeros_like(f.values))
-                    best = max(best, grid_distance(q, zero, family.norm,
-                                                   mask=family.comparison_mask))
+                shifted = with_values(f, f.values + lam * g.values)
+                pert = apply_partition(family, part, shifted)
+                q = with_values(f, (pert.values - base.values) / lam)
+                best = max(best, family.distance(q, g))
     return best
 
 
@@ -335,17 +323,6 @@ class AuditReport(Record):
         object.__setattr__(self, "violation_count", len(self.violations))
 
 
-def _full_distance(family: GeneratingFamilyDescriptor, x, y) -> float:
-    """d(x, y) in the family's norm over every node.
-
-    The envelopes alpha and beta refer to balls and distances of the whole
-    space; a comparison mask restricts only where images are compared.
-    """
-    if family.state_kind == "vector":
-        return family.distance(x, y)
-    return grid_distance(x, y, family.norm)
-
-
 def random_ball_state(family: GeneratingFamilyDescriptor, rng,
                       radius: float):
     """Seeded random state in B(x0, R): a sum of three Gaussian bumps with
@@ -366,11 +343,11 @@ def random_ball_state(family: GeneratingFamilyDescriptor, rng,
         amp = rng.uniform(-1.0, 1.0)
         vals += amp * np.exp(-np.sum((coords - center) ** 2, axis=1) / width**2)
     state = with_values(family.zero_state, vals[:, None])
-    nrm = _full_distance(family, state, family.zero_state)
+    nrm = grid_distance(state, family.zero_state, family.norm)
     if nrm == 0.0:
         vals[:] = 1.0
         state = with_values(family.zero_state, vals[:, None])
-        nrm = _full_distance(family, state, family.zero_state)
+        nrm = grid_distance(state, family.zero_state, family.norm)
     return with_values(family.zero_state, state.values * (target / nrm))
 
 
@@ -398,7 +375,9 @@ def alpha_beta_audit(family: GeneratingFamilyDescriptor, n_samples: int,
         if margin < -slack:
             violations.append(entry)
 
-    dxy = [_full_distance(family, x, states[(i + 1) % n_samples])
+    # alpha and beta refer to the whole space: d(x, y) is taken over every
+    # node, and the comparison mask restricts only where images are compared
+    dxy = [grid_distance(x, states[(i + 1) % n_samples], family.norm)
            for i, x in enumerate(states)]
     # I(t)x_i serves the bound check of sample i, the x side of its Lipschitz
     # check and the y side of sample i - 1's; one t at a time, so consecutive
@@ -450,11 +429,10 @@ def partition_monotonicity_check(family: GeneratingFamilyDescriptor,
     """Min over refinement levels and nodes of u_{n+1} - u_n for the dyadic
     iterates of a sup-type family; restricted to the family's comparison
     mask when one is declared."""
-    levels = sorted(int(n) for n in levels)
     if len(levels) < 2:
         raise ValueError("need at least two levels")
-    iterates = [apply_partition(family, dyadic_partition(t, n), f)
-                for n in levels]
+    parts = [dyadic_partition(t, n) for n in sorted(levels)]
+    iterates = [apply_partition(family, part, f) for part in parts]
     worst = math.inf
     for a, b in zip(iterates, iterates[1:]):
         inc = b.values - a.values

@@ -429,11 +429,6 @@ def vector_field_preset(name: str, **kw) -> VectorField:
         return VectorField(
             func=lambda x: np.array([-x[1], x[0]]),
             dim=2, growth_k=1.0, lip_profile=lambda R: 1.0, name="rotation")
-    if name == "scaled_linear":
-        c = float(kw.get("c", -1.0))
-        d = int(kw.get("dim", 1))
-        return VectorField(func=lambda x: c * x, dim=d, growth_k=abs(c),
-                           lip_profile=lambda R: abs(c), name=f"scaled_linear_{c}")
     raise ValueError(f"unknown vector field preset {name!r}")
 
 
@@ -612,4 +607,4 @@ def telescoping_residual(base_family: GeneratingFamilyDescriptor,
 
     gap = with_values(f, lhs - rhs)
     zero = with_values(f, np.zeros_like(lhs))
-    return grid_distance(gap, zero, base_family.norm or NormSpec("sup"))
+    return grid_distance(gap, zero, base_family.norm)

@@ -4,8 +4,9 @@ Functions f: R^d -> R^m (d in {1, 2}) are represented by their values on a
 uniform grid over a centered box [-X_max, X_max]^d.  Outside the box a
 function is either extended by zero (the stand-in for functions vanishing at
 infinity) or by clamping to the boundary value (the stand-in for functions
-with polynomial growth, measured in a weighted norm).  All norms and
-distances are evaluated on grid nodes only.
+with polynomial growth, measured in a weighted norm).  Their norms and
+distances are evaluated on grid nodes only; vector states are measured by
+their Euclidean distance.  `distance` and `with_values` serve both kinds.
 
 Grids always have an odd number of nodes per axis so that the origin is a
 node; node coordinates are computed as (2j - (n-1)) * X_max / (n-1), which
@@ -185,6 +186,10 @@ class VectorState:
         object.__setattr__(self, "coordinates", c)
 
     @property
+    def values(self) -> np.ndarray:
+        return self.coordinates
+
+    @property
     def dim(self) -> int:
         return self.coordinates.size
 
@@ -251,16 +256,16 @@ def sample_function(preset_or_table, grid: Grid) -> GridFunction:
 # metric
 # ---------------------------------------------------------------------------
 
-def _check_compatible(f: GridFunction, g: GridFunction):
-    if f.grid != g.grid or f.codomain_dim != g.codomain_dim:
-        raise ValueError("grid functions live on different grids or codomains")
-
-
-def distance(f: GridFunction, g: GridFunction, norm: NormSpec,
+def distance(f, g, norm: NormSpec | None,
              mask: np.ndarray | None = None) -> float:
-    """Node-evaluated distance: sup kind is the max Euclidean gap over nodes,
-    weighted kind multiplies the gap by kappa(x) = 1/(1+|x|^p) first."""
-    _check_compatible(f, g)
+    """Euclidean for vector states (norm None); node-evaluated for grid
+    functions: sup kind is the max Euclidean gap over nodes, weighted kind
+    multiplies the gap by kappa(x) = 1/(1+|x|^p) first."""
+    if type(f) is not type(g) or f.values.shape != g.values.shape or (
+            getattr(f, "grid", None) != getattr(g, "grid", None)):
+        raise ValueError("states live on different grids, codomains or spaces")
+    if isinstance(f, VectorState):
+        return float(np.linalg.norm(f.values - g.values))
     gap = np.linalg.norm(f.values - g.values, axis=1)
     gap = gap * norm.weights(f.grid)
     if mask is not None:
@@ -356,8 +361,10 @@ def ball_mask(grid: Grid, radius: float) -> np.ndarray:
 # small functional helpers
 # ---------------------------------------------------------------------------
 
-def with_values(f: GridFunction, values: np.ndarray) -> GridFunction:
-    return GridFunction(f.grid, f.codomain_dim, values, f.extension_mode)
+def with_values(x, values: np.ndarray):
+    if isinstance(x, VectorState):
+        return VectorState(values)
+    return GridFunction(x.grid, x.codomain_dim, values, x.extension_mode)
 
 
 def negate(f: GridFunction) -> GridFunction:

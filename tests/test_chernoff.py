@@ -39,6 +39,19 @@ class TestDyadicPartition:
         with pytest.raises(NonDyadicTimeError, match="smallest admissible level is 5"):
             dyadic_partition(0.03125, 4)
 
+    @pytest.mark.parametrize("n", [2.0, 5.5, -1, True])
+    def test_level_must_be_a_nonnegative_integer(self, n):
+        with pytest.raises(ValueError, match="level must be a nonnegative integer"):
+            dyadic_partition(0.5, n)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="not finite"):
+            dyadic_partition(t, 4)
+
+    def test_step_count_exact_where_two_to_the_level_overflows(self):
+        assert dyadic_partition(0.5, 2000).step_count == 2**1999
+
     def test_smallest_level_search(self):
         assert smallest_dyadic_level(0.75) == 2
         assert smallest_dyadic_level(1.0) == 0

@@ -148,6 +148,12 @@ class TestParseConfig:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("path", sorted((ROOT / "scripts" / "configs").glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_shipped_config_passes(self, tmp_path, path):
+        manifest = run_experiment(parse_config(path), out_dir=tmp_path)
+        assert manifest["passed"], manifest["errors"]
+
     def test_ode_evolve_outputs(self, tmp_path):
         spec = parse_config(write_config(tmp_path, MINIMAL_ODE))
         manifest = run_experiment(spec, out_dir=tmp_path / "out")
@@ -306,6 +312,27 @@ class TestMainEntry:
         (dict(HEAT_41, grid={"dim": 1.5}, schedule={"t_list": [0.5]}), "grid"),
         (dict(HEAT_41, grid={"n_points": None}, schedule={"t_list": [0.5]}),
          "grid"),
+        # levels are nonnegative integers: 5.5 would step at k * 2^-5.5
+        (dict(HEAT_41, schedule={"t_list": [0.5], "certificate_levels": [4, 5.5, 6]},
+              tasks=["certificate"]), "certificate_levels[1]"),
+        (dict(HEAT_41, schedule={"t_list": [0.5], "monotonicity_levels": [2, 3.5]},
+              tasks=["monotonicity"]), "monotonicity_levels[1]"),
+        (dict(HEAT_41, schedule={"t_list": [0.5], "certificate_levels": []},
+              tasks=["certificate"]), "certificate_levels"),
+        (dict(HEAT_41, schedule={"t_list": [0.5], "h_levels": []},
+              tasks=["generator"]), "h_levels"),
+        (dict(HEAT_41, schedule={"t_list": [0.5], "h_levels": ["x"]},
+              tasks=["generator"]), "h_levels[0]"),
+        (dict(HEAT_41, schedule={"t_list": [math.inf]}), "t_list[0]"),
+        (dict(HEAT_41, schedule={"t_list": "0.5"}), "t_list"),
+        (dict(HEAT_41, schedule={"t_list": [0.5], "tol": "1e-3"}), "tol"),
+        # 2.0**2000 overflows a float; the step budget still applies
+        (dict(HEAT_41, schedule={"t_list": [0.5], "n_min": 2000, "n_max": 2000}),
+         "n_max"),
+        (dict(HEAT_41, schedule=[0.5]), "schedule"),
+        (dict(HEAT_41, grid="fine", schedule={"t_list": [0.5]}), "grid"),
+        (dict(HEAT_41, family={"name": "gexp", "cost": "quadratic"},
+              schedule={"t_list": [0.5]}), "cost"),
     ])
     def test_parse_time_config_errors(self, tmp_path, capsys, cfg, field):
         with pytest.raises(ConfigError) as exc:
@@ -351,6 +378,8 @@ class TestMainEntry:
         # the auto drift grid reaches below -1, where the cost is infinite
         {"name": "gexp", "cost": {"name": "indicator", "lo": -1.0, "hi": 2.0},
          "lambda_grid": "auto"},
+        {"name": "gexp", "lambda_grid": {"min": -1}},
+        {"name": "robust_gbm", "pairs": [0.1, 0.2]},
     ])
     def test_family_build_errors_exit_two(self, tmp_path, capsys, family):
         cfg = dict(self.HEAT_41, family=family, schedule={"t_list": [0.5]},

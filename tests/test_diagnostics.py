@@ -5,7 +5,7 @@ import pytest
 from scipy.special import ndtr
 
 from conftest import random_bumps
-from semiflow.chernoff import apply_partition, dyadic_partition
+from semiflow.chernoff import apply_partition, chernoff_limit, dyadic_partition
 from semiflow.diagnostics import (
     alpha_beta_audit,
     gen_condition_probe,
@@ -93,6 +93,16 @@ class TestLipschitzCertificate:
         d = cert.to_json_dict()
         assert d["verdict"] in ("bounded", "diverging", "inconclusive")
         assert len(d["ratios"]) == 3
+
+    @pytest.mark.parametrize("levels,rule", [
+        ([4, 5.5, 6], "level must be a nonnegative integer"),
+        ([], "need at least one level"),
+    ])
+    def test_ladder_levels_follow_the_level_rule(self, ode_decay_family,
+                                                 levels, rule):
+        with pytest.raises(ValueError, match=rule):
+            lipschitz_certificate(ode_decay_family, VectorState([1.0]), 0.5,
+                                  levels)
 
 
 class TestSymmetricCertificate:
@@ -188,6 +198,66 @@ class TestGeneratorEstimate:
         with pytest.raises(ValueError, match="not dyadic"):
             generator_estimate(ode_decay_family, VectorState([1.0]), hs,
                                n_max=n_max)
+
+
+class TestVectorStatesInTheOneMetric:
+    """On vector states the probes give exactly what the Euclidean formulas
+    once written out beside the grid metric gave; those formulas are kept
+    here as references, on the 2-D rotation family."""
+
+    X = VectorState([1.0, 0.5])
+    G = VectorState([0.3, -0.7])
+
+    @staticmethod
+    def euclid(x, y):
+        return float(np.linalg.norm(x.coordinates - y.coordinates))
+
+    def test_generator_errors(self, ode_rotation_family):
+        fam = ode_rotation_family
+        ks = range(4, 9)
+        table = generator_estimate(fam, self.X, [2.0**-k for k in ks], tol=1e-6)
+        expected = []
+        for k in ks:
+            h = 2.0**-k
+            u, _ = chernoff_limit(fam, h, self.X, tol=1e-6, n_min=k,
+                                  n_max=max(14, k + 4))
+            q = ((u.coordinates - self.X.coordinates) / h
+                 - fam.analytic_generator(self.X).coordinates)
+            expected.append(float(np.linalg.norm(q)))
+        assert table.errors == tuple(expected)
+
+    def test_gen_condition_probe(self, ode_rotation_family):
+        fam = ode_rotation_family
+        expected = 0.0
+        for n in (2, 3, 4):
+            k_max = int(round(0.25 * 2.0**n))
+            for k in sorted({1, max(1, k_max // 2), k_max}):
+                part = dyadic_partition(k * 2.0**-n, n)
+                base = apply_partition(fam, part, self.X)
+                for lam in (1.0, 0.5, 0.25):
+                    shifted = VectorState(self.X.coordinates
+                                          + lam * self.G.coordinates)
+                    pert = apply_partition(fam, part, shifted)
+                    q = ((pert.coordinates - base.coordinates) / lam
+                         - self.G.coordinates)
+                    expected = max(expected, float(np.linalg.norm(q)))
+        assert gen_condition_probe(fam, self.X, self.G, 0.25) == expected
+
+    def test_audit_margins(self, ode_rotation_family):
+        fam = ode_rotation_family
+        R, ts, n = 1.5, [0.0, 0.25, 0.5], 6
+        report = alpha_beta_audit(fam, n_samples=n, R=R, t_list=ts[1:], seed=5)
+        rng = np.random.default_rng(5)
+        states = [random_ball_state(fam, rng, R) for _ in range(n)]
+        expected = []
+        for i, x in enumerate(states):
+            y = states[(i + 1) % n]
+            expected += [fam.alpha(R, t) - self.euclid(fam.step(t, x), fam.zero_state)
+                         for t in ts]
+            expected += [fam.beta(R, t) * self.euclid(x, y)
+                         - self.euclid(fam.step(t, x), fam.step(t, y)) for t in ts]
+        assert [c["margin"] for c in report.checks
+                if c["check"] in ("bounded", "lipschitz")] == expected
 
 
 class TestGenConditionProbe:
@@ -341,3 +411,7 @@ class TestPartitionMonotonicity:
     def test_needs_two_levels(self, gexp_family, bump_medium):
         with pytest.raises(ValueError):
             partition_monotonicity_check(gexp_family, bump_medium, 0.5, [3])
+
+    def test_levels_are_not_truncated(self, gexp_family, bump_medium):
+        with pytest.raises(ValueError, match="level must be a nonnegative integer"):
+            partition_monotonicity_check(gexp_family, bump_medium, 0.5, [2, 3.5])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from semiflow.state_space import (
     GridFunction,
     NormSpec,
+    VectorState,
     distance,
     grid_create,
     interp_eval,
@@ -15,6 +16,7 @@ from semiflow.state_space import (
     read_csv_table,
     sample_function,
     serialize_csv,
+    with_values,
     write_csv,
 )
 
@@ -159,6 +161,34 @@ class TestDistance:
     def test_norm_spec_requires_p_above_one(self):
         with pytest.raises(ValueError):
             NormSpec("weighted", p=1.0)
+
+
+class TestStateKinds:
+    """One metric and one rebuild for vector states and grid functions."""
+
+    def test_vector_distance_is_euclidean(self):
+        assert distance(VectorState([3.0, 4.0]), VectorState([0.0, 0.0]),
+                        None) == 5.0
+
+    def test_with_values_keeps_the_kind(self):
+        x = VectorState([1.0, 2.0])
+        y = with_values(x, np.array([3.0, 4.0]))
+        assert isinstance(y, VectorState)
+        assert y.values is y.coordinates
+        assert list(y.values) == [3.0, 4.0]
+        f = sample_function("identity", grid_create(1, 2.0, 5))
+        g = with_values(f, 2.0 * f.values)
+        assert isinstance(g, GridFunction)
+        assert (g.grid, g.codomain_dim, g.extension_mode) == (f.grid, 1, "clamp")
+
+    @pytest.mark.parametrize("pair", ["vector-grid", "grid-vector", "shapes"])
+    def test_mixed_or_mismatched_states_rejected(self, pair):
+        f = sample_function("zero", grid_create(1, 2.0, 5))
+        x, y = {"vector-grid": (VectorState([0.0]), f),
+                "grid-vector": (f, VectorState([0.0])),
+                "shapes": (VectorState([1.0, 2.0]), VectorState([1.0]))}[pair]
+        with pytest.raises(ValueError):
+            distance(x, y, None)
 
 
 class TestLipschitzEstimate:
