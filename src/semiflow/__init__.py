@@ -20,6 +20,7 @@ from .chernoff import (
     dyadic_partition,
     apply_partition,
     chernoff_limit,
+    chernoff_limits,
     semigroup_defect,
     discrete_semigroup_identity_residual,
     evolve_path,

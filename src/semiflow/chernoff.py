@@ -38,6 +38,7 @@ __all__ = [
     "smallest_dyadic_level",
     "apply_partition",
     "chernoff_limit",
+    "chernoff_limits",
     "semigroup_defect",
     "discrete_semigroup_identity_residual",
     "evolve_path",
@@ -198,6 +199,66 @@ def apply_partition(family: GeneratingFamilyDescriptor,
     return x
 
 
+def chernoff_limits(family: GeneratingFamilyDescriptor, times, state,
+                    tol: float = DEFAULT_TOL, n_min: int = DEFAULT_N_MIN,
+                    n_max: int = DEFAULT_N_MAX) -> dict:
+    """chernoff_limit at each of several times from one state: {t: (state, report)}.
+
+    The step of level n is 2^-n whatever t is, so u_n(t) = I(2^-n)^(t 2^n) x
+    for every t lies on one trajectory.  Each level walks it once, up to the
+    largest time still pending, and reads every pending time's iterate at its
+    step count.  Each time stops at its own first d(u_n, u_{n-1}) <= tol, and
+    its entry is field for field what chernoff_limit reports for it alone,
+    steps_total included; a step that turns non-finite raises with the index
+    that a separate run would report.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if n_min > n_max:
+        raise ValueError("n_min must be <= n_max")
+    times = list(dict.fromkeys(times))
+    for t in times:
+        if t != 0.0:
+            dyadic_partition(t, n_min)  # validates t at the base level
+    pending = sorted(t for t in times if t != 0.0)
+    u = {}
+    deltas = {t: [] for t in pending}
+    steps = dict.fromkeys(pending, 0)
+
+    def converged(t):
+        return bool(deltas[t] and deltas[t][-1] <= tol)
+
+    for n in range(n_min, n_max + 1):
+        if not pending:
+            break
+        x, done, prev = state, 0, 0.0
+        for t in pending:
+            k = dyadic_partition(t, n).step_count
+            segment = DyadicPartition(t - prev, n, k - done)  # the steps from prev to t
+            try:
+                x = apply_partition(family, segment, x)
+            except NonFiniteStateError as e:
+                raise NonFiniteStateError(done + e.step_index) from e.__cause__
+            done, prev = k, t
+            steps[t] += k
+            if n > n_min:
+                deltas[t].append(family.distance(x, u[t]))
+            u[t] = x
+        pending = [t for t in pending if not converged(t)]
+    limits = {}
+    for t in times:
+        if t == 0.0:
+            limits[t] = state, ConvergenceReport(
+                t=0.0, n_min=n_min, n_last=n_min, tol=tol, deltas=(),
+                converged=True, steps_total=0)
+        else:
+            limits[t] = u[t], ConvergenceReport(
+                t=t, n_min=n_min, n_last=n_min + len(deltas[t]), tol=tol,
+                deltas=tuple(deltas[t]), converged=converged(t),
+                steps_total=steps[t])
+    return limits
+
+
 def chernoff_limit(family: GeneratingFamilyDescriptor, t: float, state,
                    tol: float = DEFAULT_TOL, n_min: int = DEFAULT_N_MIN,
                    n_max: int = DEFAULT_N_MAX):
@@ -207,44 +268,24 @@ def chernoff_limit(family: GeneratingFamilyDescriptor, t: float, state,
     criterion returns u_{n_max} flagged as non-converged.  The per-step cost
     doubles with each level (2^n steps at level n for t = 1).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if n_min > n_max:
-        raise ValueError("n_min must be <= n_max")
-    if t == 0.0:
-        report = ConvergenceReport(t=0.0, n_min=n_min, n_last=n_min, tol=tol,
-                                   deltas=(), converged=True, steps_total=0)
-        return state, report
-    part = dyadic_partition(t, n_min)  # validates t at the base level
-    u = apply_partition(family, part, state)
-    steps_total = part.step_count
-    deltas: list[float] = []
-    n = n_min
-    for n in range(n_min + 1, n_max + 1):
-        part = dyadic_partition(t, n)
-        u_next = apply_partition(family, part, state)
-        steps_total += part.step_count
-        deltas.append(family.distance(u_next, u))
-        u = u_next
-        if deltas[-1] <= tol:
-            break
-    report = ConvergenceReport(t=t, n_min=n_min, n_last=n, tol=tol,
-                               deltas=tuple(deltas),
-                               converged=bool(deltas and deltas[-1] <= tol),
-                               steps_total=steps_total)
-    return u, report
+    return chernoff_limits(family, (t,), state, tol, n_min, n_max)[t]
 
 
 def semigroup_defect(family: GeneratingFamilyDescriptor, s: float, t: float,
                      state, tol: float = DEFAULT_TOL,
-                     n_min: int = DEFAULT_N_MIN, n_max: int = DEFAULT_N_MAX) -> float:
-    """d( S(s+t)x, S(s)S(t)x ) with every S evaluated by chernoff_limit.
+                     n_min: int = DEFAULT_N_MIN, n_max: int = DEFAULT_N_MAX,
+                     limits: dict | None = None) -> float:
+    """d( S(s+t)x, S(s)S(t)x ) with every S evaluated by the Chernoff limit.
 
-    Non-convergence of any of the three runs is reported as a warning; the
-    defect value is still returned.
+    S(s+t)x and S(t)x share one chernoff_limits walk; `limits`, a
+    chernoff_limits result from the same state and schedule holding both
+    times, replaces it.  Non-convergence of any of the three limits is
+    reported as a warning; the defect value is still returned.
     """
-    u_joint, rep_joint = chernoff_limit(family, s + t, state, tol, n_min, n_max)
-    u_t, rep_t = chernoff_limit(family, t, state, tol, n_min, n_max)
+    if limits is None:
+        limits = chernoff_limits(family, (s + t, t), state, tol, n_min, n_max)
+    u_joint, rep_joint = limits[s + t]
+    u_t, rep_t = limits[t]
     u_st, rep_s = chernoff_limit(family, s, u_t, tol, n_min, n_max)
     if not (rep_joint.converged and rep_t.converged and rep_s.converged):
         warnings.warn(
@@ -269,11 +310,13 @@ def discrete_semigroup_identity_residual(family: GeneratingFamilyDescriptor,
 
 def evolve_path(family: GeneratingFamilyDescriptor, t_list, state,
                 tol: float = DEFAULT_TOL, n_min: int = DEFAULT_N_MIN,
-                n_max: int = DEFAULT_N_MAX, collect_reports: bool = False):
+                n_max: int = DEFAULT_N_MAX, collect_reports: bool = False,
+                limits: dict | None = None):
     """States at the strictly increasing dyadic times t_list.
 
     Computed incrementally through the semigroup property: each increment is
-    one chernoff_limit from the previous state.
+    one chernoff_limit from the previous state.  `limits`, a chernoff_limits
+    result from the same state and schedule, supplies the first time's limit.
     """
     ts = [float(t) for t in t_list]
     if any(b <= a for a, b in zip(ts, ts[1:])):
@@ -283,7 +326,11 @@ def evolve_path(family: GeneratingFamilyDescriptor, t_list, state,
     current = state
     prev_t = 0.0
     for t in ts:
-        current, rep = chernoff_limit(family, t - prev_t, current, tol, n_min, n_max)
+        if limits is not None and not states:
+            current, rep = limits[t]
+        else:
+            current, rep = chernoff_limit(family, t - prev_t, current, tol,
+                                          n_min, n_max)
         reports.append(rep)
         states.append(current)
         prev_t = t

@@ -40,6 +40,7 @@ from .chernoff import (
     DEFAULT_TOL,
     Record,
     check_level,
+    chernoff_limits,
     dyadic_partition,
     evolve_path,
     semigroup_defect,
@@ -148,8 +149,8 @@ def _require(mapping, key, path, default=None, required=False):
 
 
 def _validated(path, build, *args):
-    """build(*args), with a ValueError, TypeError or KeyError it raises
-    re-raised as a ConfigError at path: the library's constructors and
+    """build(*args), with a ValueError, TypeError, KeyError or OSError it
+    raises re-raised as a ConfigError at path: the library's constructors and
     checks state the rules.  A ConfigError passes through unchanged."""
     try:
         return build(*args)
@@ -157,8 +158,18 @@ def _validated(path, build, *args):
         raise
     except KeyError as e:
         raise ConfigError(path, f"missing key {e}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OSError) as e:
         raise ConfigError(path, str(e)) from None
+
+
+def _integer(value, least):
+    if type(value) is not int or value < least:
+        raise ValueError(f"must be an integer >= {least}, got {value!r}")
+
+
+def _number(value, least):
+    if type(value) not in (int, float) or not least <= value < math.inf:
+        raise ValueError(f"must be a finite number >= {least:g}, got {value!r}")
 
 
 def _entries(schedule, key, least, check, *args):
@@ -209,6 +220,10 @@ def _check_tasks(schedule, tasks):
         if not T > 0:
             raise ConfigError(f"{path}.certificate_horizon", "must be positive")
         budget["certificate"] = ("certificate_levels", T, max(levels) + 1)
+    if "audit" in tasks:
+        _validated(f"{path}.audit_samples", _integer, schedule["audit_samples"], 1)
+        _validated(f"{path}.audit_radius", _number, schedule["audit_radius"], 0)
+        _entries(schedule, "audit_times", 1, _number, 0)
     for task, (key, span, level) in budget.items():
         # compared in log2: 2.0**level overflows
         if span > 0 and math.log2(span) + level > math.log2(MAX_LIMIT_STEPS):
@@ -305,7 +320,8 @@ def parse_config(path) -> ExperimentSpec:
                           "telescoping requires a perturbation family")
     _check_tasks(schedule, tasks)
 
-    seed = int(_require(raw, "seed", "config", default=0))
+    seed = _require(raw, "seed", "config", default=0)
+    _validated("config.seed", _integer, seed, 0)
     if "audit" in tasks and "seed" not in raw:
         raise ConfigError("config.seed",
                           "a seed is required when randomized tasks are selected")
@@ -401,7 +417,8 @@ def build_family(spec: ExperimentSpec):
 def _build_initial_grid_state(spec: ExperimentSpec, grid: Grid) -> GridFunction:
     init = spec.initial
     if "table" in init:
-        names, data = read_csv_table(init["table"])
+        names, data = _validated("config.initial.table", read_csv_table,
+                                 init["table"])
         coords = data[:, :grid.dim]
         if coords.shape[0] != grid.n_nodes or not np.array_equal(
                 coords, grid.node_coords()):
@@ -419,11 +436,12 @@ def _fmt_time(t: float) -> str:
     return ("%g" % t).replace("-", "m").replace(".", "p")
 
 
-def _task_evolve(spec, family, state, outdir, writes):
+def _task_evolve(spec, family, state, outdir, writes, limits):
     sched = spec.schedule
     states, reports = evolve_path(family, sched["t_list"], state,
                                   tol=sched["tol"], n_min=sched["n_min"],
-                                  n_max=sched["n_max"], collect_reports=True)
+                                  n_max=sched["n_max"], collect_reports=True,
+                                  limits=limits)
     entries = []
     for t, st, rep in zip(sched["t_list"], states, reports):
         entry = {"t": t, "report": rep.to_json_dict()}
@@ -439,12 +457,13 @@ def _task_evolve(spec, family, state, outdir, writes):
     return {"task": "evolve", "passed": passed, "states": entries}
 
 
-def _task_defect(spec, family, state):
+def _task_defect(spec, family, state, limits):
     sched = spec.schedule
     t = sched["defect_t"]
     tol = sched["tol"]
     value = semigroup_defect(family, t, t, state, tol=tol,
-                             n_min=sched["n_min"], n_max=sched["n_max"])
+                             n_min=sched["n_min"], n_max=sched["n_max"],
+                             limits=limits)
     return {"task": "defect", "s": t, "t": t, "defect": value,
             "bound": 3.0 * tol, "passed": value <= 3.0 * tol}
 
@@ -481,7 +500,7 @@ def _task_audit(spec, family, state):
     sched = spec.schedule
     report = diag.alpha_beta_audit(
         family,
-        n_samples=int(sched["audit_samples"]),
+        n_samples=sched["audit_samples"],
         R=float(sched["audit_radius"]),
         t_list=sched["audit_times"],
         seed=spec.seed,
@@ -517,13 +536,29 @@ def _task_telescoping(spec, family, state):
 
 
 _TASK_RUNNERS = {
-    "defect": _task_defect,
     "generator": _task_generator,
     "certificate": _task_certificate,
     "audit": _task_audit,
     "monotonicity": _task_monotonicity,
     "telescoping": _task_telescoping,
 }
+
+
+def _shared_limits(spec, family, state):
+    """The limits evolve and defect both start from, in one chernoff_limits
+    walk: evolve's first time t_list[0], and the defect's S(s)x and S(2s)x
+    (with the default s = t_list[0] / 2, S(2s)x is evolve's first limit).
+    None when the tasks do not both run, or when the walk raises: each task
+    then meets its own failure, as it would alone."""
+    if not {"evolve", "defect"} <= set(spec.tasks):
+        return None
+    sched = spec.schedule
+    s = sched["defect_t"]
+    try:
+        return chernoff_limits(family, (float(sched["t_list"][0]), s, 2.0 * s),
+                               state, sched["tol"], sched["n_min"], sched["n_max"])
+    except Exception:
+        return None
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None) -> dict:
@@ -537,13 +572,17 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> dict:
     outdir = Path(out_dir or spec.output_dir or os.environ.get("SEMIFLOW_OUT", "out"))
     outdir.mkdir(parents=True, exist_ok=True)
 
+    limits = _shared_limits(spec, family, state)
     writes: list[str] = []
     results = {}
     errors = {}
     for task in spec.tasks:
         try:
             if task == "evolve":
-                results[task] = _task_evolve(spec, family, state, outdir, writes)
+                results[task] = _task_evolve(spec, family, state, outdir, writes,
+                                             limits)
+            elif task == "defect":
+                results[task] = _task_defect(spec, family, state, limits)
             else:
                 results[task] = _TASK_RUNNERS[task](spec, family, state)
         except Exception as e:  # recorded, not fatal: the manifest carries it

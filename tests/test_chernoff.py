@@ -11,6 +11,7 @@ from semiflow.chernoff import (
     NonFiniteStateError,
     apply_partition,
     chernoff_limit,
+    chernoff_limits,
     discrete_semigroup_identity_residual,
     dyadic_partition,
     evolve_path,
@@ -18,8 +19,15 @@ from semiflow.chernoff import (
     smallest_dyadic_level,
 )
 from semiflow.diagnostics import lipschitz_certificate, random_ball_state
+from semiflow.families_linear import HeatDriftParams, make_heat_family
 from semiflow.families_nonlinear import make_ode_family, vector_field_preset
-from semiflow.state_space import NormSpec, VectorState, sample_function
+from semiflow.state_space import (
+    NonFiniteValuesError,
+    NormSpec,
+    VectorState,
+    grid_create,
+    sample_function,
+)
 
 
 class TestDyadicPartition:
@@ -169,6 +177,77 @@ class TestChernoffLimit:
                           "steps_total"}
 
 
+def _blowup_family(factor):
+    """Each step multiplies by factor: 1e200 overflows at the second step
+    from 1, 1e100 at the fourth."""
+    from semiflow.chernoff import GeneratingFamilyDescriptor
+
+    def bad_step(t, x):
+        return VectorState([x.coordinates[0] * (factor if t > 0 else 1.0)])
+
+    return GeneratingFamilyDescriptor(
+        name="blowup", state_kind="vector", step=bad_step,
+        alpha=lambda R, t: R, beta=lambda R, t: 1.0,
+        zero_state=VectorState([0.0]))
+
+
+_GRID = grid_create(1, 6.0, 241)
+_SHARED_WALK_CASES = {
+    "heat_drift": (make_heat_family(HeatDriftParams.create(0.5, 1.0, 1),
+                                    NormSpec("sup"), _GRID),
+                   random_bumps(_GRID, 3)),
+    "ode": (make_ode_family(vector_field_preset("rotation")),
+            VectorState([1.0, -0.5])),
+}
+
+
+def _same_limit(a, b):
+    (xa, rep_a), (xb, rep_b) = a, b
+    assert np.array_equal(xa.values, xb.values)
+    assert rep_a == rep_b
+
+
+class TestChernoffLimits:
+    """One trajectory per level for several times gives, for each time,
+    exactly what its own chernoff_limit gives."""
+
+    @pytest.mark.parametrize("case", sorted(_SHARED_WALK_CASES))
+    @settings(max_examples=25, deadline=None)
+    @given(ks=st.sets(st.integers(0, 8), min_size=1, max_size=4),
+           tol=st.sampled_from([3e-2, 1e-2, 1e-3, 1e-4]),
+           n_min=st.integers(3, 5), extra=st.integers(0, 3))
+    def test_each_time_equals_its_own_limit(self, case, ks, tol, n_min, extra):
+        family, x = _SHARED_WALK_CASES[case]
+        times = [k / 8 for k in sorted(ks, reverse=True)]
+        n_max = n_min + extra
+        limits = chernoff_limits(family, times, x, tol, n_min, n_max)
+        assert list(limits) == times
+        for t in times:
+            _same_limit(limits[t], chernoff_limit(family, t, x, tol, n_min, n_max))
+
+    @pytest.mark.parametrize("factor,times,index", [
+        (1e200, (0.25, 0.5), 1), (1e200, (0.5, 0.25, 1.0), 1), (1e200, (1.0,), 1),
+        (1e100, (0.25, 0.5, 1.0), 3), (1e100, (1.0, 0.75), 3)])
+    def test_nonfinite_step_index_of_a_separate_run(self, factor, times, index):
+        fam = _blowup_family(factor)
+        with pytest.raises(NonFiniteStateError) as separate:
+            chernoff_limit(fam, max(times), VectorState([1.0]), n_min=2)
+        with pytest.raises(NonFiniteStateError) as shared:
+            chernoff_limits(fam, times, VectorState([1.0]), n_min=2)
+        assert shared.value.step_index == separate.value.step_index == index
+        assert isinstance(shared.value.__cause__, NonFiniteValuesError)
+
+    def test_validates_every_time(self, ode_decay_family):
+        with pytest.raises(NonDyadicTimeError):
+            chernoff_limits(ode_decay_family, (0.5, math.pi / 4), VectorState([1.0]))
+
+    def test_zero_time_returns_input(self, ode_decay_family):
+        x = VectorState([1.0])
+        limits = chernoff_limits(ode_decay_family, (0.0, 0.5), x)
+        assert limits[0.0][0] is x and limits[0.0][1].steps_total == 0
+        _same_limit(limits[0.5], chernoff_limit(ode_decay_family, 0.5, x))
+
+
 class TestSemigroupDefect:
     def test_zero_s_is_noise(self, ode_decay_family):
         d = semigroup_defect(ode_decay_family, 0.0, 0.5, VectorState([1.0]))
@@ -185,6 +264,20 @@ class TestSemigroupDefect:
         d = semigroup_defect(heat_family, 0.25, 0.25, bump_medium, tol=tol,
                              n_min=4, n_max=12)
         assert d <= 3 * tol
+
+    @pytest.mark.parametrize("case", sorted(_SHARED_WALK_CASES))
+    @pytest.mark.parametrize("s", [0.125, 0.25])
+    def test_same_value_with_and_without_limits(self, case, s):
+        family, x = _SHARED_WALK_CASES[case]
+        kw = dict(tol=1e-3, n_min=4, n_max=9)
+        limits = chernoff_limits(family, (0.5, s, 2 * s), x, **kw)
+        # the three limits run one at a time, each from its own start
+        u_t, _ = chernoff_limit(family, s, x, **kw)
+        u_st, _ = chernoff_limit(family, s, u_t, **kw)
+        u_joint, _ = chernoff_limit(family, 2 * s, x, **kw)
+        separate = family.distance(u_joint, u_st)
+        assert semigroup_defect(family, s, s, x, **kw) == separate
+        assert semigroup_defect(family, s, s, x, limits=limits, **kw) == separate
 
 
 class TestDiscreteIdentity:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semiflow.chernoff import NonFiniteStateError
 from semiflow.cli import (
     _SCHEDULE_DEFAULTS,
     ConfigError,
@@ -153,6 +155,46 @@ class TestRunExperiment:
     def test_shipped_config_passes(self, tmp_path, path):
         manifest = run_experiment(parse_config(path), out_dir=tmp_path)
         assert manifest["passed"], manifest["errors"]
+
+    @pytest.mark.parametrize("stem,steps", [
+        ("ode_decay", 2158), ("heat_bump", 30), ("robust_gbm", 30)])
+    def test_evolve_and_defect_step_counts(self, tmp_path, monkeypatch, stem, steps):
+        """Every step call of evolve and defect, counted on the family that
+        build_family returns: evolve's first limit is the defect's S(2s)x
+        and S(s)x lies on its trajectory, so each is walked once."""
+        calls = []
+        build = build_family
+
+        def counting_build(spec):
+            family, state = build(spec)
+            step = family.step
+
+            def counted(t, x):
+                calls.append(t)
+                return step(t, x)
+
+            family.step = counted
+            return family, state
+
+        monkeypatch.setattr("semiflow.cli.build_family", counting_build)
+        spec = parse_config(ROOT / "scripts" / "configs" / f"{stem}.json")
+        spec = dataclasses.replace(spec, tasks=("evolve", "defect"))
+        manifest = run_experiment(spec, out_dir=tmp_path)
+        assert manifest["passed"], manifest["errors"]
+        assert len(calls) == steps
+
+    def test_tasks_run_alone_when_the_shared_walk_raises(self, tmp_path, monkeypatch):
+        spec = parse_config(ROOT / "scripts" / "configs" / "ode_decay.json")
+        spec = dataclasses.replace(spec, tasks=("evolve", "defect"))
+        shared = run_experiment(spec, out_dir=tmp_path / "shared")
+
+        def failing(*args):
+            raise NonFiniteStateError(0)
+
+        monkeypatch.setattr("semiflow.cli.chernoff_limits", failing)
+        alone = run_experiment(spec, out_dir=tmp_path / "alone")
+        assert alone["passed"] and not alone["errors"]
+        assert alone["outputs"] == shared["outputs"]
 
     def test_ode_evolve_outputs(self, tmp_path):
         spec = parse_config(write_config(tmp_path, MINIMAL_ODE))
@@ -333,6 +375,18 @@ class TestMainEntry:
         (dict(HEAT_41, grid="fine", schedule={"t_list": [0.5]}), "grid"),
         (dict(HEAT_41, family={"name": "gexp", "cost": "quadratic"},
               schedule={"t_list": [0.5]}), "cost"),
+        (dict(HEAT_41, schedule={"t_list": [0.5], "audit_samples": "x"},
+              tasks=["audit"], seed=1), "audit_samples"),
+        (dict(HEAT_41, schedule={"t_list": [0.5], "audit_samples": 2.5},
+              tasks=["audit"], seed=1), "audit_samples"),
+        (dict(HEAT_41, schedule={"t_list": [0.5], "audit_times": ["x"]},
+              tasks=["audit"], seed=1), "audit_times[0]"),
+        (dict(HEAT_41, schedule={"t_list": [0.5], "audit_times": []},
+              tasks=["audit"], seed=1), "audit_times"),
+        (dict(HEAT_41, schedule={"t_list": [0.5], "audit_radius": "1.0"},
+              tasks=["audit"], seed=1), "audit_radius"),
+        (dict(HEAT_41, schedule={"t_list": [0.5]}, seed="x"), "seed"),
+        (dict(HEAT_41, schedule={"t_list": [0.5]}, seed=-1), "seed"),
     ])
     def test_parse_time_config_errors(self, tmp_path, capsys, cfg, field):
         with pytest.raises(ConfigError) as exc:
@@ -387,6 +441,14 @@ class TestMainEntry:
         out = tmp_path / "o"
         assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_table_exits_two(self, tmp_path, capsys):
+        cfg = dict(self.HEAT_41, initial={"table": str(tmp_path / "missing.csv")},
+                   schedule={"t_list": [0.5]}, tasks=["evolve"])
+        out = tmp_path / "o"
+        assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert "config error: config.initial.table" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_dyadic_hint_names_smallest_level(self, tmp_path):
