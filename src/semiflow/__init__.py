@@ -10,7 +10,6 @@ from .state_space import (
     sample_function,
     distance,
     lipschitz_constant_estimate,
-    interp_eval,
     write_csv,
 )
 from .chernoff import (
@@ -43,7 +42,6 @@ from .families_nonlinear import (
     indicator_cost,
     gexp_step,
     effective_lambda_radius,
-    legendre_transform,
     make_gexp_family,
     auto_lambda_grid,
     user_lambda_grid,

@@ -2,25 +2,30 @@
 
 Two kernels are provided:
 
-* the Gaussian heat-with-drift operator  f(x) -> E[f(x + sigma W_t + lambda t)],
-  evaluated as the exact Gaussian integral of the piecewise-(multi)linear
-  reconstruction of f.  The integral over each grid cell is expressed through
-  differences of the normal CDF and its first partial moment, so the operator
-  is exact for linear data, has nonnegative weights (hence is monotone), and
-  stays well behaved when sqrt(t) is far smaller than the grid spacing, which
-  is the regime every deep dyadic level enters.  The kernel is truncated at
-  8 standard deviations per axis; the truncated tail mass (< 1e-15) is
-  dropped, not renormalized, preserving the zero-extension semantics.
+* the heat-with-drift operator f(x) -> E[f(x + sigma W_t + b t)], evaluated
+  exactly for its semi-discrete approximation: along each axis the candidate
+  is the nearest-neighbour Markov chain on the grid with the central rates
+  sigma^2 / (2 h^2) +- b / (2 h) where they are monotone (|b| h <= sigma^2)
+  and the upwind rates sigma^2 / (2 h^2) + b^+- / h elsewhere (Kushner &
+  Dupuis).  Pure diffusion is the discrete Gaussian e^{-lambda} I_k(lambda),
+  lambda = sigma^2 t / h^2; sigma = 0 is the upwind Poisson shift.  The step
+  is the exact semigroup exp(t Q) of the chain's generator Q, so it is
+  monotone, conserves constants on the lattice, satisfies
+  I(s) I(t) = I(s + t) away from the box edges, and kernel_generator is Q
+  itself.  Outside the box f reads 0 (zero extension) or its edge value
+  (clamp).
 
-  The weights of one dt are the same for all 2^n steps of a level, so they
-  are compiled once into a step plan per axis and dt: the weights of every
-  candidate stacked over the union of their tap ranges, the boundary
-  coefficients and the pure-drift interpolation indices.  A step applies
-  the plan to all candidates in one batched pass, an FFT convolution
-  (numpy.fft), then the boundary terms.  Only the last plan of each grid
-  axis is kept, and it is dropped before the next one is built, so the
-  cache holds at most one plan per axis; the FFT work runs over chunks of
-  candidates, so its temporaries stay bounded as well.
+  The step of one dt is the same for all 2^n steps of a level, so it is
+  compiled once into a step plan per axis and dt: the characteristic
+  function exp(dt psi(xi)), psi(xi) = r+ (e^{i xi} - 1) + r- (e^{-i xi} - 1),
+  of every candidate at the rFFT frequencies.  The axis is extended by
+  zeros or edge values beyond the reach of every kernel (its mean plus
+  KERNEL_CUTOFF_SIGMAS standard deviations and a Poisson-tail margin), so
+  the wrapped mass stays below 1e-15.  A step applies the plan to all
+  candidates in one batched FFT convolution (numpy.fft).  Only the last
+  plan of each grid axis is kept, and it is dropped before the next one is
+  built, so the cache holds at most one plan per axis; the FFT work runs
+  over chunks of candidates, so its temporaries stay bounded as well.
 
 * the geometric Brownian motion operator f(x) -> E[f(x X_t)] with
   X_t = exp((mu - sigma^2/2) t + sigma W_t), evaluated by Gauss-Hermite
@@ -36,8 +41,8 @@ Two kernels are provided:
   x >= 0 half of the grid, plus the escape-mass flag.  The nodes are
   exactly symmetric, so the same rows applied to the reversed values serve
   x <= 0.  The last plan of each member is kept, and a step on another grid
-  drops them all.  scipy.sparse is imported only when a plan is built, so
-  runs without GBM do not load it.
+  drops them all.  scipy.sparse is imported only when a robust GBM family
+  or a plan is built, so runs without GBM do not load it.
 
 In 2D only diagonal (and scalar) diffusion matrices are supported, through
 tensor-product application of the 1D kernel along each axis.
@@ -45,19 +50,19 @@ tensor-product application of the 1D kernel along each axis.
 Every grid family has one form: the nodewise max over a finite candidate set
 of (one of these linear transitions - cost t).  kernel_family builds the
 descriptor of such a set, with envelopes e^{omega t} and the generator
-kernel_generator, the same max taken over the candidates' linear generators.
+kernel_generator, the same max taken over the candidates' chain generators.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import ndtr, ndtri
 
 from .chernoff import GeneratingFamilyDescriptor, check_family_contract
 from .state_space import (
@@ -79,20 +84,12 @@ __all__ = [
     "kernel_generator",
     "gbm_trusted_radius",
     "gbm_growth_rate",
-    "central_diff",
-    "second_diff",
 ]
 
 KERNEL_CUTOFF_SIGMAS = 8.0
 GBM_ESCAPE_THRESHOLD = 1e-10
 # upper-tail normal quantile at the escape threshold
-_Z_ESCAPE = float(-ndtri(GBM_ESCAPE_THRESHOLD))
-
-_SQRT2PI = math.sqrt(2.0 * math.pi)
-
-
-def _phi(z):
-    return np.exp(-0.5 * z * z) / _SQRT2PI
+_Z_ESCAPE = -statistics.NormalDist().inv_cdf(GBM_ESCAPE_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -148,51 +145,27 @@ def gbm_growth_rate(mu_sigma_pairs, p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# 1D heat kernel: exact Gaussian-cell quadrature
+# the nearest-neighbour chains and their step plans
 # ---------------------------------------------------------------------------
 
-def _hat_weights(delta: np.ndarray, s: float, h: float) -> np.ndarray:
-    """Integral of the unit hat at 0 against the N(delta, s^2) density.
+def _jump_rates(drift, var, h: float):
+    """Rates (up, down) of the nearest-neighbour chain on spacing h with mean
+    drift and variance var per unit time: the central rates
+    var / (2 h^2) +- drift / (2 h) where they are monotone (|drift| h <= var),
+    else the upwind rates var / (2 h^2) + drift^+- / h.  var = 0 gives the
+    upwind Poisson shift, var = drift = 0 the identity."""
+    diffuse = var / (2.0 * h * h)
+    central = np.abs(drift) * h <= var
+    up = diffuse + np.where(central, drift / (2.0 * h), np.maximum(drift, 0.0) / h)
+    down = diffuse - np.where(central, drift / (2.0 * h), np.minimum(drift, 0.0) / h)
+    return up, down
 
-    Exact formula from CDF differences and first partial moments over the two
-    half-cells of the hat support [-h, h].
-    """
-    za1 = (-h - delta) / s
-    zb1 = (0.0 - delta) / s
-    zb2 = (h - delta) / s
-    i0_1 = ndtr(zb1) - ndtr(za1)
-    i1_1 = s * (_phi(za1) - _phi(zb1))
-    i0_2 = ndtr(zb2) - ndtr(zb1)
-    i1_2 = s * (_phi(zb1) - _phi(zb2))
-    return (i1_1 + (delta + h) * i0_1 + (h - delta) * i0_2 - i1_2) / h
-
-
-def _ramp_weights(x_edge: float, h: float, means: np.ndarray, s: float,
-                  rising: bool) -> np.ndarray:
-    """Gaussian mass of the phantom boundary ramp cell adjacent to x_edge.
-
-    rising=True is the left ramp on [x_edge - h, x_edge] growing 0 -> 1;
-    rising=False the right ramp on [x_edge, x_edge + h] falling 1 -> 0.
-    """
-    if rising:
-        a, b = x_edge - h, x_edge
-    else:
-        a, b = x_edge, x_edge + h
-    za = (a - means) / s
-    zb = (b - means) / s
-    i0 = ndtr(zb) - ndtr(za)
-    i1 = s * (_phi(za) - _phi(zb))
-    if rising:
-        return (i1 + (means - a) * i0) / h
-    return ((b - means) * i0 - i1) / h
-
-
-# ---------------------------------------------------------------------------
-# step plans: the heat kernels of one dt, compiled once and applied batched
-# ---------------------------------------------------------------------------
 
 # Bound on the FFT temporaries of one chunk of candidates.
 _CHUNK_BYTES = 2**17
+# Nodes beyond the cutoff that hold the Poisson tail of kernels narrower
+# than a node (var dt / h^2 << 1), whose taps decay like lambda^k / k!.
+_TAIL_NODES = 30
 # (key, plan) of the last plan of each grid axis: all steps of a level, and
 # both states of a certificate check, share one dt.
 _LAST_PLAN: dict = {}
@@ -214,106 +187,38 @@ def _fft_size(n: int) -> int:
 class _AxisPlan:
     """The 1D heat step of every candidate along one grid axis, for one dt.
 
-    Diffusive candidates (indices `diffuse`) convolve with their tap weights
-    over the union of their tap ranges, which starts at r_lo and contains 0
-    so that padding and slicing need no clipping.  The weights are held as
-    the rFFT of length nfft of a (C, taps) matrix whose row is zero outside
-    the candidate's own reach.  edge_lo and edge_hi multiply the first and
-    the last node value on the first and the last nodes of the axis: the
-    phantom ramp cells of the zero-padded convolution, the clamp tails, and
-    the far-field clamp (coefficient 1 where the whole kernel lies outside
-    the box).  Pure-drift candidates (indices `drift`) read the
-    piecewise-linear reconstruction at nodes j and j + 1 with weights w_lo
-    and w_hi, both 0 outside the box in zero mode.  A plan depends only on
-    its cache key, so results do not depend on what the cache holds.
+    spectra holds, per candidate, the characteristic function exp(dt psi) of
+    its chain at the rFFT frequencies of length nfft.  The axis is extended
+    to nfft nodes, by zeros or (clamp) by the edge values, and each half of
+    the extension covers the reach of every kernel, so node i is index i of
+    the circular convolution.  A plan depends only on its cache key, so
+    results do not depend on what the cache holds.
     """
 
     n: int
-    r_lo: int
     nfft: int
-    diffuse: np.ndarray
+    clamp: bool
     spectra: np.ndarray
-    edge_lo: np.ndarray
-    edge_hi: np.ndarray
-    drift: np.ndarray
-    drift_j: np.ndarray
-    w_lo: np.ndarray
-    w_hi: np.ndarray
 
 
-def _edge_coefficients(means: np.ndarray, sd: np.ndarray, reach: np.ndarray,
-                       h: float, x0: float, xN: float, rising: bool,
-                       clamp: bool) -> np.ndarray:
-    """Coefficients of the first (rising) or last node value at kernel means
-    near that edge: the phantom ramp cell of the zero-padded convolution,
-    the constant tail in clamp mode, and 1 where in clamp mode the whole
-    kernel lies beyond the edge."""
-    x_edge = x0 if rising else xN
-    near = np.abs(means - x_edge) <= reach
-    coef = -_ramp_weights(x_edge, h, means, sd, rising=rising)
-    if clamp:
-        tail = ndtr((x_edge - means) / sd)
-        coef += tail if rising else 1.0 - tail
-        far = means < x0 - reach if rising else means > xN + reach
-        coef[far] = 1.0
-        near |= far
-    coef[~near] = 0.0
-    return coef
-
-
-def _build_axis_plan(axis_nodes: np.ndarray, h: float, shifts: np.ndarray,
-                     s: np.ndarray, ext_mode: str) -> _AxisPlan:
-    """Compile the plan of one axis for one-step shifts and scales s."""
-    n = axis_nodes.size
-    x0 = axis_nodes[0]
-    xN = axis_nodes[-1]
+def _build_axis_plan(n: int, h: float, shifts: np.ndarray, s: np.ndarray,
+                     ext_mode: str) -> _AxisPlan:
+    """Compile the plan of one axis of n nodes for one-step shifts b dt and
+    scales sigma sqrt(dt): the rates times dt are the expected jumps."""
+    up, down = _jump_rates(shifts, s * s, h)
+    mean = up - down
+    sd = np.sqrt(up + down)
+    reach = math.ceil(np.max(np.abs(mean) + KERNEL_CUTOFF_SIGMAS * sd)) + _TAIL_NODES
     clamp = ext_mode == "clamp"
-    diffuse = np.flatnonzero(s != 0.0)
-    drift = np.flatnonzero(s == 0.0)
-
-    # pure drift: the extended piecewise-linear reconstruction at x + shift
-    pts = axis_nodes + shifts[drift, None]
-    u = (np.clip(pts, x0, xN) - x0) / h
-    drift_j = np.minimum(u.astype(np.int64), n - 2)
-    w_hi = u - drift_j
-    w_lo = 1.0 - w_hi
-    if not clamp:
-        outside = (pts < x0) | (pts > xN)
-        w_lo[outside] = 0.0
-        w_hi[outside] = 0.0
-
-    sd = s[diffuse, None]
-    shift = shifts[diffuse, None]
-    reach = KERNEL_CUTOFF_SIGMAS * sd + h
-    lo = np.ceil((-reach - shift) / h).astype(np.int64)
-    hi = np.floor((reach - shift) / h).astype(np.int64)
-    r_lo = int(lo.min(initial=0))
-    taps = int(hi.max(initial=0)) - r_lo + 1
-    r = np.arange(r_lo, r_lo + taps)
-    nfft = _fft_size(n + taps - 1)
-    # node i sees the left edge only if i <= hi, the right one only if
-    # n - 1 - i <= -lo; one node of slack absorbs rounding
-    lo_cols = int(np.clip(hi.max(initial=-2) + 2, 0, n))
-    hi_cols = int(np.clip(2 - lo.min(initial=2), 0, n))
-
-    count = diffuse.size
-    spectra = np.empty((count, nfft // 2 + 1), complex)
-    edge_lo = np.empty((count, lo_cols))
-    edge_hi = np.empty((count, hi_cols))
-    # a few candidates at a time bound the temporaries of the weight formulas
-    per = max(1, _CHUNK_BYTES // (16 * max(taps, n)))
-    for c0 in range(0, count, per):
-        c = slice(c0, c0 + per)
-        k = _hat_weights(r * h + shift[c], sd[c], h)
-        k[(r < lo[c]) | (r > hi[c])] = 0.0
-        spectra[c] = np.fft.rfft(k, nfft, axis=1)
-        edge_lo[c] = _edge_coefficients(axis_nodes[:lo_cols] + shift[c], sd[c],
-                                        reach[c], h, x0, xN, True, clamp)
-        edge_hi[c] = _edge_coefficients(axis_nodes[n - hi_cols:] + shift[c], sd[c],
-                                        reach[c], h, x0, xN, False, clamp)
-    return _AxisPlan(n=n, r_lo=r_lo, nfft=nfft, diffuse=diffuse,
-                     spectra=spectra, edge_lo=edge_lo, edge_hi=edge_hi,
-                     drift=drift, drift_j=drift_j, w_lo=w_lo, w_hi=w_hi)
+    nfft = _fft_size(n + (2 if clamp else 1) * reach)
+    xi = np.arange(nfft // 2 + 1) * (2.0 * math.pi / nfft)
+    # dt psi = (up + down)(cos xi - 1) + i (up - down) sin xi, with
+    # cos xi - 1 = -2 sin^2(xi/2) free of cancellation
+    half = np.sin(0.5 * xi)
+    psi = np.empty((shifts.size, xi.size), complex)
+    np.multiply.outer(up + down, -2.0 * half * half, out=psi.real)
+    np.multiply.outer(mean, np.sin(xi), out=psi.imag)
+    return _AxisPlan(n=n, nfft=nfft, clamp=clamp, spectra=np.exp(psi, out=psi))
 
 
 def _axis_plan(grid: Grid, a: int, t: float, drifts: np.ndarray,
@@ -327,19 +232,25 @@ def _axis_plan(grid: Grid, a: int, t: float, drifts: np.ndarray,
     held = _LAST_PLAN.pop(a, None)
     if held is None or held[0] != key:
         held = None  # frees the old plan before the new one is allocated
-        held = (key, _build_axis_plan(grid.axis(a), grid.h[a], shifts, s, ext_mode))
+        held = (key, _build_axis_plan(grid.n_points[a], grid.h[a], shifts, s,
+                                      ext_mode))
     _LAST_PLAN[a] = held
     return held[1]
 
 
-def _add_edges(plan: _AxisPlan, c0: int, res: np.ndarray, data: np.ndarray):
-    """Add the edge terms of diffusive candidates c0, c0 + 1, ... to their
-    convolutions res, shape (k, P, n, Q); data holds their inputs."""
-    k = res.shape[0]
-    lo = plan.edge_lo[c0:c0 + k, None, :, None]
-    hi = plan.edge_hi[c0:c0 + k, None, :, None]
-    res[:, :, :lo.shape[2]] += lo * data[:, :, :1]
-    res[:, :, plan.n - hi.shape[2]:] += hi * data[:, :, -1:]
+def _extended_spectrum(plan: _AxisPlan, data: np.ndarray) -> np.ndarray:
+    """rFFT along axis 2 of data extended to nfft nodes: by zeros, or in
+    clamp mode by the last value and then, wrapping round to node 0, the
+    first value."""
+    if not plan.clamp:
+        return np.fft.rfft(data, plan.nfft, axis=2)
+    n = plan.n
+    mid = n + (plan.nfft - n) // 2
+    ext = np.empty((*data.shape[:2], plan.nfft, data.shape[3]))
+    ext[:, :, :n] = data
+    ext[:, :, n:mid] = data[:, :, -1:]
+    ext[:, :, mid:] = data[:, :, :1]
+    return np.fft.rfft(ext, axis=2)
 
 
 def _apply_axis_plan(plan: _AxisPlan, data: np.ndarray, out: np.ndarray) -> None:
@@ -351,30 +262,14 @@ def _apply_axis_plan(plan: _AxisPlan, data: np.ndarray, out: np.ndarray) -> None
     candidates, so no temporary holds the spectra of all of them.
     """
     shared = data.shape[0] == 1
-    if plan.drift.size:
-        src = data if shared else data[plan.drift]
-        j = plan.drift_j[:, None, :, None]
-        out[plan.drift] = (plan.w_lo[:, None, :, None] * np.take_along_axis(src, j, 2)
-                           + plan.w_hi[:, None, :, None]
-                           * np.take_along_axis(src, j + 1, 2))
-    rows = plan.diffuse
-    if not rows.size:
-        return
-    n = plan.n
-    nfft = plan.nfft
     spectra = plan.spectra[:, None, :, None]
-    freq = np.fft.rfft(data, nfft, axis=2) if shared else None
+    freq = _extended_spectrum(plan, data) if shared else None
     per = max(1, _CHUNK_BYTES // (32 * spectra.shape[2] * data.shape[1]
                                   * data.shape[3]))
-    for c0 in range(0, rows.size, per):
-        sel = rows[c0:c0 + per]
-        part = data if shared else data[sel]
-        f_hat = freq if shared else np.fft.rfft(part, nfft, axis=2)
-        conv = np.fft.irfft(spectra[c0:c0 + per] * f_hat, nfft, axis=2)
-        # node i is linear-convolution index i - r_lo
-        res = conv[:, :, -plan.r_lo:n - plan.r_lo]
-        _add_edges(plan, c0, res, part)
-        out[sel] = res
+    for c0 in range(0, spectra.shape[0], per):
+        c = slice(c0, c0 + per)
+        f_hat = freq if shared else _extended_spectrum(plan, data[c])
+        out[c] = np.fft.irfft(spectra[c] * f_hat, plan.nfft, axis=2)[:, :, :plan.n]
 
 
 def heat_multi_step(f: GridFunction, t: float, drifts: np.ndarray,
@@ -442,7 +337,7 @@ def _gbm_escape_mass(x: np.ndarray, t: float, mu: float, sigma: float,
         return out
     z = (np.log(x_max / ax[pos]) - (mu - sigma * sigma / 2.0) * t) / (
         abs(sigma) * math.sqrt(t))
-    out[pos] = 1.0 - ndtr(z)
+    out[pos] = [0.5 * math.erfc(v / math.sqrt(2.0)) for v in z.tolist()]
     return out
 
 
@@ -580,51 +475,35 @@ def gbm_step(f: GridFunction, t: float, params: GbmParams,
     return with_values(f, out)
 
 
-# ---------------------------------------------------------------------------
-# finite-difference derivatives for analytic generators
-# ---------------------------------------------------------------------------
-
-def central_diff(mesh: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    """Second-order first derivative; one-sided 2nd-order stencils at the ends."""
-    m = np.moveaxis(mesh, axis, 0)
-    out = np.empty_like(m)
-    out[1:-1] = (m[2:] - m[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * m[0] + 4.0 * m[1] - m[2]) / (2.0 * h)
-    out[-1] = (3.0 * m[-1] - 4.0 * m[-2] + m[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
-
-
-def second_diff(mesh: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    """Second-order second derivative; one-sided stencils at the ends."""
-    m = np.moveaxis(mesh, axis, 0)
-    out = np.empty_like(m)
-    out[1:-1] = (m[2:] - 2.0 * m[1:-1] + m[:-2]) / (h * h)
-    out[0] = (2.0 * m[0] - 5.0 * m[1] + 4.0 * m[2] - m[3]) / (h * h)
-    out[-1] = (2.0 * m[-1] - 5.0 * m[-2] + 4.0 * m[-3] - m[-4]) / (h * h)
-    return np.moveaxis(out, 0, axis)
-
-
 def kernel_generator(f: GridFunction, drifts, sigmas, costs) -> GridFunction:
     """The generator of a candidate set: nodewise max over candidates c of
 
-        sum_a sigma_ca^2 / 2 d_a^2 f + b_ca d_a f - cost_c
+        sum_a r+_ca (f(x + h_a) - f(x)) + r-_ca (f(x - h_a) - f(x)) - cost_c,
 
-    by central differences.  The arrays drifts b and sigmas have shape
-    (C, dim), one coefficient per candidate and axis, or (C, dim, n_nodes)
-    for coefficients that vary by node (mu x and sigma x for GBM); costs has
+    the generator of the chains the heat step runs, with the rates of
+    _jump_rates for drift b_ca and variance sigma_ca^2.  Neighbours outside
+    the box read the state's extension, as the step does: 0, or the edge
+    value under clamp.  The arrays drifts b and sigmas have shape (C, dim),
+    one coefficient per candidate and axis, or (C, dim, n_nodes) for
+    coefficients that vary by node (mu x and sigma x for GBM); costs has
     shape (C,).
     """
     grid = f.grid
     mesh = f.as_mesh()
     flat = (costs.size,) + (1,) * (grid.dim + 1)
     per_node = flat if drifts.ndim == 2 else (costs.size, *grid.n_points, 1)
-    diffusion = drift = 0.0
+    mode = "edge" if f.extension_mode == "clamp" else "constant"
+    total = -costs.reshape(flat)
     for a in range(grid.dim):
-        h = grid.h[a]
-        diffusion = diffusion + (0.5 * sigmas[:, a].reshape(per_node) ** 2
-                                 * second_diff(mesh, h, axis=a))
-        drift = drift + drifts[:, a].reshape(per_node) * central_diff(mesh, h, axis=a)
-    vals = np.max(diffusion + (drift - costs.reshape(flat)), axis=0)
+        up, down = _jump_rates(drifts[:, a].reshape(per_node),
+                               sigmas[:, a].reshape(per_node) ** 2, grid.h[a])
+        width = [(0, 0)] * mesh.ndim
+        width[a] = (1, 1)
+        ext = np.moveaxis(np.pad(mesh, width, mode=mode), a, 0)
+        fwd = np.moveaxis(ext[2:], 0, a) - mesh
+        bwd = np.moveaxis(ext[:-2], 0, a) - mesh
+        total = total + up * fwd + down * bwd
+    vals = np.max(total, axis=0)
     return with_values(f, vals.reshape(grid.n_nodes, f.codomain_dim))
 
 

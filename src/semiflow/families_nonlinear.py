@@ -19,8 +19,8 @@ candidates c of (a linear Gaussian or lognormal transition - cost_c t).  Each
 builds its candidates' drifts, scales and costs once, and
 families_linear.kernel_family wraps them as a GeneratingFamilyDescriptor with
 envelopes alpha(R, t) = e^{omega t} R, beta(R, t) = e^{omega t} and, as the
-generator, the same max over the candidates' linear generators minus their
-costs, by central differences.  The Euler and perturbation families declare
+generator, the same max over the generators of the candidates' grid chains
+minus their costs.  The Euler and perturbation families declare
 their own envelopes and generators; a perturbation family's params carry its
 base family and Psi.
 """
@@ -62,7 +62,6 @@ __all__ = [
     "indicator_cost",
     "gexp_step",
     "effective_lambda_radius",
-    "legendre_transform",
     "make_gexp_family",
     "auto_lambda_grid",
     "user_lambda_grid",
@@ -207,30 +206,6 @@ def auto_lambda_grid(cost: CostFunction, lip_c: float,
     return LambdaGrid(lambdas=lams, provenance=f"auto_radius_{R:.6g}")
 
 
-def legendre_transform(cost: CostFunction, lambda_grid: LambdaGrid):
-    """Discrete convex conjugate H(x) = max_k (<x, lam_k> - L(lam_k)).
-
-    Returns an evaluator mapping points of shape (..., d) (or bare arrays for
-    d = 1) to the piecewise-linear-in-x convex under-approximation of H.
-    """
-    lams = lambda_grid.lambdas
-    costs = cost.evaluate(lams)
-    finite = np.isfinite(costs)
-    if not np.any(finite):
-        raise ValueError("no finite-cost drift candidates")
-    lams = lams[finite]
-    costs = costs[finite]
-
-    def H(points):
-        pts = np.asarray(points, dtype=np.float64)
-        if lams.shape[1] == 1 and (pts.ndim == 0 or pts.shape[-1:] != (1,)):
-            pts = pts[..., None]
-        scores = pts @ lams.T - costs
-        return np.max(scores, axis=-1)
-
-    return H
-
-
 # ---------------------------------------------------------------------------
 # convex drift-control expectation
 # ---------------------------------------------------------------------------
@@ -369,7 +344,8 @@ def make_robust_gbm_family(sigma_lambda_set: SigmaLambdaSet,
 
     Weighted norm is mandatory; envelopes alpha(R,t) = e^{omega t} R and
     beta(R,t) = e^{omega t} with omega the max growth rate over the pair
-    set; the generator is the max of mu x f' + sigma^2 x^2 f''/2.
+    set; the generator is the max of mu x f' + sigma^2 x^2 f''/2, through
+    the per-node chain rates of kernel_generator.
     Comparisons are restricted to the trusted interior where escaping
     lognormal mass stays below the threshold over the trust horizon.
     """
@@ -377,6 +353,8 @@ def make_robust_gbm_family(sigma_lambda_set: SigmaLambdaSet,
         raise ValueError("expected a (mu, sigma) uncertainty set")
     if grid.dim != 1:
         raise ValueError("GBM operator is one-dimensional")
+    # the GBM plans' CSR matrices: loaded with the family, not in its first step
+    import scipy.sparse  # noqa: F401
     pairs = [(float(mu), float(sig)) for mu, sig in sigma_lambda_set.pairs]
     p = gbm_params.p
     omega = gbm_growth_rate(pairs, p)

@@ -31,11 +31,9 @@ __all__ = [
     "sample_function",
     "distance",
     "lipschitz_constant_estimate",
-    "interp_eval",
     "interior_mask",
     "ball_mask",
     "negate",
-    "scale_values",
     "with_values",
     "write_csv",
     "read_csv_table",
@@ -286,60 +284,6 @@ def lipschitz_constant_estimate(f: GridFunction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# interpolation
-# ---------------------------------------------------------------------------
-
-def interp_eval(f: GridFunction, points) -> np.ndarray:
-    """Multilinear interpolation at points of shape (..., dim).
-
-    Outside the box the result is 0 (zero mode) or the value at the nearest
-    box point (clamp mode).  For dim = 1, bare scalars or shape (...) arrays
-    are also accepted.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    scalar_in = False
-    if f.grid.dim == 1 and (pts.ndim == 0 or pts.shape[-1:] != (1,)):
-        pts = pts[..., None]
-        scalar_in = pts.ndim == 1
-    lead = pts.shape[:-1]
-    pts = pts.reshape(-1, f.grid.dim)
-
-    outside = np.zeros(pts.shape[0], dtype=bool)
-    idx = []
-    frac = []
-    for a in range(f.grid.dim):
-        axis = f.grid.axis(a)
-        n = f.grid.n_points[a]
-        outside |= (pts[:, a] < axis[0]) | (pts[:, a] > axis[-1])
-        p = np.clip(pts[:, a], axis[0], axis[-1])
-        j = np.clip(np.searchsorted(axis, p, side="right") - 1, 0, n - 2)
-        # fraction from the actual cell endpoints: exact 0 at a node hit
-        w = (p - axis[j]) / (axis[j + 1] - axis[j])
-        idx.append(j)
-        frac.append(w)
-
-    mesh = f.as_mesh()
-    if f.grid.dim == 1:
-        j = idx[0]
-        w = frac[0][:, None]
-        out = (1.0 - w) * mesh[j] + w * mesh[j + 1]
-    else:
-        j0, j1 = idx
-        w0 = frac[0][:, None]
-        w1 = frac[1][:, None]
-        out = ((1 - w0) * (1 - w1) * mesh[j0, j1]
-               + (1 - w0) * w1 * mesh[j0, j1 + 1]
-               + w0 * (1 - w1) * mesh[j0 + 1, j1]
-               + w0 * w1 * mesh[j0 + 1, j1 + 1])
-    if f.extension_mode == "zero":
-        out[outside] = 0.0
-    out = out.reshape(*lead, f.codomain_dim)
-    if scalar_in and out.shape == (1, f.codomain_dim):
-        out = out[0]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # node masks
 # ---------------------------------------------------------------------------
 
@@ -371,10 +315,6 @@ def negate(f: GridFunction) -> GridFunction:
     return with_values(f, -f.values)
 
 
-def scale_values(f: GridFunction, a: float) -> GridFunction:
-    return with_values(f, a * f.values)
-
-
 # ---------------------------------------------------------------------------
 # CSV serialization: header x[,y],v1[,v2...], one row per node (row-major),
 # 17 significant digits so a round trip is value-exact.  The rows are
@@ -392,10 +332,6 @@ def _csv_blocks(f: GridFunction):
     for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
         block = table[start:start + _CSV_BLOCK_ROWS]
         yield (row_fmt * block.shape[0]) % tuple(block.ravel().tolist())
-
-
-def serialize_csv(f: GridFunction) -> str:
-    return "".join(_csv_blocks(f))
 
 
 def write_csv(f: GridFunction, path) -> None:

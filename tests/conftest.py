@@ -128,3 +128,29 @@ def random_bumps(grid, seed, n_bumps=3, amp=1.0):
         vals += amp * rng.uniform(-1, 1) * np.exp(
             -np.sum((x - center) ** 2, axis=1) / width**2)
     return sample_function(vals, grid)
+
+
+# -- the drift-grid conjugate, the reference of the gexp generator ------------
+
+def legendre_transform(cost, lambda_grid):
+    """Discrete convex conjugate H(x) = max_k (<x, lam_k> - L(lam_k)).
+
+    Returns an evaluator mapping points of shape (..., d) (or bare arrays for
+    d = 1) to the piecewise-linear-in-x convex under-approximation of H.
+    """
+    lams = lambda_grid.lambdas
+    costs = cost.evaluate(lams)
+    finite = np.isfinite(costs)
+    if not np.any(finite):
+        raise ValueError("no finite-cost drift candidates")
+    lams = lams[finite]
+    costs = costs[finite]
+
+    def H(points):
+        pts = np.asarray(points, dtype=np.float64)
+        if lams.shape[1] == 1 and (pts.ndim == 0 or pts.shape[-1:] != (1,)):
+            pts = pts[..., None]
+        scores = pts @ lams.T - costs
+        return np.max(scores, axis=-1)
+
+    return H

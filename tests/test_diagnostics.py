@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ive
 
 from conftest import random_bumps
 from semiflow.chernoff import apply_partition, chernoff_limit, dyadic_partition
@@ -18,6 +20,8 @@ from semiflow.diagnostics import (
 )
 from semiflow.families_linear import HeatDriftParams, make_heat_family
 from semiflow.families_nonlinear import (
+    SigmaLambdaSet,
+    make_g_expectation_family,
     quadratic_cost,
     user_lambda_grid,
     make_gexp_family,
@@ -32,20 +36,13 @@ from semiflow.state_space import (
 )
 
 
-def heat_of_hat(x, t):
-    """Closed-form Gaussian convolution of the unit hat, the independent
-    oracle for the kink-smoothing rate."""
-    s = math.sqrt(t)
-
-    def seg(a, b, c0, c1):
-        # integral over [a, b] of (c0 + c1 y) N(x, s^2)(y) dy
-        za, zb = (a - x) / s, (b - x) / s
-        i0 = ndtr(zb) - ndtr(za)
-        phi = lambda z: np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-        i1 = s * (phi(za) - phi(zb)) + x * i0
-        return c0 * i0 + c1 * i1
-
-    return seg(-1.0, 0.0, 1.0, 1.0) + seg(0.0, 1.0, 1.0, -1.0)
+def heat_of_hat(hat, h, t):
+    """The grid chain's heat step of the unit hat, sampled on the nodes and
+    zero outside the box: the convolution with the discrete Gaussian
+    e^{-lam} I_k(lam), lam = t / h^2, the independent oracle for the
+    kink-smoothing rate."""
+    k = np.arange(-800, 801)
+    return np.convolve(hat, ive(k, t / (h * h)))[800:800 + hat.size]
 
 
 class TestLipschitzCertificate:
@@ -66,11 +63,10 @@ class TestLipschitzCertificate:
         cert = lipschitz_certificate(fam, hat, 0.5, levels)
         assert cert.verdict == "diverging"
         assert all(gf >= 1.2 for gf in cert.growth_factors[-3:])
-        # oracle: the closed-form convolution gives the same ladder ratios
-        x = g.axis(0)
+        # oracle: the discrete Gaussian convolution gives the same ladder ratios
         for n, measured in zip(levels, cert.ratios):
             expected = max(
-                float(np.max(np.abs(heat_of_hat(x, k * 2.0**-n)
+                float(np.max(np.abs(heat_of_hat(hat.values[:, 0], g.h[0], k * 2.0**-n)
                                     - hat.values[:, 0]))) / (k * 2.0**-n)
                 for k in range(1, int(0.5 * 2**n) + 1))
             assert measured == pytest.approx(expected, rel=1e-9)
@@ -392,21 +388,39 @@ class TestPartitionMonotonicity:
         assert abs(worst) <= 1e-12
 
     def test_singleton_family_increment_scale(self, grid_medium):
-        """A singleton drift family is linear, so the mathematical increments
-        vanish; on a fixed grid the reconstruction adds h^2/6 variance per
-        step, so the measured increment is the bias difference
-        ~ u'' * t * 2^n * h^2 / 12, not zero.  The bias bound is the oracle.
-        """
+        """A singleton drift family is linear, and its step is the exact
+        semigroup of its grid chain, so the increments between levels vanish
+        up to rounding (the bump's mass stays inside the box)."""
         fam = make_gexp_family(user_lambda_grid([0.0]), quadratic_cost(0.5),
                                grid_medium)
         bump = sample_function("gaussian_bump", grid_medium)
-        levels = [4, 5, 6]
-        worst = partition_monotonicity_check(fam, bump, 0.5, levels)
-        h = grid_medium.h[0]
-        # |u''| <= 2 for the bump and its heat evolutions
-        bias_bound = 2.0 * 0.5 * 2 ** max(levels) * h * h / 12.0
-        assert abs(worst) <= bias_bound
-        assert abs(worst) > 1e-10  # genuinely nonzero at fixed resolution
+        worst = partition_monotonicity_check(fam, bump, 0.5, [4, 5, 6])
+        assert abs(worst) <= 1e-12
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(["gexp", "g_expectation"]),
+           st.sampled_from([0.125, 0.25, 0.5]))
+    def test_monotone_at_every_level(self, seed, kind, t):
+        """Each candidate steps by an exact positive semigroup and its cost
+        is >= 0, so I(2s) <= I(s) I(s): the iterates rise with the level up
+        to rounding, through level 8.  The data is a hat mixture supported
+        in [-2, 2], far enough inside the box that no mass leaks out."""
+        g = grid_create(1, 8.0, 321)
+        x = g.axis(0)
+        rng = np.random.default_rng(seed)
+        vals = np.zeros_like(x)
+        for _ in range(3):
+            w = rng.uniform(0.2, 0.5)
+            c = rng.uniform(-2.0 + w, 2.0 - w)
+            vals += rng.uniform(-1.0, 1.0) * np.maximum(0.0, 1.0 - np.abs(x - c) / w)
+        if kind == "gexp":
+            fam = make_gexp_family(user_lambda_grid(np.linspace(-2.0, 2.0, 21)),
+                                   quadratic_cost(0.5), g)
+        else:
+            pairs = tuple((s, lam) for s in (0.5, 1.0) for lam in (-1.0, 0.0, 1.0))
+            fam = make_g_expectation_family(SigmaLambdaSet(pairs=pairs), g)
+        f = sample_function(vals, g)
+        assert partition_monotonicity_check(fam, f, t, [3, 4, 5, 6, 7, 8]) >= -1e-12
 
     def test_needs_two_levels(self, gexp_family, bump_medium):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ive
 
 from conftest import random_bumps
 from semiflow.families_linear import (
@@ -20,21 +21,32 @@ from semiflow.state_space import (
     NormSpec,
     distance,
     grid_create,
-    interp_eval,
     lipschitz_constant_estimate,
     sample_function,
     with_values,
 )
 
 
-def brute_force_heat(f, t, lam, sig, x_eval):
-    """Dense-trapezoid Gaussian quadrature of the reconstruction; the
-    independent oracle for the production cell-exact kernel."""
-    s = sig * math.sqrt(t)
-    y = np.linspace(x_eval + lam * t - 9 * s, x_eval + lam * t + 9 * s, 30001)
-    fy = interp_eval(f, y)[:, 0]
-    w = np.exp(-0.5 * ((y - x_eval - lam * t) / s) ** 2) / (s * math.sqrt(2 * math.pi))
-    return np.trapezoid(fy * w, y)
+def brute_force_chain(f, t, lam, sig, i):
+    """E[f(x_i + h K)] for the displacement K = N+ - N- of the grid chain,
+    N+- independent Poisson counts of its up and down jumps (the central
+    rates sig^2/(2h^2) +- lam/(2h) here), with f read through its extension
+    outside the box.  K has the Skellam law
+    P(K = k) = (m+/m-)^{k/2} e^{-(m+ + m-)} I_k(2 sqrt(m+ m-)), summed term
+    by term: the independent oracle of the FFT step."""
+    h = f.grid.h[0]
+    assert abs(lam) * h <= sig * sig
+    up = t * (sig * sig / (2 * h * h) + lam / (2 * h))
+    down = t * (sig * sig / (2 * h * h) - lam / (2 * h))
+    z = 2.0 * math.sqrt(up * down)
+    k = np.arange(-600, 601)
+    law = (up / down) ** (k / 2.0) * ive(k, z) * math.exp(z - up - down)
+    vals = f.values[:, 0]
+    j = i + k
+    fj = np.where((j >= 0) & (j < vals.size), vals[np.clip(j, 0, vals.size - 1)], 0.0)
+    if f.extension_mode == "clamp":
+        fj = np.where(j < 0, vals[0], np.where(j >= vals.size, vals[-1], fj))
+    return float(np.sum(law * fj))
 
 
 class TestHeatDriftStep:
@@ -59,19 +71,21 @@ class TestHeatDriftStep:
         g = grid_create(1, 4.0, 161)
         f = sample_function("gaussian_bump", g)
         out = heat_drift_step(f, t, HeatDriftParams.create(lam, sig, 1))
-        xs = g.axis(0)
         for i in (0, 40, 80, 121, 160):
-            oracle = brute_force_heat(f, t, lam, sig, xs[i])
-            assert out.values[i, 0] == pytest.approx(oracle, abs=5e-9)
+            oracle = brute_force_chain(f, t, lam, sig, i)
+            assert out.values[i, 0] == pytest.approx(oracle, abs=1e-14)
 
     def test_clamp_oracle_on_identity_tail(self):
-        # clamp extension: brute force with clamped reconstruction
+        # clamp extension: the chain reads the edge value beyond the box
         g = grid_create(1, 4.0, 161)
         f = sample_function("identity", g)
         out = heat_drift_step(f, 0.5, HeatDriftParams.create(0.0, 1.0, 1))
-        oracle = brute_force_heat(f, 0.5, 0.0, 1.0, 3.5)  # interp_eval clamps
-        i = int(np.argmin(np.abs(g.axis(0) - 3.5)))
-        assert out.values[i, 0] == pytest.approx(oracle, abs=5e-9)
+        for x in (3.5, 4.0, -3.9):
+            i = int(np.argmin(np.abs(g.axis(0) - x)))
+            oracle = brute_force_chain(f, 0.5, 0.0, 1.0, i)
+            assert out.values[i, 0] == pytest.approx(oracle, abs=1e-13)
+        assert out.values[80, 0] == pytest.approx(0.0, abs=1e-13)
+        assert out.values[160, 0] < 4.0 - 0.1  # the clamped tail pulls it in
 
     def test_gaussian_analytic_solution(self):
         # exp(-x^2) evolves to (1+2t)^(-1/2) exp(-x^2/(1+2t))
@@ -170,6 +184,34 @@ class TestHeatDriftStep:
         margin = 8 * math.sqrt(t) + shift_nodes * g.h[0] + 2 * g.h[0]
         interior = np.abs(g.axis(0)) <= g.x_max[0] - margin
         assert np.max(np.abs(us[interior] - u_shifted[interior])) <= 1e-10
+
+
+    def test_semigroup_on_compact_data(self):
+        # each candidate steps by an exact semigroup: I(s) I(t) = I(s + t)
+        # while the data's mass stays inside the box
+        g = grid_create(1, 6.0, 241)
+        f = sample_function("hat", g)
+        for drift, sigma in ((0.75, 0.8), (-3.0, 0.2), (1.0, 0.0)):
+            p = HeatDriftParams.create(drift, sigma, 1)
+            two = heat_drift_step(heat_drift_step(f, 0.125, p), 0.25, p)
+            one = heat_drift_step(f, 0.375, p)
+            assert np.max(np.abs(two.values - one.values)) <= 1e-13
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.0])
+    def test_drift_sign(self, sigma):
+        # b > 0 reads f at x + b t: E[f(x + b t + sigma W_t)]
+        g = grid_create(1, 12.0, 481)
+        x = g.axis(0)
+        inner = np.abs(x) <= 2.0
+        line = GridFunction(g, 1, x[:, None], "zero")
+        narrow = sample_function(np.exp(-x * x / 0.04), g)
+        t = 0.5
+        for b in (1.5, -1.5):
+            p = HeatDriftParams.create(b, sigma, 1)
+            moved = heat_drift_step(line, t, p).values[inner, 0]
+            assert np.max(np.abs(moved - (x[inner] + b * t))) <= 1e-12
+            peak = x[np.argmax(heat_drift_step(narrow, t, p).values[:, 0])]
+            assert abs(peak + b * t) <= 2 * g.h[0]
 
 
 class TestGbmStep:

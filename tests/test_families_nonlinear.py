@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bumps
+from conftest import legendre_transform, random_bumps
 from semiflow.chernoff import apply_partition, chernoff_limit, dyadic_partition
 from semiflow.families_linear import (
     GbmParams,
@@ -21,7 +21,6 @@ from semiflow.families_nonlinear import (
     g_expectation_step,
     gexp_step,
     indicator_cost,
-    legendre_transform,
     make_g_expectation_family,
     make_gexp_family,
     make_ode_family,
@@ -43,7 +42,6 @@ from semiflow.state_space import (
     lipschitz_constant_estimate,
     negate,
     sample_function,
-    scale_values,
     with_values,
 )
 

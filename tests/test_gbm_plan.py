@@ -97,3 +97,19 @@ def test_plan_cache_keeps_last_plan_per_member():
     gbm_step(_state(81), 0.25, a)
     assert len(fl._GBM_PLANS) == 1
     assert fl._GBM_GRID == grid_create(1, 16.0, 81)
+
+
+def test_escape_mass_flags_match_the_normal_tail():
+    # the escape mass is 0.5 erfc(z / sqrt 2); over z in [-3, 9] it flags
+    # the same nodes as the normal tail 1 - ndtr(z)
+    from scipy.special import ndtr
+
+    mu, sigma, t, x_max = 0.1, 0.3, 0.5, 16.0
+    z = np.linspace(-3.0, 9.0, 100_001)
+    x = x_max * np.exp(-(mu - sigma**2 / 2.0) * t - z * sigma * math.sqrt(t))
+    mass = fl._gbm_escape_mass(x, t, mu, sigma, x_max)
+    tail = 1.0 - ndtr((np.log(x_max / x) - (mu - sigma**2 / 2.0) * t)
+                      / (sigma * math.sqrt(t)))
+    assert np.array_equal(mass > fl.GBM_ESCAPE_THRESHOLD,
+                          tail > fl.GBM_ESCAPE_THRESHOLD)
+    assert np.allclose(mass, tail, rtol=1e-6, atol=1e-15)

@@ -1,16 +1,18 @@
-"""Differential test of the heat step plans against a per-candidate loop.
+"""Differential test of the heat step plans against a per-candidate matrix
+exponential.
 
-The reference applies the heat kernel one candidate at a time: it rebuilds
-the weights on every call, convolves by a strided window product and applies
-the boundary corrections row by row.  Its zero padding is placed with
-clipping, so that shifts beyond the kernel reach are covered too.
+The reference steps each candidate by scipy.linalg.expm of its chain's
+tridiagonal generator, the jump rates written out here, on the axis padded
+far beyond the kernel's reach with zeros or, under clamp, the edge values.
+It shares no code with the FFT plans: no symbol, no FFT length, no wrap.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.linalg import expm
+from scipy.special import ive
 
 from conftest import random_bumps
 from semiflow import families_linear as fl
@@ -20,66 +22,34 @@ from semiflow.families_nonlinear import make_gexp_family, quadratic_cost, user_l
 from semiflow.state_space import GridFunction, grid_create
 
 
-def reference_axis_apply(mesh, axis_nodes, h, t, shifts, sigmas, ext_mode):
-    """Heat kernel along axis 0 of mesh for each candidate; shape (C, n, ...)."""
+def rates(b, sigma, h):
+    """Up and down jump rates: central where |b| h <= sigma^2, else upwind."""
+    var = sigma * sigma
+    if abs(b) * h <= var:
+        return var / (2 * h * h) + b / (2 * h), var / (2 * h * h) - b / (2 * h)
+    return var / (2 * h * h) + max(b, 0.0) / h, var / (2 * h * h) + max(-b, 0.0) / h
+
+
+def reference_axis_apply(mesh, h, t, drifts, sigmas, ext_mode):
+    """The chain step along axis 0 of mesh for each candidate; shape (C, n, ...)."""
     n = mesh.shape[0]
     trailing = mesh.shape[1:]
     flat = mesh.reshape(n, -1)
-    C = len(shifts)
-    x0 = axis_nodes[0]
-    xN = axis_nodes[-1]
-    out = np.empty((C, n, flat.shape[1]))
-
-    for c in range(C):
-        s = sigmas[c] * math.sqrt(t)
-        shift = shifts[c]
-        if s == 0.0:
-            pts = axis_nodes + shift
-            u = (np.clip(pts, x0, xN) - x0) / h
-            j = np.minimum(u.astype(np.int64), n - 2)
-            w = (u - j)[:, None]
-            vals = (1.0 - w) * flat[j] + w * flat[j + 1]
-            if ext_mode == "zero":
-                vals[(pts < x0) | (pts > xN)] = 0.0
-            out[c] = vals
-            continue
-
-        reach = fl.KERNEL_CUTOFF_SIGMAS * s + h
-        r_lo = math.ceil((-reach - shift) / h)
-        r_hi = math.floor((reach - shift) / h)
-        r = np.arange(r_lo, r_hi + 1)
-        kernel = fl._hat_weights(r * h + shift, s, h)
-        taps = kernel.size
-
-        pad = np.zeros((n + taps - 1, flat.shape[1]))
-        a, b = max(r_hi, 0), min(r_hi + n, pad.shape[0])
-        if a < b:
-            pad[a:b] = flat[a - r_hi:b - r_hi]
-        windows = np.lib.stride_tricks.sliding_window_view(pad, taps, axis=0)
-        res = windows @ kernel[::-1]
-
-        means = axis_nodes + shift
-        left = np.abs(means - x0) <= reach
-        right = np.abs(means - xN) <= reach
-        if np.any(left):
-            m = means[left]
-            ramp = fl._ramp_weights(x0, h, m, s, rising=True)
-            if ext_mode == "clamp":
-                res[left] += np.outer(ndtr((x0 - m) / s) - ramp, flat[0])
-            else:
-                res[left] -= np.outer(ramp, flat[0])
-        if np.any(right):
-            m = means[right]
-            ramp = fl._ramp_weights(xN, h, m, s, rising=False)
-            if ext_mode == "clamp":
-                res[right] += np.outer(1.0 - ndtr((xN - m) / s) - ramp, flat[-1])
-            else:
-                res[right] -= np.outer(ramp, flat[-1])
+    out = np.empty((len(drifts), n, flat.shape[1]))
+    for c, (b, sigma) in enumerate(zip(drifts, sigmas)):
+        up, down = rates(b, sigma, h)
+        jumps = t * (up + down)
+        pad = math.ceil(abs(b) * t / h + 10 * math.sqrt(jumps)) + 20
+        size = n + 2 * pad
+        gen = (np.diag(np.full(size - 1, up), 1) + np.diag(np.full(size - 1, down), -1)
+               - np.diag(np.full(size, up + down)))
+        ext = np.zeros((size, flat.shape[1]))
+        ext[pad:pad + n] = flat
         if ext_mode == "clamp":
-            res[means < x0 - reach] = flat[0]
-            res[means > xN + reach] = flat[-1]
-        out[c] = res
-    return out.reshape(C, n, *trailing)
+            ext[:pad] = flat[0]
+            ext[pad + n:] = flat[-1]
+        out[c] = (expm(t * gen) @ ext)[pad:pad + n]
+    return out.reshape(len(drifts), n, *trailing)
 
 
 def reference_multi_step(f, t, drifts, sigmas):
@@ -91,16 +61,15 @@ def reference_multi_step(f, t, drifts, sigmas):
     mesh = f.as_mesh()
     g = f.grid
     if g.dim == 1:
-        res = reference_axis_apply(mesh, g.axis(0), g.h[0], t, drifts[:, 0] * t,
-                                   sigmas[:, 0], f.extension_mode)
+        res = reference_axis_apply(mesh, g.h[0], t, drifts[:, 0], sigmas[:, 0],
+                                   f.extension_mode)
         return res.reshape(C, g.n_nodes, f.codomain_dim)
     out = np.empty((C, *mesh.shape))
     for c in range(C):
-        step0 = reference_axis_apply(mesh, g.axis(0), g.h[0], t,
-                                     drifts[c:c + 1, 0] * t, sigmas[c:c + 1, 0],
-                                     f.extension_mode)[0]
-        step1 = reference_axis_apply(np.moveaxis(step0, 1, 0), g.axis(1), g.h[1], t,
-                                     drifts[c:c + 1, 1] * t, sigmas[c:c + 1, 1],
+        step0 = reference_axis_apply(mesh, g.h[0], t, drifts[c:c + 1, 0],
+                                     sigmas[c:c + 1, 0], f.extension_mode)[0]
+        step1 = reference_axis_apply(np.moveaxis(step0, 1, 0), g.h[1], t,
+                                     drifts[c:c + 1, 1], sigmas[c:c + 1, 1],
                                      f.extension_mode)[0]
         out[c] = np.moveaxis(step1, 0, 1)
     return out.reshape(C, g.n_nodes, f.codomain_dim)
@@ -115,7 +84,8 @@ def _state(grid, ext_mode, seed=7, columns=1):
 @pytest.mark.parametrize("ext_mode", ["zero", "clamp"])
 @pytest.mark.parametrize("t", [2.0**-14, 2.0**-6, 0.5])
 def test_1d_mixed_candidates(ext_mode, t):
-    g = grid_create(1, 4.0, 321)
+    # central, upwind (1.5, 0.25), Poisson shift (0.3, 0) and identity (0, 0)
+    g = grid_create(1, 4.0, 81)
     f = _state(g, ext_mode, columns=2)
     drifts = np.array([[-2.0], [-0.5], [0.0], [0.7], [1.5], [0.3]])
     sigmas = np.array([1.0, 0.5, 0.0, 1.0, 0.25, 0.0])
@@ -125,12 +95,17 @@ def test_1d_mixed_candidates(ext_mode, t):
 
 
 def test_narrow_and_wide_kernels():
-    # from a few taps (t = 2^-14, h = 0.025) to a few hundred
-    g = grid_create(1, 4.0, 321)
+    # from kernels far narrower than a node, sigma^2 dt / h^2 <= 1e-2, whose
+    # taps are a Poisson tail, to a hundred nodes wide; the last two
+    # candidates are upwind (|b| h > sigma^2)
+    g = grid_create(1, 4.0, 81)
+    h = g.h[0]
     f = _state(g, "clamp")
-    drifts = np.array([[-1.0], [0.0], [1.0]])
-    sigmas = np.ones(3)
-    for t in (2.0**-14, 2.0**-10, 2.0**-4):
+    drifts = np.array([[-1.0], [0.0], [1.0], [1.0], [-4.0]])
+    sigmas = np.array([1.0, 1.0, 0.5, 0.1, 0.3])
+    assert np.all(np.abs(drifts[3:, 0]) * h > sigmas[3:] ** 2)
+    assert 2.0**-16 / h**2 <= 1e-2
+    for t in (2.0**-16, 2.0**-10, 2.0**-4, 0.5):
         ref = reference_multi_step(f, t, drifts, sigmas)
         got = heat_multi_step(f, t, drifts, sigmas)
         assert np.max(np.abs(got - ref)) <= 1e-13
@@ -138,8 +113,8 @@ def test_narrow_and_wide_kernels():
 
 @pytest.mark.parametrize("ext_mode", ["zero", "clamp"])
 def test_shifts_beyond_kernel_reach(ext_mode):
-    # reach is 8 sqrt(t) + h = 0.9; the shifts move whole kernels past it,
-    # and the largest moves them out of the box
+    # the shifts move whole kernels past their width, and the largest
+    # moves them out of the box
     g = grid_create(1, 2.0, 41)
     f = _state(g, ext_mode)
     t = 0.01
@@ -160,6 +135,28 @@ def test_2d_anisotropic_mixed(ext_mode):
         ref = reference_multi_step(f, t, drifts, sigmas)
         got = heat_multi_step(f, t, drifts, sigmas)
         assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("t", [2.0**-16, 2.0**-6, 0.5])
+def test_spectra_match_bessel_weights(t):
+    # the chain's displacement K = N+ - N- has the Skellam law
+    # P(K = k) = (m+/m-)^{k/2} e^{-(m+ + m-)} I_k(2 sqrt(m+ m-)), the discrete
+    # Gaussian e^{-lam} I_k(lam) without drift; the plan holds E[e^{i xi K}]
+    g = grid_create(1, 4.0, 81)
+    h = g.h[0]
+    drifts = np.array([0.0, 0.0, 1.0, -0.5, 2.0])
+    sigmas = np.array([1.0, 0.25, 1.0, 0.5, 0.3])  # the last is upwind
+    plan = fl._build_axis_plan(g.n_points[0], h, drifts * t, sigmas * math.sqrt(t),
+                               "zero")
+    nfft = plan.nfft
+    r = np.arange(nfft)
+    k = np.where(r <= nfft // 2, r, r - nfft)  # index r holds displacement k
+    for c, (b, sigma) in enumerate(zip(drifts, sigmas)):
+        up, down = (t * v for v in rates(b, sigma, h))
+        z = 2.0 * math.sqrt(up * down)
+        law = (up / down) ** (k / 2.0) * ive(k, z) * math.exp(z - up - down)
+        spectrum = nfft * np.fft.ifft(law)[:nfft // 2 + 1]
+        assert np.max(np.abs(plan.spectra[c] - spectrum)) <= 1e-13
 
 
 def test_plan_cache_holds_one_plan_per_axis():

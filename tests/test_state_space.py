@@ -11,14 +11,72 @@ from semiflow.state_space import (
     VectorState,
     distance,
     grid_create,
-    interp_eval,
     lipschitz_constant_estimate,
     read_csv_table,
     sample_function,
-    serialize_csv,
     with_values,
     write_csv,
 )
+
+
+def interp_eval(f, points):
+    """Multilinear interpolation at points of shape (..., dim), a reference
+    reconstruction of grid functions between their nodes.
+
+    Outside the box the result is 0 (zero mode) or the value at the nearest
+    box point (clamp mode).  For dim = 1, bare scalars or shape (...) arrays
+    are also accepted.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    scalar_in = False
+    if f.grid.dim == 1 and (pts.ndim == 0 or pts.shape[-1:] != (1,)):
+        pts = pts[..., None]
+        scalar_in = pts.ndim == 1
+    lead = pts.shape[:-1]
+    pts = pts.reshape(-1, f.grid.dim)
+
+    outside = np.zeros(pts.shape[0], dtype=bool)
+    idx = []
+    frac = []
+    for a in range(f.grid.dim):
+        axis = f.grid.axis(a)
+        n = f.grid.n_points[a]
+        outside |= (pts[:, a] < axis[0]) | (pts[:, a] > axis[-1])
+        p = np.clip(pts[:, a], axis[0], axis[-1])
+        j = np.clip(np.searchsorted(axis, p, side="right") - 1, 0, n - 2)
+        # fraction from the actual cell endpoints: exact 0 at a node hit
+        w = (p - axis[j]) / (axis[j + 1] - axis[j])
+        idx.append(j)
+        frac.append(w)
+
+    mesh = f.as_mesh()
+    if f.grid.dim == 1:
+        j = idx[0]
+        w = frac[0][:, None]
+        out = (1.0 - w) * mesh[j] + w * mesh[j + 1]
+    else:
+        j0, j1 = idx
+        w0 = frac[0][:, None]
+        w1 = frac[1][:, None]
+        out = ((1 - w0) * (1 - w1) * mesh[j0, j1]
+               + (1 - w0) * w1 * mesh[j0, j1 + 1]
+               + w0 * (1 - w1) * mesh[j0 + 1, j1]
+               + w0 * w1 * mesh[j0 + 1, j1 + 1])
+    if f.extension_mode == "zero":
+        out[outside] = 0.0
+    out = out.reshape(*lead, f.codomain_dim)
+    if scalar_in and out.shape == (1, f.codomain_dim):
+        out = out[0]
+    return out
+
+
+def serialize_csv(f):
+    """The CSV text of f, row by row: the reference of write_csv."""
+    header = ",".join(["x", "y"][:f.grid.dim]
+                      + [f"v{i + 1}" for i in range(f.codomain_dim)])
+    rows = [header] + [",".join("%.17g" % v for v in (*c, *v))
+                       for c, v in zip(f.grid.node_coords(), f.values)]
+    return "\n".join(rows) + "\n"
 
 
 class TestGridCreate:
@@ -267,7 +325,9 @@ class TestCsvRoundTrip:
     def test_header_and_rows(self, tmp_path):
         g = grid_create(1, 1.0, 3)
         f = sample_function("gaussian_bump", g)
-        text = serialize_csv(f)
+        path = tmp_path / "f.csv"
+        write_csv(f, path)
+        text = path.read_text()
         lines = text.strip().splitlines()
         assert lines[0] == "x,v1"
         assert len(lines) == 4
@@ -322,15 +382,12 @@ class TestCsvRoundTrip:
                 * 10.0 ** rng.integers(-300, 300, (g.n_nodes, m)))
         vals[0, 0] = -0.0
         f = GridFunction(g, m, vals, "clamp")
-        header = ",".join(["x", "y"][:dim] + [f"v{i + 1}" for i in range(m)])
-        rows = [header] + [",".join("%.17g" % v for v in (*c, *v))
-                           for c, v in zip(g.node_coords(), f.values)]
-        text = serialize_csv(f)
-        assert text == "\n".join(rows) + "\n"
         path = tmp_path / "f.csv"
-        path.write_text(text)
+        write_csv(f, path)
+        text = path.read_text()
+        assert text == serialize_csv(f)
         names, data = read_csv_table(path)
-        assert names == header.split(",")
+        assert names == text.partition("\n")[0].split(",")
         assert np.array_equal(data, np.concatenate([g.node_coords(), f.values], 1))
 
 
