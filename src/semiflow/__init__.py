@@ -1,5 +1,8 @@
 """Nonlinear semigroups from generating families by dyadic Chernoff iteration."""
 
+# set before the submodules load: the CLI's manifest records it
+__version__ = "0.1.0"
+
 from .state_space import (
     Grid,
     GridFunction,
@@ -69,5 +72,3 @@ from .diagnostics import (
     partition_monotonicity_check,
 )
 from .cli import ExperimentSpec, parse_config, run_experiment, emit_plot
-
-__version__ = "0.1.0"

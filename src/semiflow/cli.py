@@ -3,8 +3,9 @@
 A single JSON config describes the family, grid, norm, initial state,
 schedule and tasks; `run_experiment` builds everything, runs the tasks and
 writes one JSON report per task (plus one CSV per evolve time) together with
-a manifest listing all outputs and their content hashes.  Runs are
-deterministic for a fixed config and seed.
+a manifest listing all outputs, their content hashes and the versions of
+semiflow, numpy and Python that ran it.  Runs are deterministic for a fixed
+config and seed.
 
 Command line:
 
@@ -33,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import diagnostics as diag
 from .chernoff import (
     DEFAULT_N_MAX,
@@ -599,6 +601,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> dict:
         "passed": passed,
         "tasks": {t: r.get("passed", False) for t, r in results.items()},
         "errors": errors,
+        "versions": {"semiflow": __version__, "numpy": np.__version__,
+                     "python": "%d.%d.%d" % sys.version_info[:3]},
         "outputs": [
             {
                 "path": name,

@@ -34,15 +34,15 @@ Two kernels are provided:
   interior radius marks the nodes where the escaping lognormal mass is below
   1e-10, and norms are restricted to that interior.
 
-  For one (mu, sigma) member and one dt this operator is a fixed sparse
-  matrix, so it is compiled once into a plan: the interpolation cells and
-  weights of every node and quadrature point, merged where consecutive
-  points share a cell, as two CSR matrices (low and high weights) over the
-  x >= 0 half of the grid, plus the escape-mass flag.  The nodes are
+  For one (mu, sigma) member and one dt this operator is a fixed linear
+  map, so it is compiled once into a plan over the x >= 0 half of the grid:
+  the interpolation cell of every node and quadrature point, the high
+  weights q w of those points, the quadrature weights q and the escape-mass
+  flag, all as read-only numpy arrays.  A step gathers the values and their
+  differences at the cells and sums them with the weights.  The nodes are
   exactly symmetric, so the same rows applied to the reversed values serve
   x <= 0.  The last plan of each member is kept, and a step on another grid
-  drops them all.  scipy.sparse is imported only when a robust GBM family
-  or a plan is built, so runs without GBM do not load it.
+  drops them all.
 
 In 2D only diagonal (and scalar) diffusion matrices are supported, through
 tensor-product application of the 1D kernel along each axis.
@@ -353,17 +353,21 @@ def _gauss_hermite(points: int) -> tuple[np.ndarray, np.ndarray]:
 class _GbmPlan:
     """The GBM step of one member for one dt, on the x >= 0 half of the grid.
 
-    Row k maps the half-grid values v[mid:] to the step at node mid + k:
-    low @ v[mid:-1] + high @ v[mid + 1:].  The nodes are exactly symmetric,
-    so the same rows applied to the reversed values v[mid::-1] give the step
-    at node mid - k.  low and high are CSR matrices that share one index
-    array, the quadrature cells; escapes is the one-step escape-mass flag of
-    the trusted interior the plan was built for.
+    Row k maps the half-grid values b = v[mid:] to the step at node mid + k:
+    b[cells[k]] @ q + diff(b)[cells[k]] @ high[k], which is
+    sum_q (q - q w) b[j] + q w b[j + 1] over its cells j.  The nodes are
+    exactly symmetric, so the same rows applied to the reversed values
+    v[mid::-1] give the step at node mid - k.  cells and high are (m, Q)
+    arrays, q the Gauss-Hermite weights over sqrt(pi), all read-only; escapes
+    is the one-step escape-mass flag of the trusted interior the plan was
+    built for.  cells is intp, which indexing reads in place; b.take(cells)
+    would copy it on every call, because it is read-only.
     """
 
     t: float
-    low: object
-    high: object
+    cells: np.ndarray
+    high: np.ndarray
+    q: np.ndarray
     escapes: bool
 
 
@@ -379,11 +383,8 @@ def _build_gbm_plan(grid: Grid, t: float, params: GbmParams,
 
     Node x and quadrature factor F_q read f in the cell j of x F_q with
     weights 1 - w and w, w = (x F_q - x[j]) / (x[j+1] - x[j]) as in
-    np.interp; beyond the box the last cell with w = 1 clamps.  Consecutive
-    quadrature nodes of one row in the same cell are merged into one entry.
+    np.interp; beyond the box the last cell with w = 1 clamps.
     """
-    from scipy.sparse import csr_matrix
-
     x = grid.axis(0)
     mid = x.size // 2
     half = x[mid:]
@@ -397,30 +398,21 @@ def _build_gbm_plan(grid: Grid, t: float, params: GbmParams,
     factors = np.exp((params.mu - params.sigma**2 / 2.0) * t
                      + params.sigma * math.sqrt(2.0 * t) * z)
     pts = np.multiply.outer(half, factors)
-    # clamped before the cast, which is undefined beyond int32; fmin also
+    # clamped before the cast, which is undefined beyond intp; fmin also
     # maps a NaN (0 x inf) to a cell, whose weights stay NaN
-    j = np.fmin(pts / grid.h[0], m - 2).astype(np.int32)
-    # w overwrites the points; the clip sets w = 1 beyond the box, and puts
-    # back a w an ulp past 0 or 1 where the floor rounded to the next cell
-    frac = pts
-    frac -= half[j]
-    frac /= np.diff(half)[j]
-    np.clip(frac, 0.0, 1.0, out=frac)
-    new = np.ones(j.shape, bool)
-    np.not_equal(j[:, 1:], j[:, :-1], out=new[:, 1:])
-    run = np.cumsum(new, dtype=np.intp) - 1
-    indices = j[new]
-    indptr = np.zeros(m + 1, np.int32)
-    np.cumsum(np.count_nonzero(new, axis=1), out=indptr[1:])
-    qw = w / math.sqrt(math.pi)
-    frac *= qw  # the high weights q w
-    hi = np.bincount(run, weights=frac.ravel())
-    np.subtract(qw, frac, out=frac)  # the low weights q (1 - w)
-    lo = np.bincount(run, weights=frac.ravel())
-    shape = (m, m - 1)
-    return _GbmPlan(t=t, low=csr_matrix((lo, indices, indptr), shape=shape),
-                    high=csr_matrix((hi, indices, indptr), shape=shape),
-                    escapes=escapes)
+    cells = np.fmin(pts / grid.h[0], m - 2).astype(np.intp)
+    # w, then q w, overwrites the points; the clip sets w = 1 beyond the box,
+    # and puts back a w an ulp past 0 or 1 where the floor rounded to the
+    # next cell
+    high = pts
+    high -= half[cells]
+    high /= np.diff(half)[cells]
+    np.clip(high, 0.0, 1.0, out=high)
+    q = w / math.sqrt(math.pi)
+    high *= q
+    for a in (cells, high, q):
+        a.flags.writeable = False
+    return _GbmPlan(t=t, cells=cells, high=high, q=q, escapes=escapes)
 
 
 def _gbm_plan(grid: Grid, t: float, params: GbmParams,
@@ -464,14 +456,16 @@ def gbm_step(f: GridFunction, t: float, params: GbmParams,
             stacklevel=2,
         )
     vals = f.values
-    c = f.codomain_dim
     mid = vals.shape[0] // 2
-    both = np.concatenate([vals[mid:], vals[mid::-1]], axis=1)
-    res = plan.low @ both[:-1]
-    res += plan.high @ both[1:]
+
+    def half_step(b):
+        return (b[plan.cells] @ plan.q
+                + np.einsum("kq,kq->k", np.diff(b)[plan.cells], plan.high))
+
     out = np.empty_like(vals)
-    out[mid:] = res[:, :c]
-    out[:mid] = res[:0:-1, c:]
+    for comp in range(f.codomain_dim):
+        out[mid:, comp] = half_step(vals[mid:, comp])
+        out[:mid, comp] = half_step(vals[mid::-1, comp])[:0:-1]
     return with_values(f, out)
 
 

@@ -353,8 +353,6 @@ def make_robust_gbm_family(sigma_lambda_set: SigmaLambdaSet,
         raise ValueError("expected a (mu, sigma) uncertainty set")
     if grid.dim != 1:
         raise ValueError("GBM operator is one-dimensional")
-    # the GBM plans' CSR matrices: loaded with the family, not in its first step
-    import scipy.sparse  # noqa: F401
     pairs = [(float(mu), float(sig)) for mu, sig in sigma_lambda_set.pairs]
     p = gbm_params.p
     omega = gbm_growth_rate(pairs, p)

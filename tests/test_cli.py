@@ -3,11 +3,13 @@ import hashlib
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semiflow
 from semiflow.chernoff import NonFiniteStateError
 from semiflow.cli import (
     _SCHEDULE_DEFAULTS,
@@ -250,6 +252,16 @@ class TestRunExperiment:
         for entry in manifest["outputs"]:
             data = (tmp_path / "out" / entry["path"]).read_bytes()
             assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+
+    def test_manifest_records_running_versions(self, tmp_path):
+        spec = parse_config(write_config(tmp_path, MINIMAL_ODE))
+        run_experiment(spec, out_dir=tmp_path / "out")
+        written = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert written["versions"] == {
+            "semiflow": semiflow.__version__,
+            "numpy": np.__version__,
+            "python": "%d.%d.%d" % sys.version_info[:3],
+        }
 
 
 class TestEmitPlot:

@@ -37,28 +37,70 @@ def _state(n, seed=5):
     return GridFunction(g, 2, np.stack([g.axis(0), walk], axis=1), "clamp")
 
 
+def _assert_matches_reference(f, t, params):
+    ref = reference_gbm_step(f, t, params)
+    got = gbm_step(f, t, params).values
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 PAIRS = [(0.1, 0.2), (-0.1, 0.2), (0.05, 0.3), (-0.3, 0.0), (0.2, 0.0),
          (0.0, 1.5)]
 
 
-@pytest.mark.parametrize("n", [41, 1601])
+# at n = 3 the half grid holds x = 0 and x_max, and every cell is cell 0
+@pytest.mark.parametrize("n", [3, 41, 1601])
 @pytest.mark.parametrize("mu,sigma", PAIRS)
 def test_plan_matches_interp_loop(n, mu, sigma):
     f = _state(n)
     params = GbmParams(mu=mu, sigma=sigma)
     for k in range(13):
-        t = 2.0**-k
-        ref = reference_gbm_step(f, t, params)
-        got = gbm_step(f, t, params).values
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        _assert_matches_reference(f, 2.0**-k, params)
 
 
 def test_small_quadrature():
     f = _state(41)
-    params = GbmParams(mu=0.1, sigma=0.4, quad_points=8)
-    ref = reference_gbm_step(f, 0.25, params)
-    got = gbm_step(f, 0.25, params).values
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    _assert_matches_reference(f, 0.25, GbmParams(mu=0.1, sigma=0.4,
+                                                 quad_points=8))
+
+
+def test_codomain_three():
+    g = grid_create(1, 8.0, 161)
+    x = g.axis(0)
+    f = GridFunction(g, 3, np.stack([x, np.sin(x), np.abs(x)**1.5], axis=1),
+                     "clamp")
+    for mu, sigma in PAIRS:
+        _assert_matches_reference(f, 0.125, GbmParams(mu=mu, sigma=sigma))
+
+
+@pytest.mark.parametrize("mu,sigma", [(0.5, 1.5), (0.5, 0.0)])
+def test_points_beyond_the_box_read_the_last_cell(mu, sigma):
+    g = grid_create(1, 4.0, 81)
+    f = GridFunction(g, 2, _state(81).values, "clamp")
+    params = GbmParams(mu=mu, sigma=sigma)
+    _assert_matches_reference(f, 1.0, params)
+    plan = fl._gbm_plan(g, 1.0, params, None)
+    m = plan.cells.shape[0]
+    z = fl._gauss_hermite(params.quad_points)[0]
+    factors = np.exp(mu - sigma**2 / 2.0 + sigma * math.sqrt(2.0) * z)
+    beyond = np.multiply.outer(g.axis(0)[m - 1:], factors) > 4.0
+    assert beyond.any()
+    # a point beyond the box reads the edge value only: the last cell, w = 1
+    assert np.all(plan.cells[beyond] == m - 2)
+    assert np.array_equal(plan.high[beyond],
+                          np.broadcast_to(plan.q, beyond.shape)[beyond])
+    if sigma == 0.0:
+        # the pure drift e^{mu} moves whole rows beyond the box
+        assert np.all(beyond, axis=1).any()
+
+
+def test_held_plan_is_read_only():
+    f = _state(41)
+    params = GbmParams(mu=0.1, sigma=0.2)
+    gbm_step(f, 0.25, params)
+    plan = fl._gbm_plan(f.grid, 0.25, params, None)
+    assert plan.cells.dtype == np.intp
+    for a in (plan.cells, plan.high, plan.q):
+        assert not a.flags.writeable
 
 
 def test_escape_warning_on_every_flagged_call():
