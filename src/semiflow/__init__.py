@@ -43,12 +43,10 @@ from .families_nonlinear import (
     VectorField,
     quadratic_cost,
     indicator_cost,
-    gexp_step,
     effective_lambda_radius,
     make_gexp_family,
     auto_lambda_grid,
     user_lambda_grid,
-    g_expectation_step,
     make_g_expectation_family,
     make_robust_gbm_family,
     ode_euler_step,

@@ -111,7 +111,6 @@ class GeneratingFamilyDescriptor:
     """
 
     name: str
-    state_kind: str  # "grid" or "vector"
     step: Callable
     alpha: Callable[[float, float], float]
     beta: Callable[[float, float], float]
@@ -310,13 +309,13 @@ def discrete_semigroup_identity_residual(family: GeneratingFamilyDescriptor,
 
 def evolve_path(family: GeneratingFamilyDescriptor, t_list, state,
                 tol: float = DEFAULT_TOL, n_min: int = DEFAULT_N_MIN,
-                n_max: int = DEFAULT_N_MAX, collect_reports: bool = False,
-                limits: dict | None = None):
-    """States at the strictly increasing dyadic times t_list.
+                n_max: int = DEFAULT_N_MAX, limits: dict | None = None):
+    """(states, reports) at the strictly increasing dyadic times t_list.
 
     Computed incrementally through the semigroup property: each increment is
-    one chernoff_limit from the previous state.  `limits`, a chernoff_limits
-    result from the same state and schedule, supplies the first time's limit.
+    one chernoff_limit from the previous state, whose ConvergenceReport is
+    the time's report.  `limits`, a chernoff_limits result from the same
+    state and schedule, supplies the first time's limit.
     """
     ts = [float(t) for t in t_list]
     if any(b <= a for a, b in zip(ts, ts[1:])):
@@ -334,6 +333,4 @@ def evolve_path(family: GeneratingFamilyDescriptor, t_list, state,
         reports.append(rep)
         states.append(current)
         prev_t = t
-    if collect_reports:
-        return states, reports
-    return states
+    return states, reports

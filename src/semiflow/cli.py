@@ -92,7 +92,7 @@ _FAMILY_DEFAULTS = {
     "gexp": {"cost": {"name": "quadratic"}, "lambda_grid": "auto"},
     "g_expectation": {"sigmas": [0.5, 1.0], "lambdas": [-1.0, 0.0, 1.0]},
     "robust_gbm": {"pairs": [[0.1, 0.2], [-0.1, 0.2]],
-                   "M": GbmParams.quad_points, "p": GbmParams.p},
+                   "M": GbmParams.quad_points, "p": NormSpec.p},
     "perturbation": {"base": "heat", "drift": 0.0, "sigma": 1.0,
                      "psi": {"name": "sin"}},
 }
@@ -115,6 +115,8 @@ _SCHEDULE_DEFAULTS = {
 MAX_LIMIT_STEPS = 2**27
 TASK_NAMES = ("evolve", "defect", "generator", "certificate", "audit",
               "monotonicity", "telescoping")
+# The verdicts a Lipschitz certificate can reach.
+VERDICTS = ("bounded", "diverging", "inconclusive")
 
 
 class ConfigError(ValueError):
@@ -130,6 +132,18 @@ def _suggest(name, candidates):
     return f" (did you mean: {', '.join(close)})" if close else ""
 
 
+def _filled(given, path, defaults, also=()):
+    """defaults updated by given, every key of which must be a default or in
+    also: a field that nothing reads, say a misspelled one, is an error
+    rather than a run with its default."""
+    known = [*defaults, *also]
+    for key in given:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}",
+                              f"unknown field {key!r}{_suggest(key, known)}")
+    return {**defaults, **given}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec(Record):
     family: dict
@@ -142,11 +156,9 @@ class ExperimentSpec(Record):
     seed: int
 
 
-def _require(mapping, key, path, default=None, required=False):
+def _require(mapping, key, path):
     if key not in mapping:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
+        raise ConfigError(f"{path}.{key}", "missing required field")
     return mapping[key]
 
 
@@ -244,15 +256,23 @@ def parse_config(path) -> ExperimentSpec:
     if not isinstance(raw, dict):
         raise ConfigError(str(path), "top-level config must be an object")
 
+    _filled(raw, "config", {}, [f.name for f in dataclasses.fields(ExperimentSpec)])
     for key in ("family", "grid", "norm", "initial", "schedule"):
         if not isinstance(raw.get(key, {}), dict):
             raise ConfigError(f"config.{key}", "must be an object")
-    given = _require(raw, "family", "config", required=True)
-    fname = _require(given, "name", "config.family", required=True)
+    given = _require(raw, "family", "config")
+    fname = _require(given, "name", "config.family")
     if fname not in FAMILY_NAMES:
         raise ConfigError("config.family.name",
                           f"unknown family {fname!r}{_suggest(fname, FAMILY_NAMES)}")
-    family = {**copy.deepcopy(_FAMILY_DEFAULTS[fname]), **given}
+    family = _filled(given, "config.family", copy.deepcopy(_FAMILY_DEFAULTS[fname]),
+                     ["name", "expected_verdict"]
+                     + ["trust_horizon"] * (fname == "robust_gbm"))
+    verdict = family.get("expected_verdict")
+    if "expected_verdict" in family and verdict not in VERDICTS:
+        raise ConfigError("config.family.expected_verdict",
+                          f"must be one of {', '.join(VERDICTS)}, got {verdict!r}"
+                          f"{_suggest(str(verdict), VERDICTS)}")
     if fname == "gexp":
         if not isinstance(family["cost"], dict):
             raise ConfigError("config.family.cost", "must be an object")
@@ -261,16 +281,17 @@ def parse_config(path) -> ExperimentSpec:
         if cname not in names:
             raise ConfigError("config.family.cost.name",
                               f"unknown cost {cname!r}{_suggest(cname, names)}")
-        family["cost"] = {**_COST_DEFAULTS[cname], **cost}
+        family["cost"] = _filled(cost, "config.family.cost", _COST_DEFAULTS[cname],
+                                 ["name"])
 
-    grid = {"dim": 1, "x_max": 8.0, "n_points": 1601,
-            **_require(raw, "grid", "config", default={})}
+    grid = _filled(raw.get("grid", {}), "config.grid",
+                   {"dim": 1, "x_max": 8.0, "n_points": 1601})
     _validated("config.grid", _build_grid, grid)
-    norm = {**dataclasses.asdict(NormSpec()),
-            **_require(raw, "norm", "config", default={})}
+    norm = _filled(raw.get("norm", {}), "config.norm", dataclasses.asdict(NormSpec()))
     _validated("config.norm", _build_norm, norm)
 
-    initial = dict(_require(raw, "initial", "config", default={}))
+    initial = _filled(raw.get("initial", {}), "config.initial", {},
+                      ["value"] if fname.startswith("ode_") else ["preset", "table"])
     if fname.startswith("ode_"):
         initial.setdefault("value", [1.0] if fname == "ode_neg_identity"
                            else [1.0, 0.0])
@@ -283,8 +304,9 @@ def parse_config(path) -> ExperimentSpec:
                 "config.initial.preset",
                 f"unknown preset {preset!r}{_suggest(preset, PRESET_NAMES)}")
 
-    schedule = {**copy.deepcopy(_SCHEDULE_DEFAULTS),
-                **_require(raw, "schedule", "config", default={})}
+    schedule = _filled(raw.get("schedule", {}), "config.schedule",
+                       copy.deepcopy(_SCHEDULE_DEFAULTS),
+                       ["defect_t", "monotonicity_t"])
     if type(schedule["tol"]) not in (int, float) or not schedule["tol"] > 0:
         raise ConfigError("config.schedule.tol",
                           "tolerance must be a positive number")
@@ -303,11 +325,14 @@ def parse_config(path) -> ExperimentSpec:
     schedule.setdefault("monotonicity_t", schedule["t_list"][0])
     if fname == "robust_gbm":
         family.setdefault("trust_horizon", schedule["t_list"][-1])
+        if "norm" in raw and (norm["kind"] != "weighted" or norm["p"] != family["p"]):
+            raise ConfigError("config.norm", "robust_gbm runs in the weighted "
+                              f"norm with the family's p = {family['p']!r}")
         norm = {"kind": "weighted", "p": family["p"]}
     elif fname == "perturbation" and family["base"] not in ("heat", "identity"):
         raise ConfigError("config.family.base", "must be 'heat' or 'identity'")
 
-    tasks = _require(raw, "tasks", "config", default=["evolve"])
+    tasks = raw.get("tasks", ["evolve"])
     if not tasks:
         raise ConfigError("config.tasks", "must list at least one task")
     for i, task in enumerate(tasks):
@@ -322,7 +347,7 @@ def parse_config(path) -> ExperimentSpec:
                           "telescoping requires a perturbation family")
     _check_tasks(schedule, tasks)
 
-    seed = _require(raw, "seed", "config", default=0)
+    seed = raw.get("seed", 0)
     _validated("config.seed", _integer, seed, 0)
     if "audit" in tasks and "seed" not in raw:
         raise ConfigError("config.seed",
@@ -401,10 +426,9 @@ def build_family(spec: ExperimentSpec):
     if name == "robust_gbm":
         pairs = tuple((float(mu), float(sig)) for mu, sig in fam_cfg["pairs"])
         uset = SigmaLambdaSet(pairs=pairs, kind="gbm")
-        params = GbmParams(mu=pairs[0][0], sigma=pairs[0][1],
-                           quad_points=int(fam_cfg["M"]), p=float(fam_cfg["p"]))
-        family = make_robust_gbm_family(uset, params, grid,
-                                        trust_horizon=float(fam_cfg["trust_horizon"]))
+        family = make_robust_gbm_family(uset, grid, int(fam_cfg["M"]),
+                                        float(fam_cfg["p"]),
+                                        float(fam_cfg["trust_horizon"]))
         return family, dataclasses.replace(initial, extension_mode="clamp")
     if name == "perturbation":
         base = (make_heat_family(HeatDriftParams.create(
@@ -442,8 +466,7 @@ def _task_evolve(spec, family, state, outdir, writes, limits):
     sched = spec.schedule
     states, reports = evolve_path(family, sched["t_list"], state,
                                   tol=sched["tol"], n_min=sched["n_min"],
-                                  n_max=sched["n_max"], collect_reports=True,
-                                  limits=limits)
+                                  n_max=sched["n_max"], limits=limits)
     entries = []
     for t, st, rep in zip(sched["t_list"], states, reports):
         entry = {"t": t, "report": rep.to_json_dict()}
@@ -645,13 +668,12 @@ def _nice_ticks(lo: float, hi: float, target: int = 6):
     return ticks
 
 
-def emit_plot(csv_path, svg_path, options: dict | None = None) -> None:
+def emit_plot(csv_path, svg_path) -> None:
     """Render x vs each value column of a grid-function CSV as a static SVG.
 
     Fixed 800x500 viewBox, round-number axis ticks, a legend when more than
     one series is present, no external assets.
     """
-    options = options or {}
     names, data = read_csv_table(csv_path)
     n_coord = 2 if len(names) > 1 and names[1] == "y" else 1
     if data.shape[1] <= n_coord:

@@ -213,7 +213,7 @@ def _quotient_error(family, f, evolved, h, mask):
 def default_collar_mask(family: GeneratingFamilyDescriptor, f: GridFunction,
                         h_max: float) -> np.ndarray | None:
     """Interior collar: 2 nodes plus 8 sqrt(h_max) kernel standard deviations."""
-    if family.state_kind != "grid":
+    if not isinstance(family.zero_state, GridFunction):
         return None
     margin = 2 * max(f.grid.h) + 8.0 * family.kernel_sigma_max * math.sqrt(h_max)
     mask = interior_mask(f.grid, margin)
@@ -329,7 +329,7 @@ def random_ball_state(family: GeneratingFamilyDescriptor, rng,
     random centers and widths (a random direction for vector states),
     rescaled to a random fraction of the ball radius in the full norm."""
     target = radius * rng.uniform(0.2, 1.0)
-    if family.state_kind == "vector":
+    if isinstance(family.zero_state, VectorState):
         d = family.zero_state.coordinates.size
         v = rng.standard_normal(d)
         v *= target / np.linalg.norm(v)

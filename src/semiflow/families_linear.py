@@ -22,10 +22,8 @@ Two kernels are provided:
   zeros or edge values beyond the reach of every kernel (its mean plus
   KERNEL_CUTOFF_SIGMAS standard deviations and a Poisson-tail margin), so
   the wrapped mass stays below 1e-15.  A step applies the plan to all
-  candidates in one batched FFT convolution (numpy.fft).  Only the last
-  plan of each grid axis is kept, and it is dropped before the next one is
-  built, so the cache holds at most one plan per axis; the FFT work runs
-  over chunks of candidates, so its temporaries stay bounded as well.
+  candidates in one batched FFT convolution (numpy.fft), over chunks of
+  candidates, so its temporaries stay bounded.
 
 * the geometric Brownian motion operator f(x) -> E[f(x X_t)] with
   X_t = exp((mu - sigma^2/2) t + sigma W_t), evaluated by Gauss-Hermite
@@ -41,8 +39,13 @@ Two kernels are provided:
   flag, all as read-only numpy arrays.  A step gathers the values and their
   differences at the cells and sums them with the weights.  The nodes are
   exactly symmetric, so the same rows applied to the reversed values serve
-  x <= 0.  The last plan of each member is kept, and a step on another grid
-  drops them all.
+  x <= 0.
+
+Both kernels keep their plans by one rule, _last_plan: each slot, a grid
+axis of the heat step or a GBM member, holds the plan of its last key (grid
+and dt), and the old plan is dropped before a new one is built.  All steps
+of a level share one dt and a robust family steps its members in turn, so a
+level builds each plan once, and the cache holds at most one plan per slot.
 
 In 2D only diagonal (and scalar) diffusion matrices are supported, through
 tensor-product application of the 1D kernel along each axis.
@@ -116,26 +119,15 @@ class HeatDriftParams:
 
 @dataclass(frozen=True)
 class GbmParams:
-    """GBM drift/volatility with quadrature size and weight exponent.
-
-    The growth constant omega = p (mu + (p-1) sigma^2 / 2)^+ controls the
-    declared envelopes e^{omega t} of the family in the weighted norm.
-    """
+    """GBM drift/volatility with the Gauss-Hermite quadrature size."""
 
     mu: float
     sigma: float
     quad_points: int = 64
-    p: float = 3.0
 
     def __post_init__(self):
         if self.quad_points < 8:
             raise ValueError("quadrature node count must be >= 8")
-        if not self.p > 1:
-            raise ValueError("weight exponent p must be > 1")
-
-    @property
-    def omega(self) -> float:
-        return gbm_growth_rate([(self.mu, self.sigma)], self.p)
 
 
 def gbm_growth_rate(mu_sigma_pairs, p: float) -> float:
@@ -166,9 +158,19 @@ _CHUNK_BYTES = 2**17
 # Nodes beyond the cutoff that hold the Poisson tail of kernels narrower
 # than a node (var dt / h^2 << 1), whose taps decay like lambda^k / k!.
 _TAIL_NODES = 30
-# (key, plan) of the last plan of each grid axis: all steps of a level, and
-# both states of a certificate check, share one dt.
-_LAST_PLAN: dict = {}
+# (key, plan) of the last plan of each slot, see _last_plan.
+_PLANS: dict = {}
+
+
+def _last_plan(slot, key, build):
+    """The plan held in slot when its key matches, else build(), called after
+    the old plan is dropped so that the two are never held together."""
+    held = _PLANS.pop(slot, None)
+    if held is None or held[0] != key:
+        held = None  # frees the old plan before the new one is allocated
+        held = (key, build())
+    _PLANS[slot] = held
+    return held[1]
 
 
 def _fft_size(n: int) -> int:
@@ -223,19 +225,13 @@ def _build_axis_plan(n: int, h: float, shifts: np.ndarray, s: np.ndarray,
 
 def _axis_plan(grid: Grid, a: int, t: float, drifts: np.ndarray,
                sigmas: np.ndarray, ext_mode: str) -> _AxisPlan:
-    """The plan of grid axis a and dt: the axis's last plan when its key
-    matches, else a new one, built after the old one is dropped."""
+    """The plan of grid axis a and dt, held in the slot ("heat", a)."""
     shifts = drifts * t
     s = sigmas * math.sqrt(t)
     key = (grid.x_max[a], grid.n_points[a], t, shifts.tobytes(), s.tobytes(),
            ext_mode)
-    held = _LAST_PLAN.pop(a, None)
-    if held is None or held[0] != key:
-        held = None  # frees the old plan before the new one is allocated
-        held = (key, _build_axis_plan(grid.n_points[a], grid.h[a], shifts, s,
-                                      ext_mode))
-    _LAST_PLAN[a] = held
-    return held[1]
+    return _last_plan(("heat", a), key, lambda: _build_axis_plan(
+        grid.n_points[a], grid.h[a], shifts, s, ext_mode))
 
 
 def _extended_spectrum(plan: _AxisPlan, data: np.ndarray) -> np.ndarray:
@@ -364,17 +360,10 @@ class _GbmPlan:
     would copy it on every call, because it is read-only.
     """
 
-    t: float
     cells: np.ndarray
     high: np.ndarray
     q: np.ndarray
     escapes: bool
-
-
-# The last plan of each GBM member, all on the grid _GBM_GRID: all steps of
-# a level share one dt, and a robust family steps its members in turn.
-_GBM_GRID: Grid | None = None
-_GBM_PLANS: dict = {}
 
 
 def _build_gbm_plan(grid: Grid, t: float, params: GbmParams,
@@ -412,24 +401,7 @@ def _build_gbm_plan(grid: Grid, t: float, params: GbmParams,
     high *= q
     for a in (cells, high, q):
         a.flags.writeable = False
-    return _GbmPlan(t=t, cells=cells, high=high, q=q, escapes=escapes)
-
-
-def _gbm_plan(grid: Grid, t: float, params: GbmParams,
-              trusted_radius: float | None) -> _GbmPlan:
-    """The member's last plan when its dt matches, else a new one, built
-    after the old one is dropped; a call on another grid drops all plans."""
-    global _GBM_GRID
-    if _GBM_GRID != grid:
-        _GBM_PLANS.clear()
-        _GBM_GRID = grid
-    member = (params.mu, params.sigma, params.quad_points, trusted_radius)
-    plan = _GBM_PLANS.pop(member, None)
-    if plan is None or plan.t != t:
-        plan = None  # frees the old plan before the new one is allocated
-        plan = _build_gbm_plan(grid, t, params, trusted_radius)
-    _GBM_PLANS[member] = plan
-    return plan
+    return _GbmPlan(cells=cells, high=high, q=q, escapes=escapes)
 
 
 def gbm_step(f: GridFunction, t: float, params: GbmParams,
@@ -448,7 +420,9 @@ def gbm_step(f: GridFunction, t: float, params: GbmParams,
         raise ValueError("GBM operator requires clamp extension")
     if t == 0.0:
         return f
-    plan = _gbm_plan(f.grid, t, params, trusted_radius)
+    slot = ("gbm", params.mu, params.sigma, params.quad_points, trusted_radius)
+    plan = _last_plan(slot, (f.grid, t), lambda: _build_gbm_plan(
+        f.grid, t, params, trusted_radius))
     if plan.escapes:
         warnings.warn(
             "gbm_step: escaping lognormal mass exceeds threshold inside "
@@ -526,7 +500,6 @@ def kernel_family(name: str, step, grid: Grid, norm: NormSpec, drifts, sigmas,
                              for v in (drifts, sigmas, costs))
     fam = GeneratingFamilyDescriptor(
         name=name,
-        state_kind="grid",
         step=step,
         alpha=lambda R, t: math.exp(omega * t) * R,
         beta=lambda R, t: math.exp(omega * t),
@@ -542,12 +515,12 @@ def kernel_family(name: str, step, grid: Grid, norm: NormSpec, drifts, sigmas,
     return fam
 
 
-def make_heat_family(params: HeatDriftParams, norm: NormSpec, grid: Grid,
-                     name: str = "heat") -> GeneratingFamilyDescriptor:
+def make_heat_family(params: HeatDriftParams, norm: NormSpec,
+                     grid: Grid) -> GeneratingFamilyDescriptor:
     """Heat-with-drift generating family, a single candidate without cost:
     a sup-norm contraction."""
     return kernel_family(
-        name, lambda t, f: heat_drift_step(f, t, params), grid, norm,
+        "heat", lambda t, f: heat_drift_step(f, t, params), grid, norm,
         [params.drift], [params.sigma], [0.0],
         {"kind": "heat", "drift": params.drift, "sigma": params.sigma})
 

@@ -60,12 +60,10 @@ __all__ = [
     "VectorField",
     "quadratic_cost",
     "indicator_cost",
-    "gexp_step",
     "effective_lambda_radius",
     "make_gexp_family",
     "auto_lambda_grid",
     "user_lambda_grid",
-    "g_expectation_step",
     "make_g_expectation_family",
     "make_robust_gbm_family",
     "ode_euler_step",
@@ -233,18 +231,8 @@ def _gexp_candidates(lambda_grid: LambdaGrid, cost: CostFunction, dim: int):
     return lams, np.ones(lams.shape), costs
 
 
-def gexp_step(f: GridFunction, t: float, lambda_grid: LambdaGrid,
-              cost: CostFunction) -> GridFunction:
-    """Nodewise max over drift candidates of (heat shift - cost * t).
-
-    Unit diffusion; t = 0 returns f unchanged.
-    """
-    return _sup_heat_step(f, t, *_gexp_candidates(lambda_grid, cost, f.grid.dim))
-
-
 def make_gexp_family(lambda_grid: LambdaGrid, cost: CostFunction, grid: Grid,
-                     norm: NormSpec | None = None,
-                     name: str = "gexp") -> GeneratingFamilyDescriptor:
+                     norm: NormSpec | None = None) -> GeneratingFamilyDescriptor:
     """Convex expectation family on the sup-norm space.
 
     A contraction (alpha(R,t) = R, beta = 1); the generator is the max over
@@ -254,7 +242,7 @@ def make_gexp_family(lambda_grid: LambdaGrid, cost: CostFunction, grid: Grid,
     """
     drifts, sigmas, costs = _gexp_candidates(lambda_grid, cost, grid.dim)
     return kernel_family(
-        name, lambda t, f: _sup_heat_step(f, t, drifts, sigmas, costs), grid,
+        "gexp", lambda t, f: _sup_heat_step(f, t, drifts, sigmas, costs), grid,
         norm or NormSpec(kind="sup"), drifts, sigmas, costs,
         {"kind": "gexp", "cost": cost.name,
          "n_lambda": int(lambda_grid.lambdas.shape[0]),
@@ -298,13 +286,6 @@ def _g_expectation_candidates(sigma_lambda_set: SigmaLambdaSet, dim: int):
             np.array([per_axis(sig) for sig, _ in pairs]), np.zeros(len(pairs)))
 
 
-def g_expectation_step(f: GridFunction, t: float,
-                       sigma_lambda_set: SigmaLambdaSet) -> GridFunction:
-    """Nodewise max over (sigma, lambda) pairs of Gaussian transitions."""
-    return _sup_heat_step(f, t, *_g_expectation_candidates(sigma_lambda_set,
-                                                           f.grid.dim))
-
-
 def _g_expectation_omega(sigma_lambda_set: SigmaLambdaSet) -> float:
     """Growth rate max{1 + sup |sigma|^2 + sup |lambda|^2, sup sqrt(2)|lambda|}
     for the weighted-space envelopes."""
@@ -316,8 +297,8 @@ def _g_expectation_omega(sigma_lambda_set: SigmaLambdaSet) -> float:
 
 
 def make_g_expectation_family(sigma_lambda_set: SigmaLambdaSet, grid: Grid,
-                              norm: NormSpec | None = None,
-                              name: str = "g_expectation") -> GeneratingFamilyDescriptor:
+                              norm: NormSpec | None = None
+                              ) -> GeneratingFamilyDescriptor:
     """Sublinear expectation family.
 
     Default is the sup-norm space, where the sup of Gaussian transitions is a
@@ -328,24 +309,25 @@ def make_g_expectation_family(sigma_lambda_set: SigmaLambdaSet, grid: Grid,
     omega = 0.0 if norm.kind == "sup" else _g_expectation_omega(sigma_lambda_set)
     drifts, sigmas, costs = _g_expectation_candidates(sigma_lambda_set, grid.dim)
     return kernel_family(
-        name, lambda t, f: _sup_heat_step(f, t, drifts, sigmas, costs), grid,
-        norm, drifts, sigmas, costs,
+        "g_expectation", lambda t, f: _sup_heat_step(f, t, drifts, sigmas, costs),
+        grid, norm, drifts, sigmas, costs,
         {"kind": "g_expectation",
          "pairs": [tuple(c) for c in np.hstack([sigmas, drifts]).tolist()],
          "omega": omega, "norm": norm.kind},
         omega=omega)
 
 
-def make_robust_gbm_family(sigma_lambda_set: SigmaLambdaSet,
-                           gbm_params: GbmParams, grid: Grid,
-                           trust_horizon: float = 1.0,
-                           name: str = "robust_gbm") -> GeneratingFamilyDescriptor:
+def make_robust_gbm_family(sigma_lambda_set: SigmaLambdaSet, grid: Grid,
+                           quad_points: int = GbmParams.quad_points,
+                           p: float = NormSpec.p,
+                           trust_horizon: float = 1.0) -> GeneratingFamilyDescriptor:
     """Robust GBM: nodewise max of GBM transitions over (mu, sigma) pairs.
 
-    Weighted norm is mandatory; envelopes alpha(R,t) = e^{omega t} R and
-    beta(R,t) = e^{omega t} with omega the max growth rate over the pair
-    set; the generator is the max of mu x f' + sigma^2 x^2 f''/2, through
-    the per-node chain rates of kernel_generator.
+    The norm is the weighted one with exponent p > 1; envelopes
+    alpha(R,t) = e^{omega t} R and beta(R,t) = e^{omega t} with omega the
+    max growth rate over the pair set; the generator is the max of
+    mu x f' + sigma^2 x^2 f''/2, through the per-node chain rates of
+    kernel_generator.  Each member steps by quad_points Gauss-Hermite nodes.
     Comparisons are restricted to the trusted interior where escaping
     lognormal mass stays below the threshold over the trust horizon.
     """
@@ -353,11 +335,11 @@ def make_robust_gbm_family(sigma_lambda_set: SigmaLambdaSet,
         raise ValueError("expected a (mu, sigma) uncertainty set")
     if grid.dim != 1:
         raise ValueError("GBM operator is one-dimensional")
+    norm = NormSpec(kind="weighted", p=p)
     pairs = [(float(mu), float(sig)) for mu, sig in sigma_lambda_set.pairs]
-    p = gbm_params.p
     omega = gbm_growth_rate(pairs, p)
     radius = gbm_trusted_radius(pairs, grid.x_max[0], trust_horizon)
-    members = [GbmParams(mu=mu, sigma=sig, quad_points=gbm_params.quad_points, p=p)
+    members = [GbmParams(mu=mu, sigma=sig, quad_points=quad_points)
                for mu, sig in pairs]
 
     def step(t, f):
@@ -369,7 +351,7 @@ def make_robust_gbm_family(sigma_lambda_set: SigmaLambdaSet,
     x = grid.axis(0)
     mus, sigs = np.array(pairs).T
     return kernel_family(
-        name, step, grid, NormSpec(kind="weighted", p=p),
+        "robust_gbm", step, grid, norm,
         np.multiply.outer(mus, x)[:, None], np.multiply.outer(sigs, x)[:, None],
         np.zeros(len(pairs)),
         {"kind": "robust_gbm", "pairs": pairs, "p": p, "omega": omega,
@@ -425,7 +407,6 @@ def make_ode_family(vf: VectorField) -> GeneratingFamilyDescriptor:
 
     fam = GeneratingFamilyDescriptor(
         name=f"ode_{vf.name}",
-        state_kind="vector",
         step=lambda t, x: ode_euler_step(x, t, vf),
         alpha=lambda R, t: math.exp(2.0 * K * t) * max(R, 1.0),
         beta=lambda R, t: math.exp(vf.lip_profile(R) * t),
@@ -504,15 +485,14 @@ def perturbation_step(f: GridFunction, t: float,
 
 
 def make_perturbation_family(base_family: GeneratingFamilyDescriptor,
-                             pert: PerturbationSpec, grid: Grid,
-                             omega: float = 0.0,
-                             name: str | None = None) -> GeneratingFamilyDescriptor:
-    """Perturbed family with alpha(R,t) = e^{(omega+2K)t} max(R,1) and
-    beta(R,t) = e^{(omega+L_R)t}; generator = base generator + Psi(f).
+                             pert: PerturbationSpec,
+                             grid: Grid) -> GeneratingFamilyDescriptor:
+    """Perturbed family with alpha(R,t) = e^{2Kt} max(R,1) and
+    beta(R,t) = e^{L_R t}; generator = base generator + Psi(f).
 
-    omega is the growth rate of the base semigroup (0 for the heat
-    contraction and the identity).  The perturbation is probed for Psi(0) = 0
-    and the declared linear growth before the family is built.
+    The base, heat or the identity, is a contraction, so its growth rate
+    adds nothing to the envelopes.  The perturbation is probed for
+    Psi(0) = 0 and the declared linear growth before the family is built.
     """
     if not _is_linear_base(base_family):
         raise ValueError("base family must be a linear heat or identity semigroup")
@@ -528,18 +508,17 @@ def make_perturbation_family(base_family: GeneratingFamilyDescriptor,
         return with_values(f, base_gen(f).values + pert.psi(f.values))
 
     fam = GeneratingFamilyDescriptor(
-        name=name or f"perturbation_{base_family.name}_{pert.name}",
-        state_kind="grid",
+        name=f"perturbation_{base_family.name}_{pert.name}",
         step=step,
-        alpha=lambda R, t: math.exp((omega + 2.0 * K) * t) * max(R, 1.0),
-        beta=lambda R, t: math.exp((omega + pert.lip_profile(R)) * t),
+        alpha=lambda R, t: math.exp(2.0 * K * t) * max(R, 1.0),
+        beta=lambda R, t: math.exp(pert.lip_profile(R) * t),
         zero_state=zero,
         norm=base_family.norm,
         analytic_generator=generator,
         minus_conjugate=False,
         kernel_sigma_max=base_family.kernel_sigma_max,
         params={"kind": "perturbation", "base": base_family.params.get("kind"),
-                "psi": pert.name, "growth_k": K, "omega": omega,
+                "psi": pert.name, "growth_k": K,
                 "base_family": base_family, "perturbation": pert},
     )
     check_family_contract(fam, probe_states=[zero])

@@ -3,7 +3,6 @@ import pytest
 
 from semiflow.chernoff import GeneratingFamilyDescriptor
 from semiflow.families_linear import (
-    GbmParams,
     HeatDriftParams,
     make_heat_family,
     make_identity_base_family,
@@ -96,8 +95,7 @@ def gbm_grid():
 @pytest.fixture(scope="session")
 def robust_gbm_family(gbm_grid):
     uset = SigmaLambdaSet(pairs=((0.1, 0.2), (-0.1, 0.2)), kind="gbm")
-    return make_robust_gbm_family(uset, GbmParams(mu=0.1, sigma=0.2),
-                                  gbm_grid, trust_horizon=0.5)
+    return make_robust_gbm_family(uset, gbm_grid, trust_horizon=0.5)
 
 
 @pytest.fixture(scope="session")
@@ -115,6 +113,13 @@ def perturbation_family(grid_fine):
     heat = make_heat_family(HeatDriftParams.create(0.0, 1.0, 1),
                             NormSpec("sup"), grid_fine)
     return make_perturbation_family(heat, perturbation_preset("sin"), grid_fine)
+
+
+def held_gbm_plan(params, trusted_radius=None):
+    """The plan that the last GBM step of params left in its cache slot."""
+    from semiflow.families_linear import _PLANS
+    return _PLANS["gbm", params.mu, params.sigma, params.quad_points,
+                  trusted_radius][1]
 
 
 def random_bumps(grid, seed, n_bumps=3, amp=1.0):

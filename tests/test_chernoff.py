@@ -99,10 +99,11 @@ class TestApplyPartition:
         from semiflow.chernoff import GeneratingFamilyDescriptor
 
         def bad_step(t, x):
-            return VectorState([x.coordinates[0] * (1e200 if t > 0 else 1.0)])
+            with np.errstate(over="ignore"):
+                return VectorState([x.coordinates[0] * (1e200 if t > 0 else 1.0)])
 
         fam = GeneratingFamilyDescriptor(
-            name="blowup", state_kind="vector", step=bad_step,
+            name="blowup", step=bad_step,
             alpha=lambda R, t: R, beta=lambda R, t: 1.0,
             zero_state=VectorState([0.0]))
         with pytest.raises(NonFiniteStateError) as exc:
@@ -114,7 +115,7 @@ class TestApplyPartition:
         from semiflow.state_space import NonFiniteValuesError, with_values
 
         fam = GeneratingFamilyDescriptor(
-            name="grid_blowup", state_kind="grid",
+            name="grid_blowup",
             step=lambda t, f: with_values(f, f.values * 1e200),
             alpha=lambda R, t: R, beta=lambda R, t: 1.0,
             zero_state=sample_function("zero", grid_small),
@@ -133,7 +134,7 @@ class TestApplyPartition:
             raise ValueError("drift must be finite")
 
         fam = GeneratingFamilyDescriptor(
-            name="rejects", state_kind="grid", step=step,
+            name="rejects", step=step,
             alpha=lambda R, t: R, beta=lambda R, t: 1.0,
             zero_state=sample_function("zero", grid_small),
             norm=NormSpec("sup"))
@@ -183,10 +184,11 @@ def _blowup_family(factor):
     from semiflow.chernoff import GeneratingFamilyDescriptor
 
     def bad_step(t, x):
-        return VectorState([x.coordinates[0] * (factor if t > 0 else 1.0)])
+        with np.errstate(over="ignore"):
+            return VectorState([x.coordinates[0] * (factor if t > 0 else 1.0)])
 
     return GeneratingFamilyDescriptor(
-        name="blowup", state_kind="vector", step=bad_step,
+        name="blowup", step=bad_step,
         alpha=lambda R, t: R, beta=lambda R, t: 1.0,
         zero_state=VectorState([0.0]))
 
@@ -300,12 +302,15 @@ class TestDiscreteIdentity:
 class TestEvolvePath:
     def test_single_zero_time(self, ode_decay_family):
         x = VectorState([1.0])
-        states = evolve_path(ode_decay_family, [0.0], x)
+        states, reports = evolve_path(ode_decay_family, [0.0], x)
         assert states == [x]
+        assert reports[0].steps_total == 0
 
     def test_exponential_trajectory(self, ode_decay_family):
-        states = evolve_path(ode_decay_family, [0.5, 1.0], VectorState([1.0]),
-                             tol=1e-4, n_min=4, n_max=12)
+        states, reports = evolve_path(ode_decay_family, [0.5, 1.0],
+                                      VectorState([1.0]), tol=1e-4, n_min=4,
+                                      n_max=12)
+        assert [r.t for r in reports] == [0.5, 0.5]
         assert abs(states[0].coordinates[0] - math.exp(-0.5)) <= 5e-4
         assert abs(states[1].coordinates[0] - math.exp(-1.0)) <= 5e-4
 
@@ -397,7 +402,7 @@ class TestFamilyContract:
         from semiflow.chernoff import GeneratingFamilyDescriptor, \
             check_family_contract
         fam = GeneratingFamilyDescriptor(
-            name="bad", state_kind="vector", step=lambda t, x: x,
+            name="bad", step=lambda t, x: x,
             alpha=lambda R, t: R + math.sqrt(t),  # fails the composition law
             beta=lambda R, t: 1.0,
             zero_state=VectorState([0.0]))

@@ -399,6 +399,33 @@ class TestMainEntry:
               tasks=["audit"], seed=1), "audit_radius"),
         (dict(HEAT_41, schedule={"t_list": [0.5]}, seed="x"), "seed"),
         (dict(HEAT_41, schedule={"t_list": [0.5]}, seed=-1), "seed"),
+        # a field nothing reads would run with its default
+        (dict(HEAT_41, family={"name": "heat", "sigam": 3.0},
+              schedule={"t_list": [0.5]}), "config.family.sigam"),
+        (dict(HEAT_41, family={"name": "heat", "trust_horizon": 0.5},
+              schedule={"t_list": [0.5]}), "config.family.trust_horizon"),
+        (dict(HEAT_41, family={"name": "gexp", "cost": {"name": "quadratic", "b": 1}},
+              schedule={"t_list": [0.5]}), "config.family.cost.b"),
+        (dict(HEAT_41, grid={"npoints": 41}, schedule={"t_list": [0.5]}),
+         "config.grid.npoints"),
+        (dict(HEAT_41, norm={"kind": "sup", "q": 2}, schedule={"t_list": [0.5]}),
+         "config.norm.q"),
+        (dict(HEAT_41, initial={"presett": "gaussian_bump"},
+              schedule={"t_list": [0.5]}), "config.initial.presett"),
+        (dict(MINIMAL_ODE, initial={"preset": "gaussian_bump"}),
+         "config.initial.preset"),
+        (dict(HEAT_41, schedule={"t_list": [0.5], "n_mni": 2}),
+         "config.schedule.n_mni"),
+        (dict(HEAT_41, schedule={"t_list": [0.5]}, task=["evolve"]), "config.task"),
+        # a misspelled verdict would fail a bounded certificate
+        (dict(HEAT_41, family={"name": "heat", "expected_verdict": "bouned"},
+              schedule={"t_list": [0.5]}, tasks=["certificate"]),
+         "config.family.expected_verdict"),
+        (dict(HEAT_41, family={"name": "robust_gbm"}, norm={"kind": "sup"},
+              schedule={"t_list": [0.5]}), "config.norm"),
+        (dict(HEAT_41, family={"name": "robust_gbm", "p": 2.0},
+              norm={"kind": "weighted", "p": 3.0}, schedule={"t_list": [0.5]}),
+         "config.norm"),
     ])
     def test_parse_time_config_errors(self, tmp_path, capsys, cfg, field):
         with pytest.raises(ConfigError) as exc:
@@ -408,6 +435,21 @@ class TestMainEntry:
         assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
         assert "config error" in capsys.readouterr().err
+
+    def test_unknown_field_suggests(self, tmp_path):
+        cfg = dict(self.HEAT_41, family={"name": "heat", "sigam": 3.0},
+                   schedule={"t_list": [0.5]})
+        with pytest.raises(ConfigError, match="did you mean: sigma"):
+            parse_config(write_config(tmp_path, cfg))
+        cfg = dict(cfg, family={"name": "heat", "expected_verdict": "bouned"})
+        with pytest.raises(ConfigError, match="did you mean: bounded"):
+            parse_config(write_config(tmp_path, cfg))
+
+    def test_gbm_norm_may_restate_the_weighted_norm(self, tmp_path):
+        cfg = dict(self.HEAT_41, family={"name": "robust_gbm", "p": 2.0},
+                   norm={"kind": "weighted", "p": 2.0}, schedule={"t_list": [0.5]})
+        spec = parse_config(write_config(tmp_path, cfg))
+        assert spec.norm == {"kind": "weighted", "p": 2.0}
 
     @pytest.mark.parametrize("grid,rule", [
         ({"dim": 1.0}, "dim must be the integer 1 or 2"),
@@ -446,6 +488,7 @@ class TestMainEntry:
          "lambda_grid": "auto"},
         {"name": "gexp", "lambda_grid": {"min": -1}},
         {"name": "robust_gbm", "pairs": [0.1, 0.2]},
+        {"name": "robust_gbm", "p": 1.0},
     ])
     def test_family_build_errors_exit_two(self, tmp_path, capsys, family):
         cfg = dict(self.HEAT_41, family=family, schedule={"t_list": [0.5]},

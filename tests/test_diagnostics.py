@@ -175,7 +175,7 @@ class TestGeneratorEstimate:
     def test_requires_generator(self):
         from semiflow.chernoff import GeneratingFamilyDescriptor
         fam = GeneratingFamilyDescriptor(
-            name="plain", state_kind="vector", step=lambda t, x: x,
+            name="plain", step=lambda t, x: x,
             alpha=lambda R, t: R, beta=lambda R, t: 1.0,
             zero_state=VectorState([0.0]))
         with pytest.raises(ValueError, match="generator"):
@@ -301,12 +301,10 @@ class TestAlphaBetaAudit:
 
     @pytest.fixture(scope="class")
     def masked_gbm_family(self, gbm_grid):
-        from semiflow.families_linear import GbmParams
         from semiflow.families_nonlinear import SigmaLambdaSet, make_robust_gbm_family
         uset = SigmaLambdaSet(pairs=((0.1, 0.2), (-0.1, 0.2), (0.05, 0.3),
                                      (0.0, 0.1)), kind="gbm")
-        fam = make_robust_gbm_family(uset, GbmParams(mu=0.1, sigma=0.2),
-                                     gbm_grid, trust_horizon=0.5)
+        fam = make_robust_gbm_family(uset, gbm_grid, trust_horizon=0.5)
         assert not fam.comparison_mask.all()
         return fam
 
@@ -337,7 +335,7 @@ class TestAlphaBetaAudit:
         # a family whose declared envelope is deliberately too tight
         from semiflow.chernoff import GeneratingFamilyDescriptor
         fam = GeneratingFamilyDescriptor(
-            name="lying", state_kind="vector",
+            name="lying",
             step=lambda t, x: VectorState(x.coordinates * math.exp(2 * t)),
             alpha=lambda R, t: R,  # actual growth e^{2t}
             beta=lambda R, t: 1.0,

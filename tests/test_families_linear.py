@@ -10,6 +10,7 @@ from conftest import random_bumps
 from semiflow.families_linear import (
     GbmParams,
     HeatDriftParams,
+    gbm_growth_rate,
     gbm_step,
     gbm_trusted_radius,
     heat_drift_step,
@@ -256,8 +257,9 @@ class TestGbmStep:
     def test_weighted_norm_growth(self):
         # ||step(f,t)||_kappa <= e^{omega t} ||f||_kappa + slack
         g = grid_create(1, 16.0, 801)
-        params = GbmParams(mu=0.1, sigma=0.3, p=3.0)
+        params = GbmParams(mu=0.1, sigma=0.3)
         norm = NormSpec("weighted", p=3.0)
+        omega = gbm_growth_rate([(params.mu, params.sigma)], norm.p)
         r = gbm_trusted_radius([(params.mu, params.sigma)], 16.0, 1.0)
         mask = np.abs(g.axis(0)) <= r
         zero = GridFunction(g, 1, np.zeros((g.n_nodes, 1)), "clamp")
@@ -268,7 +270,7 @@ class TestGbmStep:
             for t in (0.25, 1.0):
                 out = gbm_step(f, t, params)
                 lhs = distance(out, zero, norm, mask=mask)
-                rhs = math.exp(params.omega * t) * distance(f, zero, norm)
+                rhs = math.exp(omega * t) * distance(f, zero, norm)
                 assert lhs <= rhs + 1e-8
 
     def test_escape_warning_inside_trusted_interior(self):
@@ -302,7 +304,7 @@ class TestFamilyDescriptors:
 
     def test_gbm_linear_generator_identity(self, gbm_grid):
         fam = make_robust_gbm_family(SigmaLambdaSet(pairs=((0.1, 0.3),), kind="gbm"),
-                                     GbmParams(mu=0.1, sigma=0.3), gbm_grid)
+                                     gbm_grid)
         f = sample_function("identity", gbm_grid)
         gen = fam.analytic_generator(f)
         x = gbm_grid.axis(0)

@@ -18,8 +18,6 @@ from semiflow.families_nonlinear import (
     SigmaLambdaSet,
     auto_lambda_grid,
     effective_lambda_radius,
-    g_expectation_step,
-    gexp_step,
     indicator_cost,
     make_g_expectation_family,
     make_gexp_family,
@@ -51,26 +49,27 @@ class TestGexpStep:
         z = sample_function("zero", grid_small)
         cost = quadratic_cost(0.5)
         lg = user_lambda_grid([-1.0, 0.0, 1.0])
-        out = gexp_step(z, 0.5, lg, cost)
+        out = make_gexp_family(lg, cost, grid_small).step(0.5, z)
         assert np.max(np.abs(out.values)) <= 1e-15
 
     def test_singleton_grid_is_heat_bit_exact(self, grid_small):
         f = sample_function("gaussian_bump", grid_small)
         cost = quadratic_cost(0.5)
-        out = gexp_step(f, 0.25, user_lambda_grid([0.0]), cost)
+        out = make_gexp_family(user_lambda_grid([0.0]), cost,
+                               grid_small).step(0.25, f)
         ref = heat_drift_step(f, 0.25, HeatDriftParams.create(0.0, 1.0, 1))
         assert np.array_equal(out.values, ref.values)
 
     def test_t_zero_bit_exact(self, grid_small):
         f = sample_function("gaussian_bump", grid_small)
-        assert gexp_step(f, 0.0, user_lambda_grid([0.0, 1.0]),
-                         quadratic_cost(0.5)) is f
+        fam = make_gexp_family(user_lambda_grid([0.0, 1.0]), quadratic_cost(0.5),
+                               grid_small)
+        assert fam.step(0.0, f) is f
 
     def test_infinite_cost_candidate_rejected(self, grid_small):
-        f = sample_function("gaussian_bump", grid_small)
         cost = indicator_cost(-1.0, 1.0)
         with pytest.raises(ValueError):
-            gexp_step(f, 0.5, user_lambda_grid([0.0, 2.0]), cost)
+            make_gexp_family(user_lambda_grid([0.0, 2.0]), cost, grid_small)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10**6))
@@ -80,10 +79,10 @@ class TestGexpStep:
         f1 = sample_function(rng.standard_normal(g.n_nodes), g)
         f2 = sample_function(rng.standard_normal(g.n_nodes), g)
         cost = quadratic_cost(0.5)
-        lg = user_lambda_grid(np.linspace(-2, 2, 9))
+        step = make_gexp_family(user_lambda_grid(np.linspace(-2, 2, 9)), cost,
+                                g).step
         t = rng.uniform(0.0, 0.5)
-        d_out = distance(gexp_step(f1, t, lg, cost),
-                         gexp_step(f2, t, lg, cost), NormSpec("sup"))
+        d_out = distance(step(t, f1), step(t, f2), NormSpec("sup"))
         assert d_out <= distance(f1, f2, NormSpec("sup")) + 1e-12
 
     @settings(max_examples=10, deadline=None)
@@ -94,24 +93,24 @@ class TestGexpStep:
         f1 = sample_function(rng.standard_normal(g.n_nodes), g)
         f2 = sample_function(rng.standard_normal(g.n_nodes), g)
         cost = quadratic_cost(0.5)
-        lg = user_lambda_grid(np.linspace(-2, 2, 9))
+        step = make_gexp_family(user_lambda_grid(np.linspace(-2, 2, 9)), cost,
+                                g).step
         t = 0.25
         mix = sample_function(theta * f1.values[:, 0] + (1 - theta) * f2.values[:, 0], g)
-        lhs = gexp_step(mix, t, lg, cost).values
-        rhs = (theta * gexp_step(f1, t, lg, cost).values
-               + (1 - theta) * gexp_step(f2, t, lg, cost).values)
+        lhs = step(t, mix).values
+        rhs = theta * step(t, f1).values + (1 - theta) * step(t, f2).values
         assert np.min(rhs - lhs) >= -1e-10
         dom = sample_function(f1.values[:, 0] + rng.uniform(0, 1, g.n_nodes), g)
-        assert np.min(gexp_step(dom, t, lg, cost).values
-                      - gexp_step(f1, t, lg, cost).values) >= -1e-12
+        assert np.min(step(t, dom).values - step(t, f1).values) >= -1e-12
 
     def test_lipschitz_constant_preserved(self, grid_medium):
         f = sample_function("gaussian_bump", grid_medium)
         cost = quadratic_cost(0.5)
-        lg = user_lambda_grid(np.linspace(-2, 2, 17))
+        fam = make_gexp_family(user_lambda_grid(np.linspace(-2, 2, 17)), cost,
+                               grid_medium)
         c_in = lipschitz_constant_estimate(f)
         for t in (0.125, 0.5):
-            c_out = lipschitz_constant_estimate(gexp_step(f, t, lg, cost))
+            c_out = lipschitz_constant_estimate(fam.step(t, f))
             assert c_out <= c_in + 1e-8
 
 
@@ -195,14 +194,15 @@ class TestGExpectationStep:
     def test_singleton_pair_is_heat(self, grid_small):
         f = sample_function("gaussian_bump", grid_small)
         uset = SigmaLambdaSet(pairs=((1.0, 0.0),))
-        out = g_expectation_step(f, 0.25, uset)
+        out = make_g_expectation_family(uset, grid_small).step(0.25, f)
         ref = heat_drift_step(f, 0.25, HeatDriftParams.create(0.0, 1.0, 1))
         assert np.array_equal(out.values, ref.values)
 
     def test_zero_fixed(self, grid_small):
         z = sample_function("zero", grid_small)
         uset = SigmaLambdaSet(pairs=((0.5, 0.0), (1.0, 0.0)))
-        assert np.max(np.abs(g_expectation_step(z, 0.5, uset).values)) <= 1e-15
+        step = make_g_expectation_family(uset, grid_small).step
+        assert np.max(np.abs(step(0.5, z).values)) <= 1e-15
 
     def test_fd_reference_cross_check(self):
         """Independent explicit FD solve of du/dt = max_sigma sigma^2 u''/2."""
@@ -240,16 +240,15 @@ class TestGExpectationStep:
         rng = np.random.default_rng(seed)
         f1 = sample_function(rng.standard_normal(g.n_nodes), g)
         f2 = sample_function(f1.values[:, 0] + rng.uniform(0, 1, g.n_nodes), g)
-        uset = SigmaLambdaSet(pairs=((0.5, -1.0), (1.0, 1.0)))
+        step = make_g_expectation_family(
+            SigmaLambdaSet(pairs=((0.5, -1.0), (1.0, 1.0))), g).step
         t = 0.25
-        assert np.min(g_expectation_step(f2, t, uset).values
-                      - g_expectation_step(f1, t, uset).values) >= -1e-12
+        assert np.min(step(t, f2).values - step(t, f1).values) >= -1e-12
         theta = rng.uniform(0, 1)
         f3 = sample_function(rng.standard_normal(g.n_nodes), g)
         mix = sample_function(theta * f1.values[:, 0] + (1 - theta) * f3.values[:, 0], g)
-        lhs = g_expectation_step(mix, t, uset).values
-        rhs = (theta * g_expectation_step(f1, t, uset).values
-               + (1 - theta) * g_expectation_step(f3, t, uset).values)
+        lhs = step(t, mix).values
+        rhs = theta * step(t, f1).values + (1 - theta) * step(t, f3).values
         assert np.min(rhs - lhs) >= -1e-10
 
     def test_weighted_norm_envelopes(self, grid_small):
@@ -265,8 +264,7 @@ class TestRobustGbm:
     def test_singleton_pair_matches_gbm_step(self, gbm_grid):
         from semiflow.families_linear import gbm_step
         uset = SigmaLambdaSet(pairs=((0.1, 0.2),), kind="gbm")
-        fam = make_robust_gbm_family(uset, GbmParams(mu=0.1, sigma=0.2),
-                                     gbm_grid, trust_horizon=0.5)
+        fam = make_robust_gbm_family(uset, gbm_grid, trust_horizon=0.5)
         f = sample_function("identity", gbm_grid)
         out = fam.step(0.5, f)
         ref = gbm_step(f, 0.5, GbmParams(mu=0.1, sigma=0.2),

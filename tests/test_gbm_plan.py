@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import held_gbm_plan
 from semiflow import families_linear as fl
 from semiflow.families_linear import GbmParams, gbm_step
 from semiflow.state_space import GridFunction, grid_create
@@ -78,7 +79,7 @@ def test_points_beyond_the_box_read_the_last_cell(mu, sigma):
     f = GridFunction(g, 2, _state(81).values, "clamp")
     params = GbmParams(mu=mu, sigma=sigma)
     _assert_matches_reference(f, 1.0, params)
-    plan = fl._gbm_plan(g, 1.0, params, None)
+    plan = held_gbm_plan(params)
     m = plan.cells.shape[0]
     z = fl._gauss_hermite(params.quad_points)[0]
     factors = np.exp(mu - sigma**2 / 2.0 + sigma * math.sqrt(2.0) * z)
@@ -97,7 +98,7 @@ def test_held_plan_is_read_only():
     f = _state(41)
     params = GbmParams(mu=0.1, sigma=0.2)
     gbm_step(f, 0.25, params)
-    plan = fl._gbm_plan(f.grid, 0.25, params, None)
+    plan = held_gbm_plan(params)
     assert plan.cells.dtype == np.intp
     for a in (plan.cells, plan.high, plan.q):
         assert not a.flags.writeable
@@ -107,38 +108,14 @@ def test_escape_warning_on_every_flagged_call():
     g = grid_create(1, 4.0, 81)
     f = GridFunction(g, 1, g.axis(0), "clamp")
     params = GbmParams(mu=0.5, sigma=0.5)
-    fl._GBM_PLANS.clear()
+    fl._PLANS.clear()
     for _ in range(3):
         with pytest.warns(UserWarning, match="escaping"):
             gbm_step(f, 4.0, params, trusted_radius=3.9)
-    assert len(fl._GBM_PLANS) == 1
+    assert len(fl._PLANS) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         gbm_step(f, 2.0**-6, params, trusted_radius=0.5)
-
-
-def test_plan_cache_keeps_last_plan_per_member():
-    f = _state(41)
-    a = GbmParams(mu=0.1, sigma=0.2)
-    b = GbmParams(mu=-0.1, sigma=0.3)
-    fl._GBM_PLANS.clear()
-    gbm_step(f, 0.25, a)
-    gbm_step(f, 0.25, b)
-    assert len(fl._GBM_PLANS) == 2
-    plan_a = fl._gbm_plan(f.grid, 0.25, a, None)
-    plan_b = fl._gbm_plan(f.grid, 0.25, b, None)
-    # the same dt reuses the held plan
-    gbm_step(f, 0.25, a)
-    assert fl._gbm_plan(f.grid, 0.25, a, None) is plan_a
-    # a new dt replaces the member's plan and leaves the other's
-    gbm_step(f, 0.125, a)
-    assert fl._gbm_plan(f.grid, 0.125, a, None) is not plan_a
-    assert fl._gbm_plan(f.grid, 0.25, b, None) is plan_b
-    assert len(fl._GBM_PLANS) == 2
-    # a call on another grid drops every held plan
-    gbm_step(_state(81), 0.25, a)
-    assert len(fl._GBM_PLANS) == 1
-    assert fl._GBM_GRID == grid_create(1, 16.0, 81)
 
 
 def test_escape_mass_flags_match_the_normal_tail():

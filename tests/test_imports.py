@@ -24,8 +24,7 @@ from semiflow.families_nonlinear import SigmaLambdaSet, make_robust_gbm_family
 from semiflow.state_space import grid_create, sample_function
 grid = grid_create(1, 8.0, 161)
 params = GbmParams(mu=0.1, sigma=0.2)
-make_robust_gbm_family(SigmaLambdaSet(pairs=((0.1, 0.2),), kind="gbm"),
-                       params, grid)
+make_robust_gbm_family(SigmaLambdaSet(pairs=((0.1, 0.2),), kind="gbm"), grid)
 gbm_step(sample_function("identity", grid), 0.25, params)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
