@@ -118,6 +118,29 @@ def test_escape_warning_on_every_flagged_call():
         gbm_step(f, 2.0**-6, params, trusted_radius=0.5)
 
 
+def test_plan_cache_keeps_last_plan_per_member():
+    f = _state(41)
+    a = GbmParams(mu=0.1, sigma=0.2)
+    b = GbmParams(mu=-0.1, sigma=0.3)
+    fl._PLANS.clear()
+    gbm_step(f, 0.25, a)
+    gbm_step(f, 0.25, b)
+    assert len(fl._PLANS) == 2
+    plan_a, plan_b = held_gbm_plan(a), held_gbm_plan(b)
+    # the same dt reuses the held plan
+    gbm_step(f, 0.25, a)
+    assert held_gbm_plan(a) is plan_a
+    # a new dt replaces the member's plan and leaves the other's
+    gbm_step(f, 0.125, a)
+    assert held_gbm_plan(a) is not plan_a
+    assert held_gbm_plan(b) is plan_b
+    assert len(fl._PLANS) == 2
+    # a call on another grid replaces only that member's plan
+    gbm_step(_state(81), 0.25, a)
+    assert held_gbm_plan(b) is plan_b
+    assert len(fl._PLANS) == 2
+
+
 def test_escape_mass_flags_match_the_normal_tail():
     # the escape mass is 0.5 erfc(z / sqrt 2); over z in [-3, 9] it flags
     # the same nodes as the normal tail 1 - ndtr(z)

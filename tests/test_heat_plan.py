@@ -16,7 +16,9 @@ from scipy.special import ive
 
 from conftest import random_bumps
 from semiflow import families_linear as fl
+from semiflow.diagnostics import symmetric_lipschitz_certificate
 from semiflow.families_linear import heat_multi_step
+from semiflow.families_nonlinear import make_gexp_family, quadratic_cost, user_lambda_grid
 from semiflow.state_space import GridFunction, grid_create
 
 
@@ -155,3 +157,20 @@ def test_spectra_match_bessel_weights(t):
         law = (up / down) ** (k / 2.0) * ive(k, z) * math.exp(z - up - down)
         spectrum = nfft * np.fft.ifft(law)[:nfft // 2 + 1]
         assert np.max(np.abs(plan.spectra[c] - spectrum)) <= 1e-13
+
+
+def test_plan_cache_holds_one_plan_per_axis():
+    g = grid_create(1, 6.0, 1201)
+    fam = make_gexp_family(user_lambda_grid(np.linspace(-2.0, 2.0, 41)),
+                           quadratic_cost(0.5), g)
+    f = random_bumps(g, seed=3)
+    fl._PLANS.clear()
+    symmetric_lipschitz_certificate(fam, f, 0.125, [4, 5, 6, 7, 8])
+    assert list(fl._PLANS) == [("heat", 0)]
+    # the same dt reuses the held plan; a new dt replaces it
+    drifts, sigmas = np.array([0.5, -0.5]), np.ones(2)
+    plan = fl._axis_plan(g, 0, 0.25, drifts, sigmas, "zero")
+    assert fl._axis_plan(g, 0, 0.25, drifts, sigmas, "zero") is plan
+    assert fl._axis_plan(g, 0, 0.125, drifts, sigmas, "zero") is not plan
+    assert list(fl._PLANS) == [("heat", 0)]
+    assert fl._PLANS["heat", 0][1] is not plan

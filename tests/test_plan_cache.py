@@ -1,9 +1,12 @@
 """The one plan cache of the heat and GBM kernels: each slot, a grid axis of
-the heat step or a GBM member, holds the plan of its last (grid, dt)."""
+the heat step or a GBM member, holds the plan of its last (grid, dt).
+
+Reuse and replacement within one kernel are tested in test_heat_plan and
+test_gbm_plan; these tests count the plans each kernel builds."""
 
 import numpy as np
 
-from conftest import held_gbm_plan, random_bumps
+from conftest import random_bumps
 from semiflow import families_linear as fl
 from semiflow.diagnostics import symmetric_lipschitz_certificate
 from semiflow.families_linear import GbmParams, gbm_step, heat_multi_step
@@ -27,7 +30,7 @@ def _gbm_state(n):
     return GridFunction(g, 1, g.axis(0)[:, None], "clamp")
 
 
-def test_plan_cache_keeps_last_plan_per_slot(monkeypatch):
+def test_certificate_ladder_builds_one_plan_per_time(monkeypatch):
     builds = _count_builds(monkeypatch)
     fl._PLANS.clear()
     # a certificate ladder steps both states at each of its 32 times in turn
@@ -39,33 +42,12 @@ def test_plan_cache_keeps_last_plan_per_slot(monkeypatch):
     assert list(fl._PLANS) == [("heat", 0)]
     assert builds == {"heat": 32, "gbm": 0}
 
-    # heat: the same dt reuses the held plan; a new dt replaces it
-    drifts, sigmas = np.array([0.5, -0.5]), np.ones(2)
-    plan = fl._axis_plan(g, 0, 0.25, drifts, sigmas, "zero")
-    assert fl._axis_plan(g, 0, 0.25, drifts, sigmas, "zero") is plan
-    assert fl._axis_plan(g, 0, 0.125, drifts, sigmas, "zero") is not plan
-    assert list(fl._PLANS) == [("heat", 0)]
 
-    # GBM: one slot per member; a new dt or grid replaces only that
-    # member's plan
-    f = _gbm_state(41)
+def test_alternating_kernels_build_each_plan_once(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    fl._PLANS.clear()
     a = GbmParams(mu=0.1, sigma=0.2)
     b = GbmParams(mu=-0.1, sigma=0.3)
-    gbm_step(f, 0.25, a)
-    gbm_step(f, 0.25, b)
-    assert len(fl._PLANS) == 3
-    plan_a, plan_b = held_gbm_plan(a), held_gbm_plan(b)
-    gbm_step(f, 0.25, a)
-    assert held_gbm_plan(a) is plan_a
-    gbm_step(f, 0.125, a)
-    assert held_gbm_plan(a) is not plan_a
-    gbm_step(_gbm_state(81), 0.25, a)
-    assert held_gbm_plan(b) is plan_b
-    assert len(fl._PLANS) == 3
-
-    # heat and GBM steps alternating at one dt build each plan once
-    fl._PLANS.clear()
-    builds.update(heat=0, gbm=0)
     heat_state = random_bumps(grid_create(2, 3.0, 41), seed=1)
     gbm_state = _gbm_state(81)
     for _ in range(4):
