@@ -54,16 +54,17 @@ from .families_linear import (
     make_identity_base_family,
 )
 from .families_nonlinear import (
+    COST_PRESETS,
+    PERTURBATION_PRESETS,
     SigmaLambdaSet,
     auto_lambda_grid,
-    indicator_cost,
+    cost_preset,
     make_g_expectation_family,
     make_gexp_family,
     make_ode_family,
     make_perturbation_family,
     make_robust_gbm_family,
     perturbation_preset,
-    quadratic_cost,
     telescoping_residual,
     user_lambda_grid,
     vector_field_preset,
@@ -97,8 +98,8 @@ _FAMILY_DEFAULTS = {
                      "psi": {"name": "sin"}},
 }
 FAMILY_NAMES = tuple(_FAMILY_DEFAULTS)
-# Every default a gexp cost reads, by cost name.
-_COST_DEFAULTS = {"quadratic": {"a": 0.5}, "indicator": {"lo": -1.0, "hi": 1.0}}
+# The family fields that name a preset, with the presets they may name.
+_PRESETS = {"cost": COST_PRESETS, "psi": PERTURBATION_PRESETS}
 # Every schedule default a task reads.  Derived from t_list at parse time:
 # defect_t = t_list[0] / 2 and monotonicity_t = t_list[0].
 _SCHEDULE_DEFAULTS = {
@@ -109,14 +110,12 @@ _SCHEDULE_DEFAULTS = {
 }
 # Most steps one selected task may take; a schedule that allows more is a
 # config error.  A limit over a span T takes fewer than T 2^(n_max+1) steps;
-# the generator runs each h up to level n_max + 4, and a certificate ladder
+# generator limits go GENERATOR_EXTRA_LEVELS past n_max; a certificate ladder
 # (two states when symmetric) up to level n takes fewer than T 2^(n+1) steps.
 # Every shipped config and benchmark workload stays below 2^18.
 MAX_LIMIT_STEPS = 2**27
 TASK_NAMES = ("evolve", "defect", "generator", "certificate", "audit",
               "monotonicity", "telescoping")
-# The verdicts a Lipschitz certificate can reach.
-VERDICTS = ("bounded", "diverging", "inconclusive")
 
 
 class ConfigError(ValueError):
@@ -127,20 +126,22 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def _suggest(name, candidates):
-    close = difflib.get_close_matches(name, candidates, n=3, cutoff=0.5)
-    return f" (did you mean: {', '.join(close)})" if close else ""
+def _one_of(value, names, path, what):
+    """value, which must be one of names: else an error at path, with a hint."""
+    if value not in names:
+        close = difflib.get_close_matches(str(value), names, n=3, cutoff=0.5)
+        hint = f" (did you mean: {', '.join(close)})" if close else ""
+        raise ConfigError(path, f"unknown {what} {value!r}{hint}")
 
 
 def _filled(given, path, defaults, also=()):
-    """defaults updated by given, every key of which must be a default or in
-    also: a field that nothing reads, say a misspelled one, is an error
-    rather than a run with its default."""
-    known = [*defaults, *also]
+    """defaults updated by given, which must be an object every key of which
+    is a default or in also: a field that nothing reads, say a misspelled
+    one, is an error rather than a run with its default."""
+    if not isinstance(given, dict):
+        raise ConfigError(path, "must be an object")
     for key in given:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}",
-                              f"unknown field {key!r}{_suggest(key, known)}")
+        _one_of(key, [*defaults, *also], f"{path}.{key}", "field")
     return {**defaults, **given}
 
 
@@ -157,17 +158,19 @@ class ExperimentSpec(Record):
 
 
 def _require(mapping, key, path):
+    if not isinstance(mapping, dict):
+        raise ConfigError(path, "must be an object")
     if key not in mapping:
         raise ConfigError(f"{path}.{key}", "missing required field")
     return mapping[key]
 
 
-def _validated(path, build, *args):
-    """build(*args), with a ValueError, TypeError, KeyError or OSError it
-    raises re-raised as a ConfigError at path: the library's constructors and
+def _validated(path, build, *args, **kwargs):
+    """build(*args, **kwargs), with a ValueError, TypeError, KeyError or
+    OSError it raises re-raised as a ConfigError at path: the library's
     checks state the rules.  A ConfigError passes through unchanged."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except ConfigError:
         raise
     except KeyError as e:
@@ -181,9 +184,43 @@ def _integer(value, least):
         raise ValueError(f"must be an integer >= {least}, got {value!r}")
 
 
-def _number(value, least):
-    if type(value) not in (int, float) or not least <= value < math.inf:
-        raise ValueError(f"must be a finite number >= {least:g}, got {value!r}")
+def _number(value, least=-sys.float_info.max):
+    if type(value) not in (int, float) or not least <= value <= sys.float_info.max:
+        bound = f" >= {least:g}" if least > -sys.float_info.max else ""
+        raise ValueError(f"must be a finite number{bound}, got {value!r}")
+
+
+def _numbers(value, path):
+    """value, a finite number or a (nested) list of them, checked entrywise."""
+    if isinstance(value, list):
+        for i, entry in enumerate(value):
+            _numbers(entry, f"{path}[{i}]")
+    else:
+        _validated(path, _number, value)
+
+
+def _preset(given, path, presets, name):
+    """given, an object {"name": ..., **params} (name when it names none),
+    filled from the defaults of that preset; each param a finite number."""
+    name = given.get("name", name) if isinstance(given, dict) else name
+    _one_of(name, tuple(presets), f"{path}.name", "preset")
+    filled = _filled(given, path, {"name": name, **presets[name]})
+    for key in presets[name]:
+        _validated(f"{path}.{key}", _number, filled[key])
+    return filled
+
+
+def _check_lambda_grid(value, path):
+    """"auto", a list of drifts, or an object of finite min, max and step > 0."""
+    if isinstance(value, list):
+        _numbers(value, path)
+    elif value != "auto":
+        keys = ("min", "max", "step")
+        bounds = _filled(value, path, {}, keys)
+        for key in keys:
+            _validated(f"{path}.{key}", _number, _require(bounds, key, path))
+        if not bounds["step"] > 0:
+            raise ConfigError(f"{path}.step", "must be positive")
 
 
 def _entries(schedule, key, least, check, *args):
@@ -225,7 +262,7 @@ def _check_tasks(schedule, tasks):
             if not h > 0 or (i and h >= hs[i - 1]):
                 raise ConfigError(f"{path}.h_levels[{i}]",
                                   "must be positive and strictly decreasing")
-        budget["generator"] = ("n_max", sum(hs), top + 4)
+        budget["generator"] = ("n_max", sum(hs), top + diag.GENERATOR_EXTRA_LEVELS)
     if "certificate" in tasks:
         levels = _entries(schedule, "certificate_levels", 1, check_level)
         T = schedule["certificate_horizon"]
@@ -257,52 +294,46 @@ def parse_config(path) -> ExperimentSpec:
         raise ConfigError(str(path), "top-level config must be an object")
 
     _filled(raw, "config", {}, [f.name for f in dataclasses.fields(ExperimentSpec)])
-    for key in ("family", "grid", "norm", "initial", "schedule"):
-        if not isinstance(raw.get(key, {}), dict):
-            raise ConfigError(f"config.{key}", "must be an object")
     given = _require(raw, "family", "config")
     fname = _require(given, "name", "config.family")
-    if fname not in FAMILY_NAMES:
-        raise ConfigError("config.family.name",
-                          f"unknown family {fname!r}{_suggest(fname, FAMILY_NAMES)}")
+    _one_of(fname, FAMILY_NAMES, "config.family.name", "family")
     family = _filled(given, "config.family", copy.deepcopy(_FAMILY_DEFAULTS[fname]),
                      ["name", "expected_verdict"]
                      + ["trust_horizon"] * (fname == "robust_gbm"))
-    verdict = family.get("expected_verdict")
-    if "expected_verdict" in family and verdict not in VERDICTS:
-        raise ConfigError("config.family.expected_verdict",
-                          f"must be one of {', '.join(VERDICTS)}, got {verdict!r}"
-                          f"{_suggest(str(verdict), VERDICTS)}")
-    if fname == "gexp":
-        if not isinstance(family["cost"], dict):
-            raise ConfigError("config.family.cost", "must be an object")
-        cost = {**_FAMILY_DEFAULTS["gexp"]["cost"], **family["cost"]}
-        cname, names = cost["name"], tuple(_COST_DEFAULTS)
-        if cname not in names:
-            raise ConfigError("config.family.cost.name",
-                              f"unknown cost {cname!r}{_suggest(cname, names)}")
-        family["cost"] = _filled(cost, "config.family.cost", _COST_DEFAULTS[cname],
-                                 ["name"])
+    for key, value in family.items():
+        path = f"config.family.{key}"
+        if key in _PRESETS:
+            family[key] = _preset(value, path, _PRESETS[key],
+                                  _FAMILY_DEFAULTS[fname][key]["name"])
+        elif key == "lambda_grid":
+            _check_lambda_grid(value, path)
+        elif key == "M":
+            _validated(path, _integer, value, 1)
+        elif key == "base":
+            _one_of(value, ("heat", "identity"), path, "base")
+        elif key == "expected_verdict":
+            _one_of(value, diag.VERDICTS, path, "verdict")
+        elif key != "name":
+            _numbers(value, path)
 
     grid = _filled(raw.get("grid", {}), "config.grid",
                    {"dim": 1, "x_max": 8.0, "n_points": 1601})
-    _validated("config.grid", _build_grid, grid)
+    _validated("config.grid", grid_create, **grid)
     norm = _filled(raw.get("norm", {}), "config.norm", dataclasses.asdict(NormSpec()))
-    _validated("config.norm", _build_norm, norm)
+    _validated("config.norm", NormSpec, **norm)
 
     initial = _filled(raw.get("initial", {}), "config.initial", {},
                       ["value"] if fname.startswith("ode_") else ["preset", "table"])
     if fname.startswith("ode_"):
         initial.setdefault("value", [1.0] if fname == "ode_neg_identity"
                            else [1.0, 0.0])
+        _numbers(initial["value"], "config.initial.value")
     else:
         preset = initial.get("preset")
         if preset is None and "table" not in initial:
             initial["preset"] = "gaussian_bump"
-        elif preset is not None and preset not in PRESET_NAMES:
-            raise ConfigError(
-                "config.initial.preset",
-                f"unknown preset {preset!r}{_suggest(preset, PRESET_NAMES)}")
+        elif preset is not None:
+            _one_of(preset, PRESET_NAMES, "config.initial.preset", "preset")
 
     schedule = _filled(raw.get("schedule", {}), "config.schedule",
                        copy.deepcopy(_SCHEDULE_DEFAULTS),
@@ -329,16 +360,12 @@ def parse_config(path) -> ExperimentSpec:
             raise ConfigError("config.norm", "robust_gbm runs in the weighted "
                               f"norm with the family's p = {family['p']!r}")
         norm = {"kind": "weighted", "p": family["p"]}
-    elif fname == "perturbation" and family["base"] not in ("heat", "identity"):
-        raise ConfigError("config.family.base", "must be 'heat' or 'identity'")
 
     tasks = raw.get("tasks", ["evolve"])
     if not tasks:
         raise ConfigError("config.tasks", "must list at least one task")
     for i, task in enumerate(tasks):
-        if task not in TASK_NAMES:
-            raise ConfigError(f"config.tasks[{i}]",
-                              f"unknown task {task!r}{_suggest(task, TASK_NAMES)}")
+        _one_of(task, TASK_NAMES, f"config.tasks[{i}]", "task")
 
     if "monotonicity" in tasks and fname.startswith("ode_"):
         raise ConfigError("config.tasks", "monotonicity requires a grid family")
@@ -369,37 +396,22 @@ def parse_config(path) -> ExperimentSpec:
 # building families and states from a spec
 # ---------------------------------------------------------------------------
 
-def _build_grid(g: dict) -> Grid:
-    return grid_create(g["dim"], g["x_max"], g["n_points"])
-
-
-def _build_norm(norm: dict) -> NormSpec:
-    return NormSpec(kind=norm["kind"], p=float(norm["p"]))
-
-
-def _build_cost(cfg):
-    if cfg["name"] == "quadratic":
-        return quadratic_cost(float(cfg["a"]))
-    return indicator_cost(float(cfg["lo"]), float(cfg["hi"]))
-
-
 def build_family(spec: ExperimentSpec):
     """Returns (family, initial_state) for a parsed spec."""
     fam_cfg = spec.family
     name = fam_cfg["name"]
 
     if name.startswith("ode_"):
-        vf = vector_field_preset("neg_identity" if name == "ode_neg_identity"
-                                 else "rotation")
+        vf = vector_field_preset(name.removeprefix("ode_"))
         family = make_ode_family(vf)
-        value = np.atleast_1d(np.asarray(spec.initial["value"], dtype=float))
+        value = np.atleast_1d(spec.initial["value"])
         if value.size != vf.dim:
             raise ConfigError("config.initial.value",
                               f"expected {vf.dim} coordinates")
         return family, VectorState(value)
 
-    grid = _build_grid(spec.grid)
-    norm = _build_norm(spec.norm)
+    grid = grid_create(**spec.grid)
+    norm = NormSpec(**spec.norm)
     initial = _build_initial_grid_state(spec, grid)
 
     if name == "heat":
@@ -407,35 +419,31 @@ def build_family(spec: ExperimentSpec):
                                         grid.dim)
         return make_heat_family(params, norm, grid), initial
     if name == "gexp":
-        cost = _build_cost(fam_cfg["cost"])
+        cost = cost_preset(**fam_cfg["cost"])
         lg_cfg = fam_cfg["lambda_grid"]
         if lg_cfg == "auto":
             lgrid = auto_lambda_grid(cost, lipschitz_constant_estimate(initial))
         elif isinstance(lg_cfg, dict):
-            lo, hi = float(lg_cfg["min"]), float(lg_cfg["max"])
-            step = float(lg_cfg["step"])
+            lo, hi, step = lg_cfg["min"], lg_cfg["max"], lg_cfg["step"]
             lgrid = user_lambda_grid(np.round(np.arange(lo, hi + step / 2, step), 12))
         else:
-            lgrid = user_lambda_grid(np.asarray(lg_cfg, dtype=float))
+            lgrid = user_lambda_grid(lg_cfg)
         return make_gexp_family(lgrid, cost, grid, norm), initial
     if name == "g_expectation":
-        pairs = tuple((float(s), float(l))
-                      for s in fam_cfg["sigmas"] for l in fam_cfg["lambdas"])
+        pairs = tuple((s, l) for s in fam_cfg["sigmas"] for l in fam_cfg["lambdas"])
         uset = SigmaLambdaSet(pairs=pairs, kind="diffusion_drift")
         return make_g_expectation_family(uset, grid, norm), initial
     if name == "robust_gbm":
-        pairs = tuple((float(mu), float(sig)) for mu, sig in fam_cfg["pairs"])
+        pairs = tuple((mu, sig) for mu, sig in fam_cfg["pairs"])
         uset = SigmaLambdaSet(pairs=pairs, kind="gbm")
-        family = make_robust_gbm_family(uset, grid, int(fam_cfg["M"]),
-                                        float(fam_cfg["p"]),
-                                        float(fam_cfg["trust_horizon"]))
+        family = make_robust_gbm_family(uset, grid, fam_cfg["M"], fam_cfg["p"],
+                                        fam_cfg["trust_horizon"])
         return family, dataclasses.replace(initial, extension_mode="clamp")
     if name == "perturbation":
         base = (make_heat_family(HeatDriftParams.create(
                     fam_cfg["drift"], fam_cfg["sigma"], grid.dim), norm, grid)
                 if fam_cfg["base"] == "heat" else make_identity_base_family(grid, norm))
-        psi_cfg = dict(fam_cfg["psi"])
-        pert = perturbation_preset(psi_cfg.pop("name"), **psi_cfg)
+        pert = perturbation_preset(**fam_cfg["psi"])
         return make_perturbation_family(base, pert, grid), initial
     raise ConfigError("config.family.name", f"unknown family {name!r}")
 

@@ -33,6 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chernoff import (
+    DEFAULT_N_MAX,
+    DEFAULT_N_MIN,
     GeneratingFamilyDescriptor,
     Record,
     apply_partition,
@@ -64,11 +66,16 @@ __all__ = [
     "BOUNDED_PLATEAU_FACTOR",
     "DIVERGING_GROWTH_FACTOR",
     "AUDIT_SLACK",
+    "VERDICTS",
+    "GENERATOR_EXTRA_LEVELS",
 ]
 
 BOUNDED_PLATEAU_FACTOR = 1.1
 DIVERGING_GROWTH_FACTOR = 1.2
 AUDIT_SLACK = 1e-8
+# what _classify returns, best first: a joint verdict is the worse of two
+VERDICTS = ("bounded", "inconclusive", "diverging")
+GENERATOR_EXTRA_LEVELS = 4  # levels a generator probe may run past its own
 _RATIO_FLOOR = 1e-14
 
 
@@ -160,25 +167,20 @@ def symmetric_lipschitz_certificate(family: GeneratingFamilyDescriptor,
 
     Since the norm is symmetric, the conjugate ratio equals the plain ratio
     of -f, so the minus certificate probes -f under I.  The joint verdict is
-    bounded only if both coordinates are bounded.
+    the worse of the two: bounded only if both coordinates are bounded.
     """
     if not family.minus_conjugate:
         raise ValueError(f"{family.name}: conjugate family is not available")
     q_plus, q_minus = _ladder_quotients(family, [f, negate(f)], T, levels)
     cert_plus = _certificate(q_plus, T, levels, f"{state_id}+")
     cert_minus = _certificate(q_minus, T, levels, f"{state_id}-")
-    if cert_plus.verdict == "bounded" and cert_minus.verdict == "bounded":
-        joint = "bounded"
-    elif "diverging" in (cert_plus.verdict, cert_minus.verdict):
-        joint = "diverging"
-    else:
-        joint = "inconclusive"
+    joint = max(cert_plus.verdict, cert_minus.verdict, key=VERDICTS.index)
     return cert_plus, cert_minus, joint
 
 
 def invariance_probe(family: GeneratingFamilyDescriptor, f: GridFunction,
-                     t: float, T: float, levels,
-                     tol: float = 1e-3, n_min: int = 4, n_max: int = 14):
+                     t: float, T: float, levels, tol: float = 1e-3,
+                     n_min: int = DEFAULT_N_MIN, n_max: int = DEFAULT_N_MAX):
     """Evolve f to S(t)f by the Chernoff limit, then certify the result."""
     if t == 0.0:
         evolved = f
@@ -235,7 +237,7 @@ def _trend_is_decreasing(errors, blip_factor: float = 1.2) -> bool:
 
 
 def generator_estimate(family: GeneratingFamilyDescriptor, f, h_levels,
-                       tol: float = 1e-3, n_max: int = 14,
+                       tol: float = 1e-3, n_max: int = DEFAULT_N_MAX,
                        mask: np.ndarray | None = None) -> GeneratorTable:
     """Difference-quotient check of the analytic generator.
 
@@ -259,7 +261,7 @@ def generator_estimate(family: GeneratingFamilyDescriptor, f, h_levels,
     flagged = []
     for h, level in zip(hs, levels):
         evolved, rep = chernoff_limit(family, h, f, tol=tol, n_min=level,
-                                      n_max=max(n_max, level + 4))
+                                      n_max=max(n_max, level + GENERATOR_EXTRA_LEVELS))
         flagged.append(not rep.converged)
         errors.append(_quotient_error(family, f, evolved, h, mask))
     return GeneratorTable(

@@ -60,6 +60,8 @@ __all__ = [
     "VectorField",
     "quadratic_cost",
     "indicator_cost",
+    "cost_preset",
+    "COST_PRESETS",
     "effective_lambda_radius",
     "make_gexp_family",
     "auto_lambda_grid",
@@ -72,6 +74,7 @@ __all__ = [
     "perturbation_step",
     "make_perturbation_family",
     "perturbation_preset",
+    "PERTURBATION_PRESETS",
     "telescoping_residual",
     "DEFAULT_LAMBDA_POINTS",
 ]
@@ -101,7 +104,7 @@ class CostFunction:
             raise ValueError("cost must vanish at its anchor")
 
 
-def quadratic_cost(a: float = 0.5, dim: int = 1) -> CostFunction:
+def quadratic_cost(a: float, dim: int = 1) -> CostFunction:
     """L(lam) = a |lam|^2; the witness radius solves a r^2 = c r, i.e. r = c/a."""
     if a <= 0:
         raise ValueError("quadratic coefficient must be positive")
@@ -128,6 +131,26 @@ def indicator_cost(lo: float, hi: float) -> CostFunction:
     return CostFunction(evaluate=ev, anchor=np.array([anchor]),
                         witness_radius=lambda c: max(abs(lo), abs(hi)),
                         name=f"indicator_{lo}_{hi}")
+
+
+# Every parameter of each cost preset, with its default.
+COST_PRESETS = {"quadratic": {"a": 0.5}, "indicator": {"lo": -1.0, "hi": 1.0}}
+
+
+def _preset_params(presets: dict, name: str, params: dict) -> dict:
+    """The defaults of presets[name] updated by params, each one of its own."""
+    if name not in presets:
+        raise ValueError(f"unknown preset {name!r}")
+    for key in params:
+        if key not in presets[name]:
+            raise ValueError(f"preset {name!r} has no parameter {key!r}")
+    return {**presets[name], **params}
+
+
+def cost_preset(name: str, **params) -> CostFunction:
+    """The preset `name` of COST_PRESETS, its defaults updated by params."""
+    params = _preset_params(COST_PRESETS, name, params)
+    return (quadratic_cost if name == "quadratic" else indicator_cost)(**params)
 
 
 @dataclass(frozen=True)
@@ -434,22 +457,27 @@ class PerturbationSpec:
     name: str = "psi"
 
 
-def perturbation_preset(name: str, **kw) -> PerturbationSpec:
+# Every parameter of each perturbation preset, with its default.
+PERTURBATION_PRESETS = {"sin": {}, "linear": {"c": 1.0}, "neg_identity": {},
+                        "cubic": {"k": 1.0}}
+
+
+def perturbation_preset(name: str, **params) -> PerturbationSpec:
+    """The preset `name` of PERTURBATION_PRESETS, its defaults updated by params."""
+    params = _preset_params(PERTURBATION_PRESETS, name, params)
     if name == "sin":
         return PerturbationSpec(psi=np.sin, growth_k=1.0,
                                 lip_profile=lambda R: 1.0, name="sin")
     if name == "linear":
-        c = float(kw.get("c", 1.0))
+        c = params["c"]
         return PerturbationSpec(psi=lambda u: c * u, growth_k=abs(c),
                                 lip_profile=lambda R: abs(c), name=f"linear_{c}")
     if name == "neg_identity":
         return PerturbationSpec(psi=lambda u: -u, growth_k=1.0,
                                 lip_profile=lambda R: 1.0, name="neg_identity")
-    if name == "cubic":
-        # rejected by the growth probe; kept as a negative example
-        return PerturbationSpec(psi=lambda u: u**3, growth_k=float(kw.get("k", 1.0)),
-                                lip_profile=lambda R: 3.0 * R * R, name="cubic")
-    raise ValueError(f"unknown perturbation preset {name!r}")
+    # cubic: rejected by the growth probe; kept as a negative example
+    return PerturbationSpec(psi=lambda u: u**3, growth_k=params["k"],
+                            lip_profile=lambda R: 3.0 * R * R, name="cubic")
 
 
 _PROBE_VALUES = np.linspace(-20.0, 20.0, 4001)

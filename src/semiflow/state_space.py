@@ -58,6 +58,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and bool(np.isfinite(value)))
+
+
 def _check_dim(dim):
     if not (_is_integer(dim) and dim in (1, 2)):
         raise ValueError(f"dim must be the integer 1 or 2, got {dim!r}")
@@ -74,8 +79,8 @@ class Grid:
     def __post_init__(self):
         _check_dim(self.dim)
         for X in self.x_max:
-            if not (X > 0):
-                raise ValueError("x_max must be positive")
+            if not (_is_finite_number(X) and X > 0):
+                raise ValueError(f"x_max must be finite positive numbers, got {X!r}")
         for n in self.n_points:
             if not (_is_integer(n) and n >= 3 and n % 2 == 1):
                 raise ValueError("n_points must be odd integers >= 3 so that 0"
@@ -108,7 +113,7 @@ def grid_create(dim: int, x_max, n_points) -> Grid:
     _check_dim(dim)  # before the per-axis tuples are built from it
     return Grid(
         dim=int(dim),
-        x_max=tuple(map(float, _as_axis_tuple(x_max, dim))),
+        x_max=_as_axis_tuple(x_max, dim),
         n_points=_as_axis_tuple(n_points, dim),
     )
 
@@ -158,8 +163,9 @@ class NormSpec:
     def __post_init__(self):
         if self.kind not in ("sup", "weighted"):
             raise ValueError("kind must be 'sup' or 'weighted'")
-        if self.kind == "weighted" and not self.p > 1:
-            raise ValueError("weight exponent p must be > 1")
+        if not _is_finite_number(self.p) or (self.kind == "weighted" and not self.p > 1):
+            raise ValueError("weight exponent p must be a finite number, > 1 for the"
+                             f" weighted norm, got {self.p!r}")
 
     def weights(self, grid: Grid) -> np.ndarray:
         """Node weights kappa(x); all ones for the sup norm."""

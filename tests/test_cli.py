@@ -426,6 +426,47 @@ class TestMainEntry:
         (dict(HEAT_41, family={"name": "robust_gbm", "p": 2.0},
               norm={"kind": "weighted", "p": 3.0}, schedule={"t_list": [0.5]}),
          "config.norm"),
+        (dict(HEAT_41, family={"name": 5}, schedule={"t_list": [0.5]}),
+         "config.family.name"),
+        # a preset object holds its name and that preset's parameters
+        (dict(HEAT_41, family={"name": "perturbation", "psi": {"name": "sin", "c": 5.0}},
+              schedule={"t_list": [0.5]}), "config.family.psi.c"),
+        (dict(HEAT_41, family={"name": "perturbation", "psi": {"name": "sinn"}},
+              schedule={"t_list": [0.5]}), "config.family.psi.name"),
+        (dict(HEAT_41, family={"name": "perturbation", "psi": "sin"},
+              schedule={"t_list": [0.5]}), "config.family.psi"),
+        (dict(HEAT_41, family={"name": "gexp", "lambda_grid":
+                               {"min": -1.0, "max": 1.0, "stpe": 0.1}},
+              schedule={"t_list": [0.5]}), "config.family.lambda_grid.stpe"),
+        (dict(HEAT_41, family={"name": "gexp", "lambda_grid":
+                               {"min": -1.0, "max": 1.0, "step": 0}},
+              schedule={"t_list": [0.5]}), "config.family.lambda_grid.step"),
+        (dict(HEAT_41, family={"name": "gexp", "lambda_grid": {"min": -1.0, "step": 0.1}},
+              schedule={"t_list": [0.5]}), "config.family.lambda_grid.max"),
+        # a number is a finite JSON number, never a string or a boolean cast to one
+        (dict(HEAT_41, family={"name": "robust_gbm", "M": 64.7},
+              schedule={"t_list": [0.5]}), "config.family.M"),
+        (dict(HEAT_41, family={"name": "heat", "sigma": True},
+              schedule={"t_list": [0.5]}), "config.family.sigma"),
+        (dict(HEAT_41, family={"name": "heat", "drift": "0.5"},
+              schedule={"t_list": [0.5]}), "config.family.drift"),
+        # an integer beyond the float range is no finite number either
+        (dict(HEAT_41, family={"name": "heat", "drift": -10**400},
+              schedule={"t_list": [0.5]}), "config.family.drift"),
+        (dict(HEAT_41, family={"name": "robust_gbm", "p": "3"},
+              schedule={"t_list": [0.5]}), "config.family.p"),
+        (dict(HEAT_41, family={"name": "g_expectation", "sigmas": ["0.5", 1.0]},
+              schedule={"t_list": [0.5]}), "config.family.sigmas[0]"),
+        (dict(HEAT_41, family={"name": "robust_gbm", "pairs": [["0.1", 0.2]]},
+              schedule={"t_list": [0.5]}), "config.family.pairs[0][0]"),
+        (dict(HEAT_41, family={"name": "perturbation", "psi": {"name": "linear", "c": "2"}},
+              schedule={"t_list": [0.5]}), "config.family.psi.c"),
+        (dict(HEAT_41, family={"name": "gexp", "lambda_grid": [0.0, "1"]},
+              schedule={"t_list": [0.5]}), "config.family.lambda_grid[1]"),
+        (dict(HEAT_41, grid={"x_max": "16"}, schedule={"t_list": [0.5]}), "config.grid"),
+        (dict(HEAT_41, norm={"kind": "sup", "p": "3"}, schedule={"t_list": [0.5]}),
+         "config.norm"),
+        (dict(MINIMAL_ODE, initial={"value": ["1"]}), "config.initial.value[0]"),
     ])
     def test_parse_time_config_errors(self, tmp_path, capsys, cfg, field):
         with pytest.raises(ConfigError) as exc:
@@ -456,6 +497,7 @@ class TestMainEntry:
         ({"dim": 1.5}, "dim must be the integer 1 or 2"),
         ({"n_points": None}, "n_points must be odd integers >= 3"),
         ({"n_points": 241.9}, "n_points must be odd integers >= 3"),
+        ({"x_max": "16"}, "x_max must be finite positive numbers"),
     ])
     def test_wrong_typed_grid_names_the_rule(self, tmp_path, grid, rule):
         cfg = dict(self.HEAT_41, grid=grid, schedule={"t_list": [0.5]})
@@ -472,6 +514,9 @@ class TestMainEntry:
             cfg["family"] = {"name": "gexp", "cost": cost}
             spec = parse_config(write_config(tmp_path, cfg))
             assert spec.family["cost"] == {"name": "quadratic", "a": 0.5}
+        cfg["family"] = {"name": "perturbation", "psi": {"name": "linear"}}
+        spec = parse_config(write_config(tmp_path, cfg))
+        assert spec.family["psi"] == {"name": "linear", "c": 1.0}
 
     def test_unknown_cost_suggests(self, tmp_path):
         cfg = dict(self.HEAT_41, family={"name": "gexp", "cost": {"name": "quadratik"}},
@@ -479,6 +524,13 @@ class TestMainEntry:
         with pytest.raises(ConfigError, match="did you mean: quadratic") as exc:
             parse_config(write_config(tmp_path, cfg))
         assert exc.value.field_path == "config.family.cost.name"
+
+    def test_unknown_psi_suggests(self, tmp_path):
+        cfg = dict(self.HEAT_41, family={"name": "perturbation", "psi": {"name": "sinn"}},
+                   schedule={"t_list": [0.5]})
+        with pytest.raises(ConfigError, match="did you mean: sin") as exc:
+            parse_config(write_config(tmp_path, cfg))
+        assert exc.value.field_path == "config.family.psi.name"
 
     @pytest.mark.parametrize("family", [
         {"name": "robust_gbm", "pairs": []},

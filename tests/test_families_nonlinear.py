@@ -17,6 +17,7 @@ from semiflow.families_linear import (
 from semiflow.families_nonlinear import (
     SigmaLambdaSet,
     auto_lambda_grid,
+    cost_preset,
     effective_lambda_radius,
     indicator_cost,
     make_g_expectation_family,
@@ -362,6 +363,20 @@ class TestPerturbation:
         ref = math.exp(c * t) * (1 + 2 * t) ** -0.5 * np.exp(-x**2 / (1 + 2 * t))
         m = np.abs(x) <= 3.0
         assert np.max(np.abs(out.values[m, 0] - ref[m])) <= 1e-3
+
+    def test_preset_takes_only_its_parameters(self):
+        with pytest.raises(ValueError, match="preset 'sin' has no parameter 'c'"):
+            perturbation_preset("sin", c=5.0)
+        with pytest.raises(ValueError, match="unknown preset 'sinn'"):
+            perturbation_preset("sinn")
+        assert perturbation_preset("linear").growth_k == 1.0
+        assert perturbation_preset("linear", c=-2.0).growth_k == 2.0
+
+    def test_cost_preset_fills_its_defaults(self):
+        assert cost_preset("quadratic").name == "quadratic_0.5"
+        assert cost_preset("indicator", hi=2.0).name == "indicator_-1.0_2.0"
+        with pytest.raises(ValueError, match="preset 'quadratic' has no parameter 'b'"):
+            cost_preset("quadratic", b=1.0)
 
     def test_growth_probe_rejects_cubic(self, grid_small):
         ident = make_identity_base_family(grid_small, NormSpec("sup"))

@@ -2,7 +2,9 @@
 
 The package needs only numpy at run time: importing the CLI, building a
 robust GBM family and taking a GBM step (whose plans are numpy gather
-arrays) load no scipy module at all.
+arrays) load no scipy module at all.  The package root imports none of its
+modules, so a module loads only what it needs and `python -m semiflow.cli`
+runs the CLI module fresh.
 """
 
 import os
@@ -13,6 +15,7 @@ from pathlib import Path
 from scipy.special import ndtri
 
 from semiflow import families_linear as fl
+from semiflow.state_space import grid_create, sample_function, write_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,14 +33,35 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_cli_import_loads_no_scipy_special_or_sparse():
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", PROBE], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_cli_import_loads_no_scipy_special_or_sparse():
+    proc = run_python("-c", PROBE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]"]
+
+
+def test_module_import_loads_only_its_dependencies():
+    proc = run_python("-c", "import sys, semiflow.state_space; "
+                      "print(sorted(m for m in sys.modules if m.startswith('semiflow')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["['semiflow',", "'semiflow.state_space']"]
+
+
+def test_cli_runs_as_a_module_without_warnings(tmp_path):
+    write_csv(sample_function("gaussian_bump", grid_create(1, 2.0, 21)),
+              tmp_path / "f.csv")
+    proc = run_python("-m", "semiflow.cli", "plot", str(tmp_path / "f.csv"),
+                      str(tmp_path / "f.svg"))
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr
+    assert (tmp_path / "f.svg").exists()
 
 
 def test_escape_quantile_is_the_normal_quantile():
