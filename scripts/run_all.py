@@ -2,7 +2,8 @@
 """Run every example config under scripts/configs and summarize the results.
 
 Each experiment writes its artifacts to out/<config-name>/ (override with
-SEMIFLOW_OUT or --out).  Exit code is nonzero if any asserted check failed.
+SEMIFLOW_OUT or --out); --only runs just the named config stems.  Exit code
+is 1 if any asserted check failed and 2 if --only names an unknown stem.
 """
 
 import argparse
@@ -20,9 +21,14 @@ def main() -> int:
     ap.add_argument("--out", default=os.environ.get("SEMIFLOW_OUT", "out"))
     ap.add_argument("--only", nargs="*", help="config stems to run")
     args = ap.parse_args()
+    paths = sorted(CONFIG_DIR.glob("*.json"))
+    stems = [p.stem for p in paths]
+    unknown = [stem for stem in args.only or () if stem not in stems]
+    if unknown:
+        ap.error(f"unknown config stem(s) {', '.join(unknown)}; known: {', '.join(stems)}")
 
     failures = 0
-    for cfg_path in sorted(CONFIG_DIR.glob("*.json")):
+    for cfg_path in paths:
         if args.only and cfg_path.stem not in args.only:
             continue
         spec = parse_config(cfg_path)

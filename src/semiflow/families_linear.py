@@ -18,7 +18,12 @@ Two kernels are provided:
   The step of one dt is the same for all 2^n steps of a level, so it is
   compiled once into a step plan per axis and dt: the characteristic
   function exp(dt psi(xi)), psi(xi) = r+ (e^{i xi} - 1) + r- (e^{-i xi} - 1),
-  of every candidate at the rFFT frequencies.  The axis is extended by
+  of every candidate at the rFFT frequencies.  Candidates that share one
+  rate sum r+ + r- and whose means r+ - r- step evenly, the drifts of a
+  uniform drift grid under one sigma, have spectra row 0 times the powers of
+  one step phase, which one cumulative product over the candidates gives
+  from two complex exp rows (_stepped_spectra); any other set takes one
+  exp per candidate and frequency.  The axis is extended by
   zeros or edge values beyond the reach of every kernel (its mean plus
   KERNEL_CUTOFF_SIGMAS standard deviations and a Poisson-tail margin), so
   the wrapped mass stays below 1e-15.  A step applies the plan to all
@@ -158,6 +163,8 @@ _CHUNK_BYTES = 2**17
 # Nodes beyond the cutoff that hold the Poisson tail of kernels narrower
 # than a node (var dt / h^2 << 1), whose taps decay like lambda^k / k!.
 _TAIL_NODES = 30
+# Bound on the error _stepped_spectra may add to a plan's spectra.
+_STEPPED_TOL = 1e-13
 # (key, plan) of the last plan of each slot, see _last_plan.
 _PLANS: dict = {}
 
@@ -208,8 +215,8 @@ def _build_axis_plan(n: int, h: float, shifts: np.ndarray, s: np.ndarray,
     """Compile the plan of one axis of n nodes for one-step shifts b dt and
     scales sigma sqrt(dt): the rates times dt are the expected jumps."""
     up, down = _jump_rates(shifts, s * s, h)
-    mean = up - down
-    sd = np.sqrt(up + down)
+    rate, mean = up + down, up - down
+    sd = np.sqrt(rate)
     reach = math.ceil(np.max(np.abs(mean) + KERNEL_CUTOFF_SIGMAS * sd)) + _TAIL_NODES
     clamp = ext_mode == "clamp"
     nfft = _fft_size(n + (2 if clamp else 1) * reach)
@@ -217,10 +224,48 @@ def _build_axis_plan(n: int, h: float, shifts: np.ndarray, s: np.ndarray,
     # dt psi = (up + down)(cos xi - 1) + i (up - down) sin xi, with
     # cos xi - 1 = -2 sin^2(xi/2) free of cancellation
     half = np.sin(0.5 * xi)
-    psi = np.empty((shifts.size, xi.size), complex)
-    np.multiply.outer(up + down, -2.0 * half * half, out=psi.real)
-    np.multiply.outer(mean, np.sin(xi), out=psi.imag)
-    return _AxisPlan(n=n, nfft=nfft, clamp=clamp, spectra=np.exp(psi, out=psi))
+    cosm1 = -2.0 * half * half
+    sin_xi = np.sin(xi)
+    spectra = _stepped_spectra(rate, mean, cosm1, sin_xi)
+    if spectra is None:
+        psi = np.empty((shifts.size, xi.size), complex)
+        np.multiply.outer(rate, cosm1, out=psi.real)
+        np.multiply.outer(mean, sin_xi, out=psi.imag)
+        spectra = np.exp(psi, out=psi)
+    return _AxisPlan(n=n, nfft=nfft, clamp=clamp, spectra=spectra)
+
+
+def _stepped_spectra(rate: np.ndarray, mean: np.ndarray, cosm1: np.ndarray,
+                     sin_xi: np.ndarray) -> np.ndarray | None:
+    """exp(rate (cos xi - 1) + i mean sin xi) of C > 2 candidates that share
+    one rate and whose means step evenly, else None.
+
+    Such spectra are row 0 times the k-th power of one step phase
+    exp(i delta sin xi), so one cumulative product over the candidates gives
+    them from two complex exp rows instead of C.  The rates and means of a
+    uniform drift grid have that form only up to round-off, so the set is
+    taken when an estimate of the error stays within _STEPPED_TOL: each
+    deviation times the largest |cos xi - 1| or |sin xi| it meets under the
+    decay exp(r (cos xi - 1)), r = rate_0, plus C ulps for the product.
+    With u = -(cos xi - 1) = 2 s^2, s = sin(xi/2), those are at most
+    max u e^{-r u} = 1 / (e r) and max 2 s e^{-2 r s^2} = 1 / sqrt(e r).
+    """
+    C = mean.size
+    if C <= 2:
+        return None
+    r = rate[0]
+    delta = (mean[-1] - mean[0]) / (C - 1)
+    spread = 1.0 / (math.e * r) if r > 0 else math.inf
+    error = (np.max(np.abs(rate - r)) * min(2.0, spread)
+             + np.max(np.abs(mean - (mean[0] + delta * np.arange(C))))
+             * min(1.0, math.sqrt(spread))
+             + C * np.finfo(float).eps)
+    if not error <= _STEPPED_TOL:
+        return None
+    spectra = np.empty((C, sin_xi.size), complex)
+    spectra[0] = np.exp(r * cosm1 + 1j * mean[0] * sin_xi)
+    spectra[1:] = np.exp(1j * delta * sin_xi)
+    return np.cumprod(spectra, axis=0, out=spectra)
 
 
 def _axis_plan(grid: Grid, a: int, t: float, drifts: np.ndarray,

@@ -28,6 +28,7 @@ base family and Psi.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,6 +72,7 @@ __all__ = [
     "ode_euler_step",
     "make_ode_family",
     "vector_field_preset",
+    "VECTOR_FIELD_PRESETS",
     "perturbation_step",
     "make_perturbation_family",
     "perturbation_preset",
@@ -400,17 +402,24 @@ class VectorField:
     lip_profile: Callable[[float], float]
     name: str = "field"
 
+    def __post_init__(self):
+        if not (isinstance(self.dim, numbers.Integral) and not isinstance(self.dim, bool)
+                and self.dim >= 1):
+            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
 
-def vector_field_preset(name: str, **kw) -> VectorField:
+
+# Every parameter of each vector field preset, with its default.
+VECTOR_FIELD_PRESETS = {"neg_identity": {"dim": 1}, "rotation": {}}
+
+
+def vector_field_preset(name: str, **params) -> VectorField:
+    """The preset `name` of VECTOR_FIELD_PRESETS, its defaults updated by params."""
+    params = _preset_params(VECTOR_FIELD_PRESETS, name, params)
     if name == "neg_identity":
-        d = int(kw.get("dim", 1))
-        return VectorField(func=lambda x: -x, dim=d, growth_k=1.0,
+        return VectorField(func=lambda x: -x, dim=params["dim"], growth_k=1.0,
                            lip_profile=lambda R: 1.0, name="neg_identity")
-    if name == "rotation":
-        return VectorField(
-            func=lambda x: np.array([-x[1], x[0]]),
-            dim=2, growth_k=1.0, lip_profile=lambda R: 1.0, name="rotation")
-    raise ValueError(f"unknown vector field preset {name!r}")
+    return VectorField(func=lambda x: np.array([-x[1], x[0]]), dim=2, growth_k=1.0,
+                       lip_profile=lambda R: 1.0, name="rotation")
 
 
 def ode_euler_step(x: VectorState, t: float, vf: VectorField) -> VectorState:

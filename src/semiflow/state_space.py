@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,10 @@ def _is_integer(value) -> bool:
 
 
 def _is_finite_number(value) -> bool:
+    """A real number, not a bool, within the float range: the comparisons
+    are exact for integers of any size and false for NaN."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and bool(np.isfinite(value)))
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 def _check_dim(dim):

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -120,6 +123,16 @@ def held_gbm_plan(params, trusted_radius=None):
     from semiflow.families_linear import _PLANS
     return _PLANS["gbm", params.mu, params.sigma, params.quad_points,
                   trusted_radius][1]
+
+
+def load_module(relative_path):
+    """Import a file of the repository that is no package module, such as
+    perfbench/workloads.py or a script under scripts/."""
+    path = Path(__file__).resolve().parent.parent / relative_path
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_bumps(grid, seed, n_bumps=3, amp=1.0):

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import math
 import sys
@@ -10,6 +9,7 @@ import numpy as np
 import pytest
 
 import semiflow
+from conftest import load_module
 from semiflow.chernoff import NonFiniteStateError
 from semiflow.cli import (
     _SCHEDULE_DEFAULTS,
@@ -104,10 +104,7 @@ class TestParseConfig:
     def test_benchmark_configs_parse(self, tmp_path):
         """The shipped configs and every benchmark workload's configs parse,
         and parse -> to_json_dict -> parse is the identity on each."""
-        mod = importlib.util.spec_from_file_location(
-            "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(mod)
-        mod.loader.exec_module(workloads)
+        workloads = load_module("perfbench/workloads.py")
         paths = sorted((ROOT / "scripts" / "configs").glob("*.json"))
         assert paths
         for name in workloads.WORKLOAD_NAMES:
@@ -157,6 +154,18 @@ class TestRunExperiment:
     def test_shipped_config_passes(self, tmp_path, path):
         manifest = run_experiment(parse_config(path), out_dir=tmp_path)
         assert manifest["passed"], manifest["errors"]
+
+    def test_run_all_rejects_an_unknown_stem(self, tmp_path, monkeypatch, capsys):
+        run_all = load_module("scripts/run_all.py")
+        monkeypatch.setattr(sys, "argv", ["run_all.py", "--out", str(tmp_path),
+                                          "--only", "gexp_quadratc"])
+        with pytest.raises(SystemExit) as exc:
+            run_all.main()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown config stem(s) gexp_quadratc" in err
+        assert "gexp_quadratic, heat_bump" in err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("stem,steps", [
         ("ode_decay", 2158), ("heat_bump", 30), ("robust_gbm", 30)])
@@ -498,6 +507,7 @@ class TestMainEntry:
         ({"n_points": None}, "n_points must be odd integers >= 3"),
         ({"n_points": 241.9}, "n_points must be odd integers >= 3"),
         ({"x_max": "16"}, "x_max must be finite positive numbers"),
+        ({"x_max": 10**400}, "x_max must be finite positive numbers"),
     ])
     def test_wrong_typed_grid_names_the_rule(self, tmp_path, grid, rule):
         cfg = dict(self.HEAT_41, grid=grid, schedule={"t_list": [0.5]})

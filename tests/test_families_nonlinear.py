@@ -312,6 +312,19 @@ class TestOdeFamily:
         out = ode_euler_step(VectorState([1.0, 0.0]), 0.25, vf)
         assert np.array_equal(out.coordinates, [1.0, 0.25])
 
+    def test_preset_takes_only_its_parameters(self):
+        assert vector_field_preset("neg_identity").dim == 1
+        assert vector_field_preset("neg_identity", dim=3).dim == 3
+        with pytest.raises(ValueError, match="preset 'rotation' has no parameter 'dim'"):
+            vector_field_preset("rotation", dim=3)
+        with pytest.raises(ValueError, match="preset 'neg_identity' has no parameter 'dimm'"):
+            vector_field_preset("neg_identity", dimm=2)
+        with pytest.raises(ValueError, match="unknown preset 'rotaton'"):
+            vector_field_preset("rotaton")
+        for dim in (2.0, 2.5, True, 0, "2"):
+            with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+                vector_field_preset("neg_identity", dim=dim)
+
     def test_rotation_chernoff_limit(self, ode_rotation_family):
         # the Cauchy gap sits just above 1e-4 at n_max = 12; the value at the
         # final level is what the closed-form oracle bounds

@@ -14,8 +14,9 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import ive
 
-from conftest import random_bumps
+from conftest import load_module, random_bumps
 from semiflow import families_linear as fl
+from semiflow.cli import parse_config, run_experiment
 from semiflow.diagnostics import symmetric_lipschitz_certificate
 from semiflow.families_linear import heat_multi_step
 from semiflow.families_nonlinear import make_gexp_family, quadratic_cost, user_lambda_grid
@@ -174,3 +175,107 @@ def test_plan_cache_holds_one_plan_per_axis():
     assert fl._axis_plan(g, 0, 0.125, drifts, sigmas, "zero") is not plan
     assert list(fl._PLANS) == [("heat", 0)]
     assert fl._PLANS["heat", 0][1] is not plan
+
+
+# ---------------------------------------------------------------------------
+# stepped spectra: one shared rate, evenly stepped means
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def stepped(monkeypatch):
+    """Whether each plan built while the fixture is active took the stepped
+    path of _stepped_spectra, in build order."""
+    taken = []
+    build = fl._stepped_spectra
+
+    def spy(*args):
+        spectra = build(*args)
+        taken.append(spectra is not None)
+        return spectra
+
+    monkeypatch.setattr(fl, "_stepped_spectra", spy)
+    return taken
+
+
+def direct_spectra(plan, h, shifts, s):
+    """np.exp(dt psi) of every candidate at the plan's rFFT frequencies, with
+    the rates of _jump_rates."""
+    up, down = fl._jump_rates(shifts, s * s, h)
+    xi = np.arange(plan.nfft // 2 + 1) * (2.0 * math.pi / plan.nfft)
+    half = np.sin(0.5 * xi)
+    psi = np.empty((shifts.size, xi.size), complex)
+    np.multiply.outer(up + down, -2.0 * half * half, out=psi.real)
+    np.multiply.outer(up - down, np.sin(xi), out=psi.imag)
+    return np.exp(psi)
+
+
+def drift_grid(count, lo=-2.0, hi=2.0):
+    """The drift grid a {min, max, step} lambda_grid config builds."""
+    step = (hi - lo) / (count - 1)
+    lams = np.round(np.arange(lo, hi + step / 2, step), 12)
+    assert lams.size == count
+    return lams
+
+
+@pytest.mark.parametrize("ext_mode", ["zero", "clamp"])
+@pytest.mark.parametrize("n", [81, 1201, 1601])
+def test_stepped_spectra_match_direct_exp(n, ext_mode, stepped):
+    g = grid_create(1, 6.0, n)
+    h = g.h[0]
+    for C in (3, 41, 201):
+        lams = drift_grid(C)
+        for t in [*2.0 ** np.arange(-16, 1, 3), 2.0]:
+            shifts, s = lams * t, np.full(C, math.sqrt(t))
+            plan = fl._build_axis_plan(n, h, shifts, s, ext_mode)
+            assert stepped.pop()
+            err = np.max(np.abs(plan.spectra - direct_spectra(plan, h, shifts, s)))
+            assert err <= 1e-13, (C, t)
+
+
+@pytest.mark.parametrize("t", [2.0**-16, 2.0**-6, 0.5])
+def test_stepped_spectra_match_bessel_weights(t, stepped):
+    # one sigma and evenly spaced central drifts: the Skellam law of
+    # test_spectra_match_bessel_weights through the stepped path
+    g = grid_create(1, 4.0, 81)
+    h = g.h[0]
+    drifts = np.linspace(-2.0, 2.0, 9)
+    plan = fl._build_axis_plan(g.n_points[0], h, drifts * t, np.full(9, math.sqrt(t)),
+                               "zero")
+    assert stepped == [True]
+    nfft = plan.nfft
+    r = np.arange(nfft)
+    k = np.where(r <= nfft // 2, r, r - nfft)
+    for c, b in enumerate(drifts):
+        up, down = (t * v for v in rates(b, 1.0, h))
+        z = 2.0 * math.sqrt(up * down)
+        law = (up / down) ** (k / 2.0) * ive(k, z) * math.exp(z - up - down)
+        spectrum = nfft * np.fft.ifft(law)[:nfft // 2 + 1]
+        assert np.max(np.abs(plan.spectra[c] - spectrum)) <= 1e-13
+
+
+@pytest.mark.parametrize("drifts, sigmas", [
+    ([-2.0, -1.0, 0.0, 0.5, 2.0], [1.0] * 5),             # non-uniform drifts
+    ([-1.0, 0.0, 1.0, -1.0, 0.0, 1.0], [0.5] * 3 + [1.0] * 3),  # two sigmas
+    ([-3.0, -1.5, 0.0, 1.5, 3.0], [0.3] * 5),             # upwind ends
+    ([-1.0, 1.0], [1.0, 1.0]),                            # C <= 2
+], ids=["nonuniform", "mixed_sigma", "upwind", "two"])
+@pytest.mark.parametrize("t", [2.0**-10, 0.25])
+def test_other_candidate_sets_keep_direct_exp(drifts, sigmas, t, stepped):
+    g = grid_create(1, 4.0, 81)
+    h = g.h[0]
+    shifts, s = np.array(drifts) * t, np.array(sigmas) * math.sqrt(t)
+    plan = fl._build_axis_plan(g.n_points[0], h, shifts, s, "clamp")
+    assert stepped == [False]
+    assert np.array_equal(plan.spectra, direct_spectra(plan, h, shifts, s))
+
+
+def test_certify_wide_plans_are_stepped(tmp_path, stepped):
+    # every plan of the certify_wide workload, a {min, max, step} drift grid
+    # stepped through the certificate ladder, the audit and the generator
+    workloads = load_module("perfbench/workloads.py")
+    [exp] = workloads.make_workload("certify_wide", 1, tmp_path / "in", tmp_path / "out")
+    fl._PLANS.clear()
+    manifest = run_experiment(parse_config(exp["config"]), out_dir=tmp_path / "out")
+    assert manifest["passed"]
+    # at least one build for each of the run's 35 distinct dt
+    assert len(stepped) >= 35 and all(stepped)

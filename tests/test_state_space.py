@@ -112,6 +112,11 @@ class TestGridCreate:
         with pytest.raises(ValueError):
             grid_create(1, 0.0, 5)
 
+    @pytest.mark.parametrize("x_max", [10**400, -10**400, math.inf, math.nan, "6"])
+    def test_rejects_x_max_that_is_no_finite_number(self, x_max):
+        with pytest.raises(ValueError, match="x_max must be finite positive numbers"):
+            grid_create(1, x_max, 5)
+
     @pytest.mark.parametrize("dim,n_points", [(1, 241.9), (1, 241.0), (1, None),
                                               (2, (61, 41.5)), (1, True)])
     def test_rejects_non_integer_points(self, dim, n_points):
@@ -219,6 +224,12 @@ class TestDistance:
     def test_norm_spec_requires_p_above_one(self):
         with pytest.raises(ValueError):
             NormSpec("weighted", p=1.0)
+
+    @pytest.mark.parametrize("kind", ["sup", "weighted"])
+    @pytest.mark.parametrize("p", [10**400, math.nan, "3"])
+    def test_norm_spec_requires_a_finite_p(self, kind, p):
+        with pytest.raises(ValueError, match="weight exponent p must be a finite number"):
+            NormSpec(kind, p=p)
 
 
 class TestStateKinds:
