@@ -24,9 +24,10 @@ Two kernels are provided:
   one step phase, which one cumulative product over the candidates gives
   from two complex exp rows (_stepped_spectra); any other set takes one
   exp per candidate and frequency.  The axis is extended by
-  zeros or edge values beyond the reach of every kernel (its mean plus
-  KERNEL_CUTOFF_SIGMAS standard deviations and a Poisson-tail margin), so
-  the wrapped mass stays below 1e-15.  A step applies the plan to all
+  zeros or edge values beyond the reach of every kernel: the smallest k at
+  which the Chernoff bound of each candidate's Skellam law N+ - N- puts at
+  most 1e-16 of its mass beyond +-k (_reach), so the wrapped mass stays
+  below 1e-16 on each side.  A step applies the plan to all
   candidates in one batched FFT convolution (numpy.fft), over chunks of
   candidates, so its temporaries stay bounded.
 
@@ -94,6 +95,8 @@ __all__ = [
     "gbm_growth_rate",
 ]
 
+# Gaussian cutoff, in standard deviations, of perfbench's heat tap counts;
+# the plans size their reach by _reach.
 KERNEL_CUTOFF_SIGMAS = 8.0
 GBM_ESCAPE_THRESHOLD = 1e-10
 # upper-tail normal quantile at the escape threshold
@@ -160,9 +163,11 @@ def _jump_rates(drift, var, h: float):
 
 # Bound on the FFT temporaries of one chunk of candidates.
 _CHUNK_BYTES = 2**17
-# Nodes beyond the cutoff that hold the Poisson tail of kernels narrower
-# than a node (var dt / h^2 << 1), whose taps decay like lambda^k / k!.
-_TAIL_NODES = 30
+# Bound on the mass of each kernel's law beyond its reach, on each side.
+_TAIL_MASS = 1e-16
+_LOG_TAIL_MASS = math.log(_TAIL_MASS)
+# The Gaussian reach in standard deviations, exp(-z^2 / 2) = _TAIL_MASS.
+_TAIL_Z = math.sqrt(-2.0 * _LOG_TAIL_MASS)
 # Bound on the error _stepped_spectra may add to a plan's spectra.
 _STEPPED_TOL = 1e-13
 # (key, plan) of the last plan of each slot, see _last_plan.
@@ -216,8 +221,7 @@ def _build_axis_plan(n: int, h: float, shifts: np.ndarray, s: np.ndarray,
     scales sigma sqrt(dt): the rates times dt are the expected jumps."""
     up, down = _jump_rates(shifts, s * s, h)
     rate, mean = up + down, up - down
-    sd = np.sqrt(rate)
-    reach = math.ceil(np.max(np.abs(mean) + KERNEL_CUTOFF_SIGMAS * sd)) + _TAIL_NODES
+    reach = _reach(float(np.max(rate)), float(np.max(np.abs(mean))))
     clamp = ext_mode == "clamp"
     nfft = _fft_size(n + (2 if clamp else 1) * reach)
     xi = np.arange(nfft // 2 + 1) * (2.0 * math.pi / nfft)
@@ -233,6 +237,35 @@ def _build_axis_plan(n: int, h: float, shifts: np.ndarray, s: np.ndarray,
         np.multiply.outer(mean, sin_xi, out=psi.imag)
         spectra = np.exp(psi, out=psi)
     return _AxisPlan(n=n, nfft=nfft, clamp=clamp, spectra=spectra)
+
+
+def _reach(rate: float, mean: float) -> int:
+    """The smallest k >= 1 at which the Chernoff bound puts at most
+    _TAIL_MASS of the law of X = N+ - N- beyond k and beyond -k, for every
+    candidate whose rate sum is at most rate and whose |mean| at most mean.
+
+    With N+- Poisson of means a and b,
+
+        log P(X >= k) <= -k theta + a (e^theta - 1) + b (e^-theta - 1),
+
+    least at e^theta = (k + sqrt(k^2 + 4 a b)) / (2 a).  The bound holds for
+    theta >= 0 only, that is for k above the mean a - b.  Its exponent
+    r (cosh theta - 1) + m sinh theta grows in both r = a + b and m = a - b
+    for theta >= 0, so the envelope a = (rate + mean) / 2,
+    b = (rate - mean) / 2 bounds both tails of every candidate.  The walk
+    starts at the Gaussian reach mean + _TAIL_Z sqrt(rate), above the mean
+    and not above the answer: cosh theta - 1 >= theta^2 / 2 and
+    sinh theta >= theta, so the bound is at least exp(-(k - m)^2 / (2 r)).
+    """
+    k = max(1, math.ceil(mean + _TAIL_Z * math.sqrt(rate)))
+    a, b = 0.5 * (rate + mean), 0.5 * (rate - mean)
+    if a == 0.0:
+        return k  # rate 0: every candidate is the identity
+    while True:
+        u = (k + math.sqrt(k * k + 4.0 * a * b)) / (2.0 * a)
+        if -k * math.log(u) + a * (u - 1.0) + b * (1.0 / u - 1.0) <= _LOG_TAIL_MASS:
+            return k
+        k += 1
 
 
 def _stepped_spectra(rate: np.ndarray, mean: np.ndarray, cosm1: np.ndarray,

@@ -15,6 +15,7 @@ makes the node set exactly symmetric and places 0.0 exactly on the grid.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 import sys
@@ -326,26 +327,42 @@ def negate(f: GridFunction) -> GridFunction:
 
 # ---------------------------------------------------------------------------
 # CSV serialization: header x[,y],v1[,v2...], one row per node (row-major),
-# 17 significant digits so a round trip is value-exact.  The rows are
-# formatted in blocks, so only one block's text is held at a time.
+# 17 significant digits so a round trip is value-exact.  The coordinate text
+# of a grid never changes, so it is formatted once into a template of
+# blocks of rows with one %.17g field per value; a write formats only the
+# values, one block at a time.
 # ---------------------------------------------------------------------------
 
 _CSV_BLOCK_ROWS = 4096
 
 
-def _csv_blocks(f: GridFunction):
-    coord_names = ["x", "y"][: f.grid.dim]
-    yield ",".join(coord_names + [f"v{i + 1}" for i in range(f.codomain_dim)]) + "\n"
-    table = np.concatenate([f.grid.node_coords(), f.values], axis=1)
-    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-        block = table[start:start + _CSV_BLOCK_ROWS]
-        yield (row_fmt * block.shape[0]) % tuple(block.ravel().tolist())
+@functools.lru_cache(maxsize=1)
+def _csv_template(grid: Grid, codomain_dim: int) -> tuple[str, int, tuple[str, ...]]:
+    """(header, rows per block, row blocks) of the CSV text of the grid with
+    codomain_dim value columns; the last grid's only.
+
+    The rows of the last axis end in the value fields.  In 2D the block of
+    axis-0 node x is those rows, each led by the text of x.
+    """
+    names = ["x", "y"][:grid.dim] + [f"v{i + 1}" for i in range(codomain_dim)]
+    fields = ",%.17g" * codomain_dim + "\n"
+    rows = ["%.17g" % y + fields for y in grid.axis(grid.dim - 1).tolist()]
+    if grid.dim == 1:
+        per = _CSV_BLOCK_ROWS
+        blocks = tuple("".join(rows[i:i + per]) for i in range(0, len(rows), per))
+    else:
+        per = len(rows)
+        blocks = tuple(p + p.join(rows) for p in
+                       ("%.17g," % x for x in grid.axis(0).tolist()))
+    return ",".join(names) + "\n", per, blocks
 
 
 def write_csv(f: GridFunction, path) -> None:
+    header, per, blocks = _csv_template(f.grid, f.codomain_dim)
     with open(path, "w") as fh:
-        fh.writelines(_csv_blocks(f))
+        fh.write(header)
+        for k, block in enumerate(blocks):
+            fh.write(block % tuple(f.values[k * per:(k + 1) * per].ravel().tolist()))
 
 
 def read_csv_table(path) -> tuple[list[str], np.ndarray]:

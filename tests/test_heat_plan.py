@@ -12,14 +12,20 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.special import ive
+from scipy.special import gammaln, ive
 
 from conftest import load_module, random_bumps
 from semiflow import families_linear as fl
 from semiflow.cli import parse_config, run_experiment
 from semiflow.diagnostics import symmetric_lipschitz_certificate
 from semiflow.families_linear import heat_multi_step
-from semiflow.families_nonlinear import make_gexp_family, quadratic_cost, user_lambda_grid
+from semiflow.families_nonlinear import (
+    SigmaLambdaSet,
+    _g_expectation_candidates,
+    make_gexp_family,
+    quadratic_cost,
+    user_lambda_grid,
+)
 from semiflow.state_space import GridFunction, grid_create
 
 
@@ -160,6 +166,101 @@ def test_spectra_match_bessel_weights(t):
         assert np.max(np.abs(plan.spectra[c] - spectrum)) <= 1e-13
 
 
+# ---------------------------------------------------------------------------
+# reach: the Chernoff bound of each kernel's law
+# ---------------------------------------------------------------------------
+
+def skellam_tail(k, up, down):
+    """P(N+ - N- >= k) for Poisson N+- of means up and down: the Bessel
+    weights of test_spectra_match_bessel_weights (the Poisson law when
+    down = 0) summed far beyond k."""
+    if up == 0.0:
+        return 0.0
+    j = np.arange(k, k + 40 + 20 * math.ceil(math.sqrt(up + down)))
+    if down == 0.0:
+        logp = j * math.log(up) - up - gammaln(j + 1)
+    else:
+        z = 2.0 * math.sqrt(up * down)
+        with np.errstate(divide="ignore"):  # weights below the float range
+            logp = j / 2.0 * math.log(up / down) - up - down + z + np.log(ive(j, z))
+    return float(np.sum(np.exp(logp)))
+
+
+def old_rule_nfft(n, h, shifts, s, ext_mode):
+    """The FFT length of a fixed reach, |mean| + 8 sd and a 30-node tail."""
+    up, down = fl._jump_rates(shifts, s * s, h)
+    reach = math.ceil(np.max(np.abs(up - down) + 8.0 * np.sqrt(up + down))) + 30
+    return fl._fft_size(n + (2 if ext_mode == "clamp" else 1) * reach)
+
+
+def check_reach(n, h, drifts, sigmas, t, ext_mode):
+    """The plan's reach holds at most _TAIL_MASS of each candidate's law on
+    each side, each half of its extension covers the reach, and its FFT is
+    no longer than under the old rule."""
+    shifts, s = drifts * t, sigmas * math.sqrt(t)
+    up, down = fl._jump_rates(shifts, s * s, h)
+    reach = fl._reach(float(np.max(up + down)), float(np.max(np.abs(up - down))))
+    for u, d in zip(up, down):
+        assert skellam_tail(reach, u, d) <= fl._TAIL_MASS
+        assert skellam_tail(reach, d, u) <= fl._TAIL_MASS
+    plan = fl._build_axis_plan(n, h, shifts, s, ext_mode)
+    assert (plan.nfft - n) // (2 if ext_mode == "clamp" else 1) >= reach
+    assert plan.nfft <= old_rule_nfft(n, h, shifts, s, ext_mode)
+
+
+DYADIC_DT = [2.0**-k for k in range(1, 17)]
+
+
+@pytest.mark.parametrize("h", [0.01, 0.05])
+def test_reach_of_upwind_shifts(h):
+    # sigma = 0: the Poisson laws of pure drift, one-sided
+    drifts = np.array([-3.0, -0.5, 0.0, 0.5, 2.0])
+    for t in DYADIC_DT:
+        check_reach(241, h, drifts, np.zeros(5), t, "clamp")
+        check_reach(241, h, drifts[3:], np.zeros(2), t, "zero")
+
+
+def test_reach_of_narrow_kernels():
+    # rates <= 1e-2: Poisson tails, a few nodes long, far beyond 8 sd
+    h = 0.1
+    drifts = np.array([-0.5, 0.0, 0.1])
+    sigmas = np.array([0.2, 0.3, 0.0])
+    for t in (2.0**-16, 2.0**-14, 2.0**-12):
+        up, down = fl._jump_rates(drifts * t, (sigmas * sigmas) * t, h)
+        assert np.max(up + down) <= 1e-2
+        check_reach(81, h, drifts, sigmas, t, "zero")
+        check_reach(81, h, drifts, sigmas, t, "clamp")
+
+
+@pytest.mark.parametrize("ext_mode", ["zero", "clamp"])
+def test_reach_of_gexp_drift_grid(ext_mode):
+    # the 41 drifts of certify_wide on its 1201 nodes, at every dyadic dt
+    h = grid_create(1, 6.0, 1201).h[0]
+    drifts = drift_grid(41)
+    for t in DYADIC_DT:
+        check_reach(1201, h, drifts, np.ones(41), t, ext_mode)
+
+
+@pytest.mark.parametrize("pairs", [
+    tuple((s, lam) for s in (0.5, 1.0) for lam in (-1.0, 0.0, 1.0)),
+    ((0.5, -1.0), ((1.0, 0.25), (0.5, 1.0)), ((0.0, 2.0), 0.0)),
+], ids=["plane_2d", "per_axis"])
+def test_reach_of_2d_g_expectation_sets(pairs):
+    # every axis of plane_2d's grid, 241^2 nodes on [-6, 6]^2
+    g = grid_create(2, 6.0, 241)
+    drifts, sigmas, _ = _g_expectation_candidates(SigmaLambdaSet(pairs=pairs), 2)
+    for t in DYADIC_DT:
+        for a in range(2):
+            check_reach(241, g.h[a], drifts[:, a], sigmas[:, a], t, "clamp")
+
+
+def test_reach_without_jumps():
+    # identity candidates need no extension beyond one node
+    assert fl._reach(0.0, 0.0) == 1
+    plan = fl._build_axis_plan(41, 0.1, np.zeros(2), np.zeros(2), "clamp")
+    assert plan.nfft == fl._fft_size(43)
+
+
 def test_plan_cache_holds_one_plan_per_axis():
     g = grid_create(1, 6.0, 1201)
     fam = make_gexp_family(user_lambda_grid(np.linspace(-2.0, 2.0, 41)),
@@ -279,3 +380,24 @@ def test_certify_wide_plans_are_stepped(tmp_path, stepped):
     assert manifest["passed"]
     # at least one build for each of the run's 35 distinct dt
     assert len(stepped) >= 35 and all(stepped)
+
+
+def test_plane_2d_plans_are_shorter(tmp_path, monkeypatch):
+    # every plan of the plane_2d chain: 241 nodes per axis under clamp, six
+    # (sigma, lambda) candidates at dt 2^-7 and 2^-8 (the fixed 30-node
+    # tail margin made them 360 long)
+    workloads = load_module("perfbench/workloads.py")
+    exps = workloads.make_workload("plane_2d", 1, tmp_path / "in", tmp_path / "out")
+    nffts = []
+    build = fl._build_axis_plan
+
+    def spy(*args):
+        plan = build(*args)
+        nffts.append(plan.nfft)
+        return plan
+
+    monkeypatch.setattr(fl, "_build_axis_plan", spy)
+    fl._PLANS.clear()
+    for exp in exps:
+        run_experiment(parse_config(exp["config"]), out_dir=tmp_path / "out" / exp["id"])
+    assert nffts and max(nffts) <= 320

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semiflow import state_space
 from semiflow.state_space import (
     GridFunction,
     NormSpec,
@@ -383,9 +384,9 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             read_csv_table(path)
 
-    # (2, 81, 2): 6561 rows, more than one block of rows
+    # (1, 4097, 1) and (2, 81, 2): more than one block of rows
     @pytest.mark.parametrize("dim,n,m", [(1, 41, 1), (1, 3, 2), (2, 21, 3),
-                                         (2, 81, 2)])
+                                         (2, 81, 2), (1, 4097, 1)])
     def test_serialize_matches_row_loop(self, tmp_path, dim, n, m):
         g = grid_create(dim, 3.0, n)
         rng = np.random.default_rng(11)
@@ -408,6 +409,18 @@ class TestCsvRoundTrip:
         path = tmp_path / "f.csv"
         write_csv(f, path)
         assert path.read_bytes() == serialize_csv(f).encode()
+
+    def test_write_csv_alternating_grids(self, tmp_path):
+        # the row template is cached for the last grid and codomain only;
+        # each write on another one builds its own
+        g1, g2 = grid_create(1, 6.0, 1201), grid_create(2, 6.0, 241)
+        rng = np.random.default_rng(13)
+        path = tmp_path / "f.csv"
+        for g, m in [(g1, 1), (g2, 1), (g1, 2), (g2, 1)]:
+            f = GridFunction(g, m, rng.standard_normal((g.n_nodes, m)))
+            write_csv(f, path)
+            assert path.read_bytes() == serialize_csv(f).encode()
+        assert state_space._csv_template.cache_info().currsize == 1
 
 
 class TestImmutability:
