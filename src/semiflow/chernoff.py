@@ -211,8 +211,8 @@ def chernoff_limits(family: GeneratingFamilyDescriptor, times, state,
     steps_total included; a step that turns non-finite raises with the index
     that a separate run would report.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be a positive number, got {tol!r}")
     if n_min > n_max:
         raise ValueError("n_min must be <= n_max")
     times = list(dict.fromkeys(times))

@@ -362,10 +362,15 @@ def parse_config(path) -> ExperimentSpec:
         norm = {"kind": "weighted", "p": family["p"]}
 
     tasks = raw.get("tasks", ["evolve"])
-    if not tasks:
-        raise ConfigError("config.tasks", "must list at least one task")
+    if not isinstance(tasks, list) or not tasks:
+        raise ConfigError("config.tasks", "must be a list of at least one task")
     for i, task in enumerate(tasks):
         _one_of(task, TASK_NAMES, f"config.tasks[{i}]", "task")
+        if task in tasks[:i]:
+            raise ConfigError(f"config.tasks[{i}]", f"task {task!r} is listed twice")
+    output_dir = raw.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError("config.output_dir", "must be a path string")
 
     if "monotonicity" in tasks and fname.startswith("ode_"):
         raise ConfigError("config.tasks", "monotonicity requires a grid family")
@@ -387,7 +392,7 @@ def parse_config(path) -> ExperimentSpec:
         initial=initial,
         schedule=schedule,
         tasks=tuple(tasks),
-        output_dir=raw.get("output_dir"),
+        output_dir=output_dir,
         seed=seed,
     )
 
@@ -431,13 +436,11 @@ def build_family(spec: ExperimentSpec):
         return make_gexp_family(lgrid, cost, grid, norm), initial
     if name == "g_expectation":
         pairs = tuple((s, l) for s in fam_cfg["sigmas"] for l in fam_cfg["lambdas"])
-        uset = SigmaLambdaSet(pairs=pairs, kind="diffusion_drift")
-        return make_g_expectation_family(uset, grid, norm), initial
+        return make_g_expectation_family(SigmaLambdaSet(pairs), grid, norm), initial
     if name == "robust_gbm":
-        pairs = tuple((mu, sig) for mu, sig in fam_cfg["pairs"])
-        uset = SigmaLambdaSet(pairs=pairs, kind="gbm")
-        family = make_robust_gbm_family(uset, grid, fam_cfg["M"], fam_cfg["p"],
-                                        fam_cfg["trust_horizon"])
+        family = make_robust_gbm_family(fam_cfg["pairs"], grid,
+                                        fam_cfg["trust_horizon"], fam_cfg["M"],
+                                        fam_cfg["p"])
         return family, dataclasses.replace(initial, extension_mode="clamp")
     if name == "perturbation":
         base = (make_heat_family(HeatDriftParams.create(
@@ -458,7 +461,8 @@ def _build_initial_grid_state(spec: ExperimentSpec, grid: Grid) -> GridFunction:
                 coords, grid.node_coords()):
             raise ConfigError("config.initial.table",
                               "table nodes do not match the configured grid")
-        return sample_function(data[:, grid.dim:], grid)
+        return _validated("config.initial.table", sample_function,
+                          data[:, grid.dim:], grid)
     return sample_function(init["preset"], grid)
 
 

@@ -34,7 +34,6 @@ import numpy as np
 
 from .chernoff import (
     DEFAULT_N_MAX,
-    DEFAULT_N_MIN,
     GeneratingFamilyDescriptor,
     Record,
     apply_partition,
@@ -179,14 +178,10 @@ def symmetric_lipschitz_certificate(family: GeneratingFamilyDescriptor,
 
 
 def invariance_probe(family: GeneratingFamilyDescriptor, f: GridFunction,
-                     t: float, T: float, levels, tol: float = 1e-3,
-                     n_min: int = DEFAULT_N_MIN, n_max: int = DEFAULT_N_MAX):
-    """Evolve f to S(t)f by the Chernoff limit, then certify the result."""
-    if t == 0.0:
-        evolved = f
-    else:
-        evolved, _ = chernoff_limit(family, t, f, tol=tol, n_min=n_min,
-                                    n_max=n_max)
+                     t: float, T: float, levels, tol: float = 1e-3):
+    """Evolve f to S(t)f by the Chernoff limit between the default levels,
+    then certify the result."""
+    evolved, _ = chernoff_limit(family, t, f, tol=tol)
     return symmetric_lipschitz_certificate(family, evolved, T, levels,
                                            state_id=f"S({t})f")
 
@@ -249,6 +244,8 @@ def generator_estimate(family: GeneratingFamilyDescriptor, f, h_levels,
     if family.analytic_generator is None:
         raise ValueError(f"{family.name}: no analytic generator declared")
     hs = [float(h) for h in h_levels]
+    if not all(h > 0 for h in hs):
+        raise ValueError(f"h_levels must be positive, got {h_levels!r}")
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("h_levels must be strictly decreasing")
     levels = [smallest_dyadic_level(h) for h in hs]
@@ -354,12 +351,11 @@ def random_ball_state(family: GeneratingFamilyDescriptor, rng,
 
 
 def alpha_beta_audit(family: GeneratingFamilyDescriptor, n_samples: int,
-                     R: float, t_list, seed: int,
-                     slack: float = AUDIT_SLACK) -> AuditReport:
+                     R: float, t_list, seed: int) -> AuditReport:
     """Sample states in B(x0, R) and check, at each probe time,
 
-        d(x0, I(t)x)        <= alpha(R, t) + slack,
-        d(I(t)x, I(t)y)     <= beta(R, t) d(x, y) + slack,
+        d(x0, I(t)x)        <= alpha(R, t) + AUDIT_SLACK,
+        d(I(t)x, I(t)y)     <= beta(R, t) d(x, y) + AUDIT_SLACK,
 
     plus the composition laws of alpha and beta on sampled (R, s, t) triples.
     The ball and d(x, y) are measured in the full norm, the images through
@@ -374,7 +370,7 @@ def alpha_beta_audit(family: GeneratingFamilyDescriptor, n_samples: int,
     def record(kind, margin, **info):
         entry = {"check": kind, "margin": float(margin), "seed": seed, **info}
         checks.append(entry)
-        if margin < -slack:
+        if margin < -AUDIT_SLACK:
             violations.append(entry)
 
     # alpha and beta refer to the whole space: d(x, y) is taken over every

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import statistics
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,7 +41,6 @@ from .families_linear import (
     GbmParams,
     gbm_growth_rate,
     gbm_step,
-    gbm_trusted_radius,
     heat_multi_step,
     kernel_family,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "user_lambda_grid",
     "make_g_expectation_family",
     "make_robust_gbm_family",
+    "gbm_trusted_radius",
     "ode_euler_step",
     "make_ode_family",
     "vector_field_preset",
@@ -82,6 +84,9 @@ __all__ = [
 ]
 
 DEFAULT_LAMBDA_POINTS = 41
+GBM_ESCAPE_THRESHOLD = 1e-10
+# upper-tail normal quantile at the escape threshold
+_Z_ESCAPE = -statistics.NormalDist().inv_cdf(GBM_ESCAPE_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +187,13 @@ def user_lambda_grid(values, dim: int = 1) -> LambdaGrid:
     return LambdaGrid(lambdas=arr, provenance="user")
 
 
-def effective_lambda_radius(lip_c: float, cost: CostFunction,
-                            scan_points: int = 4001) -> float:
+def effective_lambda_radius(lip_c: float, cost: CostFunction) -> float:
     """Smallest probed radius beyond which every drift candidate is dominated.
 
     A drift lam is dominated as soon as L(lam) >= c |lam - anchor|; the
     superlinearity witness bounds the search region, and the radius is then
-    refined by a dense scan.  Only 1D drift sets are scanned; for higher
-    dimensions the witness radius itself is returned.
+    refined by a scan of 4001 points.  Only 1D drift sets are scanned; for
+    higher dimensions the witness radius itself is returned.
     """
     if lip_c < 0:
         raise ValueError("Lipschitz constant must be nonnegative")
@@ -207,7 +211,7 @@ def effective_lambda_radius(lip_c: float, cost: CostFunction,
     cap = max(cap, anchor_norm)
     if cost.anchor.size > 1:
         return cap
-    lam = np.linspace(-cap, cap, scan_points)[:, None]
+    lam = np.linspace(-cap, cap, 4001)[:, None]
     gap = cost.evaluate(lam) - lip_c * np.abs(lam[:, 0] - cost.anchor[0])
     violating = np.abs(lam[:, 0])[gap < 0]
     if violating.size == 0:
@@ -215,15 +219,15 @@ def effective_lambda_radius(lip_c: float, cost: CostFunction,
     return float(max(np.max(violating), anchor_norm))
 
 
-def auto_lambda_grid(cost: CostFunction, lip_c: float,
-                     points: int = DEFAULT_LAMBDA_POINTS) -> LambdaGrid:
-    """Uniform 1D drift grid on [-R, R] for the effective radius R, with the
-    anchor inserted if it is not already a grid point."""
+def auto_lambda_grid(cost: CostFunction, lip_c: float) -> LambdaGrid:
+    """Uniform 1D drift grid of DEFAULT_LAMBDA_POINTS drifts on [-R, R] for
+    the effective radius R, with the anchor inserted if it is not already a
+    grid point."""
     R = effective_lambda_radius(lip_c, cost)
     if R == 0.0:
         lams = cost.anchor[None, :]
     else:
-        lams = np.linspace(-R, R, points)[:, None]
+        lams = np.linspace(-R, R, DEFAULT_LAMBDA_POINTS)[:, None]
         if not np.any(np.all(lams == cost.anchor[None, :], axis=1)):
             lams = np.vstack([lams, cost.anchor[None, :]])
     return LambdaGrid(lambdas=lams, provenance=f"auto_radius_{R:.6g}")
@@ -280,17 +284,14 @@ def make_gexp_family(lambda_grid: LambdaGrid, cost: CostFunction, grid: Grid,
 
 @dataclass(frozen=True)
 class SigmaLambdaSet:
-    """Finite uncertainty set: (sigma, lambda) pairs for the diffusion/drift
-    expectation, or (mu, sigma) pairs for robust GBM."""
+    """Finite uncertainty set of (sigma, lambda) pairs for the diffusion/drift
+    expectation."""
 
     pairs: tuple
-    kind: str = "diffusion_drift"  # or "gbm"
 
     def __post_init__(self):
         if len(self.pairs) == 0:
             raise ValueError("uncertainty set must be nonempty")
-        if self.kind not in ("diffusion_drift", "gbm"):
-            raise ValueError("kind must be 'diffusion_drift' or 'gbm'")
         for p in self.pairs:
             for v in np.ravel(np.asarray(p[0])).tolist() + np.ravel(np.asarray(p[1])).tolist():
                 if not math.isfinite(v):
@@ -300,9 +301,6 @@ class SigmaLambdaSet:
 def _g_expectation_candidates(sigma_lambda_set: SigmaLambdaSet, dim: int):
     """(drifts, sigmas, costs) of the (sigma, lambda) pairs; a scalar sigma
     or lambda applies to every axis, and no pair has a cost."""
-    if sigma_lambda_set.kind != "diffusion_drift":
-        raise ValueError("expected a (sigma, lambda) uncertainty set")
-
     def per_axis(v):
         return np.broadcast_to(np.asarray(v, dtype=np.float64), (dim,))
 
@@ -342,38 +340,67 @@ def make_g_expectation_family(sigma_lambda_set: SigmaLambdaSet, grid: Grid,
         omega=omega)
 
 
-def make_robust_gbm_family(sigma_lambda_set: SigmaLambdaSet, grid: Grid,
+def gbm_trusted_radius(mu_sigma_pairs, x_max: float, horizon: float) -> float:
+    """Radius inside which the lognormal mass escaping the box stays below
+    the escape threshold for every composition of steps up to the horizon."""
+    drift = max(0.0, max((mu - sig * sig / 2.0) for mu, sig in mu_sigma_pairs))
+    sig_max = max(abs(sig) for _, sig in mu_sigma_pairs)
+    return x_max * math.exp(-drift * horizon - _Z_ESCAPE * sig_max * math.sqrt(horizon))
+
+
+def _gbm_escape_mass(x: float, t: float, mu: float, sigma: float,
+                     x_max: float) -> float:
+    """P(x X_t > x_max) at a node x >= 0, X_t the one-step lognormal factor."""
+    if x == 0.0 or sigma == 0.0:
+        return float(x * math.exp(mu * t) > x_max)
+    z = (math.log(x_max / x) - (mu - sigma * sigma / 2.0) * t) / (
+        abs(sigma) * math.sqrt(t))
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def make_robust_gbm_family(pairs, grid: Grid, trust_horizon: float,
                            quad_points: int = GbmParams.quad_points,
-                           p: float = NormSpec.p,
-                           trust_horizon: float = 1.0) -> GeneratingFamilyDescriptor:
+                           p: float = NormSpec.p) -> GeneratingFamilyDescriptor:
     """Robust GBM: nodewise max of GBM transitions over (mu, sigma) pairs.
 
     The norm is the weighted one with exponent p > 1; envelopes
     alpha(R,t) = e^{omega t} R and beta(R,t) = e^{omega t} with omega the
     max growth rate over the pair set; the generator is the max of
     mu x f' + sigma^2 x^2 f''/2, through the per-node chain rates of
-    kernel_generator.  Each member steps by quad_points Gauss-Hermite nodes.
-    Comparisons are restricted to the trusted interior where escaping
-    lognormal mass stays below the threshold over the trust horizon.
+    kernel_generator.  Each pair is a GbmParams member of quad_points
+    Gauss-Hermite nodes.  Comparisons are restricted to the nodes within
+    gbm_trusted_radius of the trust horizon (a finite number >= 0), and a
+    step warns (never fails) when a member's one-step escape mass at the
+    outermost of them, where the mass is largest, exceeds the threshold.
     """
-    if sigma_lambda_set.kind != "gbm":
-        raise ValueError("expected a (mu, sigma) uncertainty set")
     if grid.dim != 1:
         raise ValueError("GBM operator is one-dimensional")
-    norm = NormSpec(kind="weighted", p=p)
-    pairs = [(float(mu), float(sig)) for mu, sig in sigma_lambda_set.pairs]
-    omega = gbm_growth_rate(pairs, p)
-    radius = gbm_trusted_radius(pairs, grid.x_max[0], trust_horizon)
+    if not 0.0 <= trust_horizon < math.inf:
+        raise ValueError("trust horizon must be a finite number >= 0, got "
+                         f"{trust_horizon!r}")
     members = [GbmParams(mu=mu, sigma=sig, quad_points=quad_points)
                for mu, sig in pairs]
+    if not members:
+        raise ValueError("the (mu, sigma) set must be nonempty")
+    norm = NormSpec(kind="weighted", p=p)
+    pairs = [(mp.mu, mp.sigma) for mp in members]
+    omega = gbm_growth_rate(pairs, p)
+    x_max = grid.x_max[0]
+    radius = gbm_trusted_radius(pairs, x_max, trust_horizon)
+    x = grid.axis(0)
+    trusted = np.abs(x) <= radius
+    edge = float(np.max(np.abs(x[trusted])))
 
     def step(t, f):
         if t == 0.0:
             return f
-        return with_values(f, np.max([gbm_step(f, t, mp, trusted_radius=radius).values
-                                      for mp in members], axis=0))
+        if any(_gbm_escape_mass(edge, t, mu, sig, x_max) > GBM_ESCAPE_THRESHOLD
+               for mu, sig in pairs):
+            warnings.warn("robust_gbm: escaping lognormal mass exceeds "
+                          "threshold inside the trusted interior", stacklevel=2)
+        return with_values(f, np.max([gbm_step(f, t, mp).values for mp in members],
+                                     axis=0))
 
-    x = grid.axis(0)
     mus, sigs = np.array(pairs).T
     return kernel_family(
         "robust_gbm", step, grid, norm,
@@ -384,7 +411,7 @@ def make_robust_gbm_family(sigma_lambda_set: SigmaLambdaSet, grid: Grid,
         omega=omega,
         zero=GridFunction(grid, 1, np.zeros((grid.n_nodes, 1)),
                           extension_mode="clamp"),
-        comparison_mask=np.abs(x) <= radius)
+        comparison_mask=trusted)
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,8 @@ def grid_create(dim: int, x_max, n_points) -> Grid:
 class GridFunction:
     """Node values of a function on a Grid.
 
-    values has shape (n_nodes, m) in row-major node order.  extension_mode
-    governs evaluation outside the box: 'zero' or 'clamp'.
+    values has shape (n_nodes, m), m >= 1, in row-major node order.
+    extension_mode governs evaluation outside the box: 'zero' or 'clamp'.
     """
 
     grid: Grid
@@ -138,6 +138,9 @@ class GridFunction:
     def __post_init__(self):
         if self.extension_mode not in ("zero", "clamp"):
             raise ValueError("extension_mode must be 'zero' or 'clamp'")
+        if self.codomain_dim < 1:
+            raise ValueError("a grid function needs at least one value column, "
+                             f"got codomain_dim {self.codomain_dim!r}")
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim == 1:
             vals = vals[:, None]

@@ -97,8 +97,8 @@ def gbm_grid():
 
 @pytest.fixture(scope="session")
 def robust_gbm_family(gbm_grid):
-    uset = SigmaLambdaSet(pairs=((0.1, 0.2), (-0.1, 0.2)), kind="gbm")
-    return make_robust_gbm_family(uset, gbm_grid, trust_horizon=0.5)
+    return make_robust_gbm_family(((0.1, 0.2), (-0.1, 0.2)), gbm_grid,
+                                  trust_horizon=0.5)
 
 
 @pytest.fixture(scope="session")
@@ -118,11 +118,10 @@ def perturbation_family(grid_fine):
     return make_perturbation_family(heat, perturbation_preset("sin"), grid_fine)
 
 
-def held_gbm_plan(params, trusted_radius=None):
+def held_gbm_plan(params):
     """The plan that the last GBM step of params left in its cache slot."""
     from semiflow.families_linear import _PLANS
-    return _PLANS["gbm", params.mu, params.sigma, params.quad_points,
-                  trusted_radius][1]
+    return _PLANS["gbm", params.mu, params.sigma, params.quad_points][1]
 
 
 def load_module(relative_path):

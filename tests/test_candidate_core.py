@@ -219,16 +219,14 @@ def test_robust_gbm_generator():
     grid = grid_create(1, 8.0, 401)
     f = gbm_state(grid, seed=4)
     x = grid.axis(0)
-    fam = make_robust_gbm_family(SigmaLambdaSet(pairs=GBM_PAIRS, kind="gbm"),
-                                 grid)
+    fam = make_robust_gbm_family(GBM_PAIRS, grid, 1.0)
     gen = fam.analytic_generator(f).values
     xs = x[:, None]
     assert_close(gen, chain_generator(f, [((mu * xs,), (sig * xs,), 0.0)
                                           for mu, sig in GBM_PAIRS]))
     # with sigma > 0 the rates are central for |x| >= |mu| h / sigma^2
     pairs = GBM_PAIRS[:2]
-    fam = make_robust_gbm_family(SigmaLambdaSet(pairs=pairs, kind="gbm"),
-                                 grid)
+    fam = make_robust_gbm_family(pairs, grid, 1.0)
     ref = robust_gbm_reference(f, pairs)
     ref[np.abs(x) < max(abs(mu) * grid.h[0] / sig**2 for mu, sig in pairs)] = np.nan
     assert_close(fam.analytic_generator(f).values, ref)
@@ -250,10 +248,7 @@ def test_steps_match_public_step_functions(dim, t):
 def test_robust_gbm_step_is_max_of_gbm_steps(t):
     grid = grid_create(1, 8.0, 401)
     f = gbm_state(grid, seed=6)
-    fam = make_robust_gbm_family(SigmaLambdaSet(pairs=GBM_PAIRS, kind="gbm"),
-                                 grid)
-    radius = fam.params["trusted_radius"]
-    ref = np.maximum.reduce([gbm_step(f, t, GbmParams(mu=mu, sigma=sig),
-                                      trusted_radius=radius).values
+    fam = make_robust_gbm_family(GBM_PAIRS, grid, 1.0)
+    ref = np.maximum.reduce([gbm_step(f, t, GbmParams(mu=mu, sigma=sig)).values
                              for mu, sig in GBM_PAIRS])
     assert np.array_equal(fam.step(t, f).values, ref)

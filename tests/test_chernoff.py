@@ -243,6 +243,12 @@ class TestChernoffLimits:
         with pytest.raises(NonDyadicTimeError):
             chernoff_limits(ode_decay_family, (0.5, math.pi / 4), VectorState([1.0]))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+    def test_tol_must_be_positive(self, ode_decay_family, tol):
+        # a NaN tol would pass tol <= 0 and run every level to n_max
+        with pytest.raises(ValueError, match="tol must be a positive number"):
+            chernoff_limits(ode_decay_family, (0.5,), VectorState([1.0]), tol)
+
     def test_zero_time_returns_input(self, ode_decay_family):
         x = VectorState([1.0])
         limits = chernoff_limits(ode_decay_family, (0.0, 0.5), x)

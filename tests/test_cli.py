@@ -167,6 +167,21 @@ class TestRunExperiment:
         assert "gexp_quadratic, heat_bump" in err
         assert not any(tmp_path.iterdir())
 
+    def test_run_all_config_error_exits_two(self, tmp_path, monkeypatch, capsys):
+        # every config is parsed before the first one runs, so the error in
+        # the second one writes nothing for the first either
+        run_all = load_module("scripts/run_all.py")
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        write_config(configs, MINIMAL_ODE, "a_good.json")
+        write_config(configs, dict(MINIMAL_ODE, tasks=5), "b_bad.json")
+        monkeypatch.setattr(run_all, "CONFIG_DIR", configs)
+        out = tmp_path / "out"
+        monkeypatch.setattr(sys, "argv", ["run_all.py", "--out", str(out)])
+        assert run_all.main() == 2
+        assert "config error: config.tasks" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("stem,steps", [
         ("ode_decay", 2158), ("heat_bump", 30), ("robust_gbm", 30)])
     def test_evolve_and_defect_step_counts(self, tmp_path, monkeypatch, stem, steps):
@@ -476,6 +491,12 @@ class TestMainEntry:
         (dict(HEAT_41, norm={"kind": "sup", "p": "3"}, schedule={"t_list": [0.5]}),
          "config.norm"),
         (dict(MINIMAL_ODE, initial={"value": ["1"]}), "config.initial.value[0]"),
+        # tasks are a list naming each task once; output_dir is a path string
+        (dict(HEAT_41, schedule={"t_list": [0.5]}, tasks=5), "config.tasks"),
+        (dict(HEAT_41, schedule={"t_list": [0.5]}, tasks="evolve"), "config.tasks"),
+        (dict(HEAT_41, schedule={"t_list": [0.5]}, tasks=["evolve", "evolve"]),
+         "config.tasks[1]"),
+        (dict(HEAT_41, schedule={"t_list": [0.5]}, output_dir=5), "config.output_dir"),
     ])
     def test_parse_time_config_errors(self, tmp_path, capsys, cfg, field):
         with pytest.raises(ConfigError) as exc:
@@ -551,6 +572,7 @@ class TestMainEntry:
         {"name": "gexp", "lambda_grid": {"min": -1}},
         {"name": "robust_gbm", "pairs": [0.1, 0.2]},
         {"name": "robust_gbm", "p": 1.0},
+        {"name": "robust_gbm", "trust_horizon": -0.5},
     ])
     def test_family_build_errors_exit_two(self, tmp_path, capsys, family):
         cfg = dict(self.HEAT_41, family=family, schedule={"t_list": [0.5]},
@@ -562,6 +584,17 @@ class TestMainEntry:
 
     def test_missing_table_exits_two(self, tmp_path, capsys):
         cfg = dict(self.HEAT_41, initial={"table": str(tmp_path / "missing.csv")},
+                   schedule={"t_list": [0.5]}, tasks=["evolve"])
+        out = tmp_path / "o"
+        assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert "config error: config.initial.table" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_table_without_value_columns_exits_two(self, tmp_path, capsys):
+        table = tmp_path / "x_only.csv"
+        x = grid_create(1, 2.0, 41).axis(0)
+        table.write_text("x\n" + "".join("%.17g\n" % v for v in x))
+        cfg = dict(self.HEAT_41, initial={"table": str(table)},
                    schedule={"t_list": [0.5]}, tasks=["evolve"])
         out = tmp_path / "o"
         assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2

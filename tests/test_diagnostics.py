@@ -166,6 +166,12 @@ class TestGeneratorEstimate:
         assert table.monotone_decreasing
         assert table.errors[-1] <= 5e-2
 
+    @pytest.mark.parametrize("hs", [[0.0], [0.25, 0.0], [-0.25]])
+    def test_h_levels_must_be_positive(self, ode_decay_family, hs):
+        # h = 0 would divide the quotient by zero and fail as non-finite
+        with pytest.raises(ValueError, match="h_levels must be positive"):
+            generator_estimate(ode_decay_family, VectorState([1.0]), hs)
+
     def test_ode_quotient(self, ode_decay_family):
         table = generator_estimate(ode_decay_family, VectorState([1.0]),
                                    [2.0**-k for k in range(6, 11)], tol=1e-6)
@@ -301,10 +307,9 @@ class TestAlphaBetaAudit:
 
     @pytest.fixture(scope="class")
     def masked_gbm_family(self, gbm_grid):
-        from semiflow.families_nonlinear import SigmaLambdaSet, make_robust_gbm_family
-        uset = SigmaLambdaSet(pairs=((0.1, 0.2), (-0.1, 0.2), (0.05, 0.3),
-                                     (0.0, 0.1)), kind="gbm")
-        fam = make_robust_gbm_family(uset, gbm_grid, trust_horizon=0.5)
+        from semiflow.families_nonlinear import make_robust_gbm_family
+        pairs = ((0.1, 0.2), (-0.1, 0.2), (0.05, 0.3), (0.0, 0.1))
+        fam = make_robust_gbm_family(pairs, gbm_grid, trust_horizon=0.5)
         assert not fam.comparison_mask.all()
         return fam
 

@@ -12,11 +12,10 @@ from semiflow.families_linear import (
     HeatDriftParams,
     gbm_growth_rate,
     gbm_step,
-    gbm_trusted_radius,
     heat_drift_step,
     make_heat_family,
 )
-from semiflow.families_nonlinear import SigmaLambdaSet, make_robust_gbm_family
+from semiflow.families_nonlinear import gbm_trusted_radius, make_robust_gbm_family
 from semiflow.state_space import (
     GridFunction,
     NormSpec,
@@ -273,13 +272,6 @@ class TestGbmStep:
                 rhs = math.exp(omega * t) * distance(f, zero, norm)
                 assert lhs <= rhs + 1e-8
 
-    def test_escape_warning_inside_trusted_interior(self):
-        g = grid_create(1, 4.0, 81)
-        f = sample_function("identity", g)
-        with pytest.warns(UserWarning, match="escaping"):
-            # trusted radius deliberately too generous for this long step
-            gbm_step(f, 4.0, GbmParams(mu=0.5, sigma=0.5), trusted_radius=3.9)
-
 
 class TestFamilyDescriptors:
     def test_heat_envelopes(self, heat_family):
@@ -303,8 +295,7 @@ class TestFamilyDescriptors:
         assert omega == pytest.approx(3 * (0.1 + 2 * 0.04 / 2), rel=1e-12)
 
     def test_gbm_linear_generator_identity(self, gbm_grid):
-        fam = make_robust_gbm_family(SigmaLambdaSet(pairs=((0.1, 0.3),), kind="gbm"),
-                                     gbm_grid)
+        fam = make_robust_gbm_family(((0.1, 0.3),), gbm_grid, 1.0)
         f = sample_function("identity", gbm_grid)
         gen = fam.analytic_generator(f)
         x = gbm_grid.axis(0)
@@ -314,3 +305,12 @@ class TestFamilyDescriptors:
     def test_gbm_quadrature_minimum(self):
         with pytest.raises(ValueError):
             GbmParams(mu=0.0, sigma=0.2, quad_points=4)
+
+    @pytest.mark.parametrize("mu,sigma,quad_points", [
+        (0.0, 0.2, 64.7), (0.0, 0.2, 64.0), (0.0, 0.2, True), (0.0, 0.2, "64"),
+        (math.nan, 0.2, 64), (0.0, math.inf, 64), ("0.1", 0.2, 64)])
+    def test_gbm_member_rules(self, mu, sigma, quad_points):
+        # a member's mu and sigma are finite numbers and its quadrature an
+        # integer >= 8, checked when the member is made, not at its first step
+        with pytest.raises(ValueError, match="integer >= 8|finite numbers"):
+            GbmParams(mu=mu, sigma=sigma, quad_points=quad_points)

@@ -134,7 +134,7 @@ class TestEffectiveLambdaRadius:
             pytest.approx(2.0, abs=1e-2)
 
     def test_auto_grid_contains_anchor(self):
-        lg = auto_lambda_grid(quadratic_cost(0.5), 1.0, points=41)
+        lg = auto_lambda_grid(quadratic_cost(0.5), 1.0)
         assert np.any(np.all(lg.lambdas == 0.0, axis=1))
 
     def test_insufficient_witness(self):
@@ -264,13 +264,70 @@ class TestGExpectationStep:
 class TestRobustGbm:
     def test_singleton_pair_matches_gbm_step(self, gbm_grid):
         from semiflow.families_linear import gbm_step
-        uset = SigmaLambdaSet(pairs=((0.1, 0.2),), kind="gbm")
-        fam = make_robust_gbm_family(uset, gbm_grid, trust_horizon=0.5)
+        fam = make_robust_gbm_family(((0.1, 0.2),), gbm_grid, trust_horizon=0.5)
         f = sample_function("identity", gbm_grid)
         out = fam.step(0.5, f)
-        ref = gbm_step(f, 0.5, GbmParams(mu=0.1, sigma=0.2),
-                       trusted_radius=fam.params["trusted_radius"])
+        ref = gbm_step(f, 0.5, GbmParams(mu=0.1, sigma=0.2))
         assert np.array_equal(out.values, ref.values)
+
+    def test_escape_warning_inside_trusted_interior(self):
+        g = grid_create(1, 4.0, 81)
+        f = sample_function("identity", g)
+        # a step far longer than the trust horizon leaves the interior
+        fam = make_robust_gbm_family(((0.5, 0.5),), g, trust_horizon=2.0**-6)
+        with pytest.warns(UserWarning, match="escaping"):
+            fam.step(4.0, f)
+
+    def test_escape_flag_equals_the_per_node_flag(self):
+        # the step's flag reads the one-step escape mass at the outermost
+        # trusted node only; the mass grows with |x|, so it flags exactly
+        # when some trusted node does, as the per-node check did
+        from semiflow.families_nonlinear import (
+            GBM_ESCAPE_THRESHOLD,
+            _gbm_escape_mass,
+            gbm_trusted_radius,
+        )
+
+        def per_node_flag(x, radius, t, mu, sigma, x_max):
+            ax = np.abs(x[np.abs(x) <= radius])
+            ax = ax[ax > 0]
+            if sigma == 0.0:
+                return bool(np.any(ax * math.exp(mu * t) > x_max))
+            z = (np.log(x_max / ax) - (mu - sigma * sigma / 2.0) * t) / (
+                abs(sigma) * math.sqrt(t))
+            return any(0.5 * math.erfc(v / math.sqrt(2.0)) > GBM_ESCAPE_THRESHOLD
+                       for v in z.tolist())
+
+        g = grid_create(1, 16.0, 401)
+        x, x_max = g.axis(0), 16.0
+        pairs = [(mu, sig) for mu in (-0.3, -0.1, 0.0, 0.1, 0.5)
+                 for sig in (0.0, 0.1, 0.2, 0.5, 1.5)]
+        times = [2.0**-k for k in range(9)] + [2.0, 4.0]
+        flagged = 0
+        for mu, sig in pairs:
+            radii = [gbm_trusted_radius([(mu, sig)], x_max, h)
+                     for h in (0.0, 2.0**-6, 0.25, 1.0, 4.0)] + [1.0, 8.0, 15.99]
+            for radius in radii:
+                edge = float(np.max(np.abs(x[np.abs(x) <= radius])))
+                for t in times:
+                    flag = _gbm_escape_mass(edge, t, mu, sig, x_max) > GBM_ESCAPE_THRESHOLD
+                    assert flag == per_node_flag(x, radius, t, mu, sig, x_max), \
+                        (mu, sig, radius, t)
+                    flagged += flag
+        assert 0 < flagged < len(pairs) * len(radii) * len(times)
+
+    @pytest.mark.parametrize("horizon", [-0.5, math.nan, math.inf])
+    def test_trust_horizon_rule(self, gbm_grid, horizon):
+        with pytest.raises(ValueError, match="trust horizon must be a finite number >= 0"):
+            make_robust_gbm_family(((0.1, 0.2),), gbm_grid, horizon)
+
+    def test_member_rules_are_checked_when_built(self, gbm_grid):
+        with pytest.raises(ValueError, match="integer >= 8"):
+            make_robust_gbm_family(((0.1, 0.2),), gbm_grid, 0.5, quad_points=64.7)
+        with pytest.raises(ValueError, match="finite numbers"):
+            make_robust_gbm_family(((0.1, math.nan),), gbm_grid, 0.5)
+        with pytest.raises(ValueError, match="nonempty"):
+            make_robust_gbm_family((), gbm_grid, 0.5)
 
     def test_zero_fixed(self, robust_gbm_family):
         z = robust_gbm_family.zero_state

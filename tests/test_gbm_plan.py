@@ -14,6 +14,7 @@ import pytest
 
 from conftest import held_gbm_plan
 from semiflow import families_linear as fl
+from semiflow import families_nonlinear as fn
 from semiflow.families_linear import GbmParams, gbm_step
 from semiflow.state_space import GridFunction, grid_create
 
@@ -105,17 +106,19 @@ def test_held_plan_is_read_only():
 
 
 def test_escape_warning_on_every_flagged_call():
+    # the robust GBM family warns on each step that leaves its trusted
+    # interior, not only on the step that builds the member's plan
     g = grid_create(1, 4.0, 81)
     f = GridFunction(g, 1, g.axis(0), "clamp")
-    params = GbmParams(mu=0.5, sigma=0.5)
+    fam = fn.make_robust_gbm_family(((0.5, 0.5),), g, trust_horizon=2.0**-6)
     fl._PLANS.clear()
     for _ in range(3):
         with pytest.warns(UserWarning, match="escaping"):
-            gbm_step(f, 4.0, params, trusted_radius=3.9)
+            fam.step(4.0, f)
     assert len(fl._PLANS) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gbm_step(f, 2.0**-6, params, trusted_radius=0.5)
+        fam.step(2.0**-6, f)
 
 
 def test_plan_cache_keeps_last_plan_per_member():
@@ -149,9 +152,10 @@ def test_escape_mass_flags_match_the_normal_tail():
     mu, sigma, t, x_max = 0.1, 0.3, 0.5, 16.0
     z = np.linspace(-3.0, 9.0, 100_001)
     x = x_max * np.exp(-(mu - sigma**2 / 2.0) * t - z * sigma * math.sqrt(t))
-    mass = fl._gbm_escape_mass(x, t, mu, sigma, x_max)
+    mass = np.array([fn._gbm_escape_mass(v, t, mu, sigma, x_max)
+                     for v in x.tolist()])
     tail = 1.0 - ndtr((np.log(x_max / x) - (mu - sigma**2 / 2.0) * t)
                       / (sigma * math.sqrt(t)))
-    assert np.array_equal(mass > fl.GBM_ESCAPE_THRESHOLD,
-                          tail > fl.GBM_ESCAPE_THRESHOLD)
+    assert np.array_equal(mass > fn.GBM_ESCAPE_THRESHOLD,
+                          tail > fn.GBM_ESCAPE_THRESHOLD)
     assert np.allclose(mass, tail, rtol=1e-6, atol=1e-15)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from scipy.special import ndtri
 
-from semiflow import families_linear as fl
+from semiflow import families_nonlinear as fn
 from semiflow.state_space import grid_create, sample_function, write_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,11 +23,11 @@ PROBE = """
 import sys
 import semiflow.cli
 from semiflow.families_linear import GbmParams, gbm_step
-from semiflow.families_nonlinear import SigmaLambdaSet, make_robust_gbm_family
+from semiflow.families_nonlinear import make_robust_gbm_family
 from semiflow.state_space import grid_create, sample_function
 grid = grid_create(1, 8.0, 161)
 params = GbmParams(mu=0.1, sigma=0.2)
-make_robust_gbm_family(SigmaLambdaSet(pairs=((0.1, 0.2),), kind="gbm"), grid)
+make_robust_gbm_family(((0.1, 0.2),), grid, 0.25)
 gbm_step(sample_function("identity", grid), 0.25, params)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
@@ -65,4 +65,4 @@ def test_cli_runs_as_a_module_without_warnings(tmp_path):
 
 
 def test_escape_quantile_is_the_normal_quantile():
-    assert fl._Z_ESCAPE == -ndtri(fl.GBM_ESCAPE_THRESHOLD)
+    assert fn._Z_ESCAPE == -ndtri(fn.GBM_ESCAPE_THRESHOLD)

@@ -167,6 +167,14 @@ class TestSampleFunction:
         with pytest.raises(ValueError):
             sample_function("heet", grid_create(1, 1.0, 3))
 
+    def test_rejects_no_value_columns(self):
+        # a table of coordinates only has no values to evolve
+        g = grid_create(1, 2.0, 5)
+        with pytest.raises(ValueError, match="at least one value column"):
+            sample_function(np.zeros((5, 0)), g)
+        with pytest.raises(ValueError, match="at least one value column"):
+            GridFunction(g, 0, np.zeros((5, 0)))
+
 
 class TestDistance:
     def test_identity_of_indiscernibles(self):
