@@ -223,6 +223,17 @@ def _check_lambda_grid(value, path):
             raise ConfigError(f"{path}.step", "must be positive")
 
 
+def _check_pairs(value, path):
+    """A list of [mu, sigma] pairs of finite numbers."""
+    if not isinstance(value, list):
+        raise ConfigError(path, "must be a list of [mu, sigma] pairs")
+    for i, pair in enumerate(value):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"{path}[{i}]",
+                              f"must be a pair [mu, sigma] of numbers, got {pair!r}")
+        _numbers(pair, f"{path}[{i}]")
+
+
 def _entries(schedule, key, least, check, *args):
     """schedule[key], which must be a list of at least `least` entries, each
     passed through check(entry, *args) at its own field path."""
@@ -308,7 +319,9 @@ def parse_config(path) -> ExperimentSpec:
         elif key == "lambda_grid":
             _check_lambda_grid(value, path)
         elif key == "M":
-            _validated(path, _integer, value, 1)
+            _validated(path, _integer, value, GbmParams.MIN_QUAD_POINTS)
+        elif key == "pairs":
+            _check_pairs(value, path)
         elif key == "base":
             _one_of(value, ("heat", "identity"), path, "base")
         elif key == "expected_verdict":
@@ -471,7 +484,8 @@ def _build_initial_grid_state(spec: ExperimentSpec, grid: Grid) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 def _fmt_time(t: float) -> str:
-    return ("%g" % t).replace("-", "m").replace(".", "p")
+    """t in %.17g, as the CSV values are, so distinct times name distinct files."""
+    return ("%.17g" % t).replace("-", "m").replace(".", "p")
 
 
 def _task_evolve(spec, family, state, outdir, writes, limits):

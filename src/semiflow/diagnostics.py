@@ -19,9 +19,9 @@ generating family into measured reports:
   the dyadic iterates across refinement levels for sup-type families.
 
 Verdict thresholds are artifact choices: a state is called bounded when the
-last three level ratios agree within 10 percent, diverging when the last
-three level-to-level growth factors all exceed 1.2, and inconclusive
-otherwise.  Sup-norm comparisons involving kernels exclude an interior
+ratios of the three finest levels agree within 10 percent, diverging when
+the last three level-to-level growth factors all exceed 1.2, and
+inconclusive otherwise.  Sup-norm comparisons involving kernels exclude an interior
 collar of 2 nodes plus 8 sqrt(h_max) kernel standard deviations.
 """
 
@@ -109,54 +109,52 @@ def _classify(ratios) -> str:
     return "inconclusive"
 
 
-def _ladder_quotients(family: GeneratingFamilyDescriptor, states, T: float,
-                      levels) -> list[dict]:
-    """d(I(t)x, x)/t per state at every distinct ladder time t = k 2^-n.
+def _images(family: GeneratingFamilyDescriptor, states, times):
+    """Yield (t, [I(t)x for x in states]) at each time in turn: every state
+    takes a time before the next time, so consecutive steps share one dt and
+    one step plan."""
+    for t in times:
+        yield t, [family.step(t, x) for x in states]
 
-    The ladders of different levels share their times, so each I(t)x is
-    evaluated once; all states take a time before the next one, so
-    consecutive steps share one dt.
-    """
+
+def _certificates(family: GeneratingFamilyDescriptor, states, T: float,
+                  levels, state_ids) -> list[LipschitzCertificate]:
+    """One certificate per state from r_n = max over the level-n ladder
+    t in {2^-n, 2 2^-n, ..., T} of d(I(t)x, x)/t, the levels read in
+    increasing order with repeats dropped.  The ladders share their times,
+    so each I(t)x is evaluated once."""
     if T <= 0:
         raise ValueError("horizon must be positive")
-    parts = [dyadic_partition(T, n) for n in levels]
+    parts = [dyadic_partition(T, n) for n in sorted(set(levels))]
     if not parts:
         raise ValueError("need at least one level")
-    times = dict.fromkeys(k * p.step for p in parts
-                          for k in range(1, p.step_count + 1))
-    quotients = [{} for _ in states]
-    for t in times:
-        for q, x in zip(quotients, states):
-            q[t] = family.distance(family.step(t, x), x) / t
-    return quotients
-
-
-def _certificate(quotients: dict, T: float, levels,
-                 state_id: str) -> LipschitzCertificate:
-    ratios = []
-    for n in levels:
-        best = 0.0
-        for k in range(1, int(round(T * 2.0**n)) + 1):
-            best = max(best, quotients[k * 2.0**-n])
-        ratios.append(best)
-    growth = tuple(b / a if a > _RATIO_FLOOR else float("nan")
-                   for a, b in zip(ratios, ratios[1:]))
-    return LipschitzCertificate(
-        state_id=state_id,
-        horizon=float(T),
-        levels=tuple(int(n) for n in levels),
-        ratios=tuple(ratios),
-        gamma_hat=float(max(ratios)),
-        growth_factors=growth,
-        verdict=_classify(ratios),
-    )
+    ladders = [[k * p.step for k in range(1, p.step_count + 1)] for p in parts]
+    times = dict.fromkeys(t for ladder in ladders for t in ladder)
+    quotients = {t: [family.distance(im, x) / t for im, x in zip(images, states)]
+                 for t, images in _images(family, states, times)}
+    certs = []
+    for i, state_id in enumerate(state_ids):
+        # each max starts from 0.0, so a NaN quotient never wins
+        ratios = [max(0.0, *(quotients[t][i] for t in ladder)) for ladder in ladders]
+        certs.append(LipschitzCertificate(
+            state_id=state_id,
+            horizon=float(T),
+            levels=tuple(p.level for p in parts),
+            ratios=tuple(ratios),
+            gamma_hat=float(max(ratios)),
+            growth_factors=tuple(b / a if a > _RATIO_FLOOR else float("nan")
+                                 for a, b in zip(ratios, ratios[1:])),
+            verdict=_classify(ratios),
+        ))
+    return certs
 
 
 def lipschitz_certificate(family: GeneratingFamilyDescriptor, x, T: float,
                           levels, state_id: str = "state") -> LipschitzCertificate:
-    """Probe d(I(t)x, x)/t over the dyadic ladders t in {2^-n, 2 2^-n, ..., T}."""
-    quotients, = _ladder_quotients(family, [x], T, levels)
-    return _certificate(quotients, T, levels, state_id)
+    """Probe d(I(t)x, x)/t over the dyadic ladders t in {2^-n, 2 2^-n, ..., T},
+    reading the levels in increasing order."""
+    cert, = _certificates(family, [x], T, levels, [state_id])
+    return cert
 
 
 def symmetric_lipschitz_certificate(family: GeneratingFamilyDescriptor,
@@ -170,9 +168,8 @@ def symmetric_lipschitz_certificate(family: GeneratingFamilyDescriptor,
     """
     if not family.minus_conjugate:
         raise ValueError(f"{family.name}: conjugate family is not available")
-    q_plus, q_minus = _ladder_quotients(family, [f, negate(f)], T, levels)
-    cert_plus = _certificate(q_plus, T, levels, f"{state_id}+")
-    cert_minus = _certificate(q_minus, T, levels, f"{state_id}-")
+    cert_plus, cert_minus = _certificates(family, [f, negate(f)], T, levels,
+                                          [f"{state_id}+", f"{state_id}-"])
     joint = max(cert_plus.verdict, cert_minus.verdict, key=VERDICTS.index)
     return cert_plus, cert_minus, joint
 
@@ -378,23 +375,19 @@ def alpha_beta_audit(family: GeneratingFamilyDescriptor, n_samples: int,
     dxy = [grid_distance(x, states[(i + 1) % n_samples], family.norm)
            for i, x in enumerate(states)]
     # I(t)x_i serves the bound check of sample i, the x side of its Lipschitz
-    # check and the y side of sample i - 1's; one t at a time, so consecutive
-    # steps share one dt
+    # check and the y side of sample i - 1's
     ts = [0.0] + [float(t) for t in t_list]
-    bound = {}
-    lip = {}
-    for t in ts:
-        first = nxt = family.step(t, states[0]) if states else None
-        for i in range(n_samples):
-            im = nxt
-            nxt = family.step(t, states[i + 1]) if i + 1 < n_samples else first
-            bound[i, t] = family.alpha(R, t) - family.norm_of(im)
-            lip[i, t] = family.beta(R, t) * dxy[i] - family.distance(im, nxt)
+    margins = {}
+    for t, images in _images(family, states, ts):
+        for i, im in enumerate(images):
+            margins["bounded", i, t] = family.alpha(R, t) - family.norm_of(im)
+            margins["lipschitz", i, t] = (
+                family.beta(R, t) * dxy[i]
+                - family.distance(im, images[(i + 1) % n_samples]))
     for i in range(n_samples):
-        for t in ts:
-            record("bounded", bound[i, t], t=t, sample=i)
-        for t in ts:
-            record("lipschitz", lip[i, t], t=t, sample=i)
+        for kind in ("bounded", "lipschitz"):
+            for t in ts:
+                record(kind, margins[kind, i, t], t=t, sample=i)
 
     for _ in range(max(8, n_samples // 4)):
         Rr = rng.uniform(0.0, 2.0 * R)

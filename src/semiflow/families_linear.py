@@ -71,6 +71,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -126,8 +127,9 @@ class HeatDriftParams:
 @dataclass(frozen=True)
 class GbmParams:
     """GBM drift/volatility with the Gauss-Hermite quadrature size: mu and
-    sigma finite numbers, quad_points an integer >= 8."""
+    sigma finite numbers, quad_points an integer >= MIN_QUAD_POINTS."""
 
+    MIN_QUAD_POINTS: ClassVar[int] = 8
     mu: float
     sigma: float
     quad_points: int = 64
@@ -138,9 +140,10 @@ class GbmParams:
             raise ValueError(f"GBM mu and sigma must be finite numbers, got "
                              f"{self.mu!r}, {self.sigma!r}")
         if (not isinstance(self.quad_points, numbers.Integral)
-                or isinstance(self.quad_points, bool) or self.quad_points < 8):
-            raise ValueError("quadrature node count must be an integer >= 8, "
-                             f"got {self.quad_points!r}")
+                or isinstance(self.quad_points, bool)
+                or self.quad_points < self.MIN_QUAD_POINTS):
+            raise ValueError("quadrature node count must be an integer >= "
+                             f"{self.MIN_QUAD_POINTS}, got {self.quad_points!r}")
 
 
 def gbm_growth_rate(mu_sigma_pairs, p: float) -> float:

@@ -162,7 +162,9 @@ def cost_preset(name: str, **params) -> CostFunction:
 
 @dataclass(frozen=True)
 class LambdaGrid:
-    """Finite drift candidate set; must contain the cost anchor."""
+    """Finite drift candidate set.  A gexp family needs a drift of cost
+    exactly 0 in it (the cost anchor, or for an indicator cost any drift in
+    [lo, hi]), so that I(t)0 = 0 and alpha(R, t) = R hold."""
 
     lambdas: np.ndarray  # (K, d)
     provenance: str = "user"
@@ -255,6 +257,9 @@ def _gexp_candidates(lambda_grid: LambdaGrid, cost: CostFunction, dim: int):
     costs = cost.evaluate(lams)
     if not np.all(np.isfinite(costs)):
         raise ValueError("all drift candidates must have finite cost")
+    if costs.min() != 0.0:
+        raise ValueError("the drift grid needs a drift of cost 0; its smallest "
+                         f"cost is {float(costs.min())!r}")
     if lams.shape[1] != dim:
         raise ValueError("drift dimension does not match the grid")
     return lams, np.ones(lams.shape), costs

@@ -15,6 +15,7 @@ from semiflow.cli import (
     _SCHEDULE_DEFAULTS,
     ConfigError,
     ExperimentSpec,
+    _fmt_time,
     build_family,
     emit_plot,
     main,
@@ -244,6 +245,12 @@ class TestRunExperiment:
         manifest = run_experiment(spec, out_dir=tmp_path / "out")
         assert (tmp_path / "out" / "state_t0p5.csv").exists()
         assert manifest["passed"]
+
+    def test_csv_time_names_tell_times_apart(self):
+        assert [_fmt_time(t) for t in (0.25, 0.5, 1.0, 2.0)] == [
+            "0p25", "0p5", "1", "2"]
+        assert _fmt_time(1.0 + 2.0**-20) == "1p0000009536743164"
+        assert _fmt_time(1.0 + 2.0**-52) != _fmt_time(1.0)
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = {
@@ -497,6 +504,11 @@ class TestMainEntry:
         (dict(HEAT_41, schedule={"t_list": [0.5]}, tasks=["evolve", "evolve"]),
          "config.tasks[1]"),
         (dict(HEAT_41, schedule={"t_list": [0.5]}, output_dir=5), "config.output_dir"),
+        # robust GBM's quadrature size and pairs follow the library's rules
+        (dict(HEAT_41, family={"name": "robust_gbm", "M": 4},
+              schedule={"t_list": [0.5]}), "config.family.M"),
+        (dict(HEAT_41, family={"name": "robust_gbm", "pairs": [[0.1]]},
+              schedule={"t_list": [0.5]}), "config.family.pairs[0]"),
     ])
     def test_parse_time_config_errors(self, tmp_path, capsys, cfg, field):
         with pytest.raises(ConfigError) as exc:
@@ -573,6 +585,8 @@ class TestMainEntry:
         {"name": "robust_gbm", "pairs": [0.1, 0.2]},
         {"name": "robust_gbm", "p": 1.0},
         {"name": "robust_gbm", "trust_horizon": -0.5},
+        # no drift of cost 0: I(t)0 != 0 would break the bound envelope
+        {"name": "gexp", "lambda_grid": [0.5, 1.0]},
     ])
     def test_family_build_errors_exit_two(self, tmp_path, capsys, family):
         cfg = dict(self.HEAT_41, family=family, schedule={"t_list": [0.5]},

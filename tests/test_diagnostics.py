@@ -90,6 +90,19 @@ class TestLipschitzCertificate:
         assert d["verdict"] in ("bounded", "diverging", "inconclusive")
         assert len(d["ratios"]) == 3
 
+    @pytest.mark.parametrize("levels", [[8, 7, 6, 5, 4], [4, 8, 5, 7, 6],
+                                        [4, 5, 5, 6, 7, 8, 4]])
+    def test_levels_are_read_in_increasing_order(self, levels):
+        # the verdict reads the finest three levels, whatever order names them
+        g = grid_create(1, 4.0, 401)
+        fam = make_heat_family(HeatDriftParams.create(0.0, 1.0, 1),
+                               NormSpec("sup"), g)
+        hat = sample_function("hat", g)
+        cert = lipschitz_certificate(fam, hat, 0.125, levels)
+        assert cert == lipschitz_certificate(fam, hat, 0.125, [4, 5, 6, 7, 8])
+        assert cert.levels == (4, 5, 6, 7, 8)
+        assert cert.verdict == "diverging"
+
     @pytest.mark.parametrize("levels,rule", [
         ([4, 5.5, 6], "level must be a nonnegative integer"),
         ([], "need at least one level"),

@@ -190,6 +190,17 @@ class TestGexpFamily:
         out = gexp_family.step(0.5, z)
         assert gexp_family.distance(out, z) <= 1e-12
 
+    def test_drift_grid_needs_a_drift_of_cost_zero(self, grid_medium):
+        # without one I(t)0 = -(smallest cost) t != 0, against alpha(0, t) = 0
+        with pytest.raises(ValueError, match="drift of cost 0"):
+            make_gexp_family(user_lambda_grid([0.5, 1.0]), quadratic_cost(0.5),
+                             grid_medium)
+        # an indicator cost vanishes on all of [lo, hi]
+        fam = make_gexp_family(user_lambda_grid([0.5, 1.0]),
+                               indicator_cost(0.0, 2.0), grid_medium)
+        z = sample_function("zero", grid_medium)
+        assert fam.distance(fam.step(0.5, z), z) == 0.0
+
 
 class TestGExpectationStep:
     def test_singleton_pair_is_heat(self, grid_small):

@@ -8,7 +8,7 @@ import numpy as np
 
 from conftest import random_bumps
 from semiflow import families_linear as fl
-from semiflow.diagnostics import symmetric_lipschitz_certificate
+from semiflow.diagnostics import alpha_beta_audit, symmetric_lipschitz_certificate
 from semiflow.families_linear import GbmParams, gbm_step, heat_multi_step
 from semiflow.families_nonlinear import make_gexp_family, quadratic_cost, user_lambda_grid
 from semiflow.state_space import GridFunction, grid_create
@@ -41,6 +41,18 @@ def test_certificate_ladder_builds_one_plan_per_time(monkeypatch):
                                     [4, 5, 6, 7, 8])
     assert list(fl._PLANS) == [("heat", 0)]
     assert builds == {"heat": 32, "gbm": 0}
+
+
+def test_audit_builds_one_plan_per_probe_time(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    fl._PLANS.clear()
+    # every sample takes a probe time before the next time; t = 0 steps nothing
+    g = grid_create(1, 6.0, 401)
+    fam = make_gexp_family(user_lambda_grid(np.linspace(-2.0, 2.0, 9)),
+                           quadratic_cost(0.5), g)
+    report = alpha_beta_audit(fam, 6, 1.0, [0.25, 0.5, 0.125], seed=1)
+    assert report.violation_count == 0
+    assert builds == {"heat": 3, "gbm": 0}
 
 
 def test_alternating_kernels_build_each_plan_once(monkeypatch):
