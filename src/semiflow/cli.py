@@ -98,6 +98,9 @@ _FAMILY_DEFAULTS = {
                      "psi": {"name": "sin"}},
 }
 FAMILY_NAMES = tuple(_FAMILY_DEFAULTS)
+# Grid and norm defaults, all that an ODE spec may give (it reads neither).
+_SECTION_DEFAULTS = {"grid": {"dim": 1, "x_max": 8.0, "n_points": 1601},
+                     "norm": dataclasses.asdict(NormSpec())}
 # The family fields that name a preset, with the presets they may name.
 _PRESETS = {"cost": COST_PRESETS, "psi": PERTURBATION_PRESETS}
 # Every schedule default a task reads.  Derived from t_list at parse time:
@@ -329,11 +332,13 @@ def parse_config(path) -> ExperimentSpec:
         elif key != "name":
             _numbers(value, path)
 
-    grid = _filled(raw.get("grid", {}), "config.grid",
-                   {"dim": 1, "x_max": 8.0, "n_points": 1601})
+    grid = _filled(raw.get("grid", {}), "config.grid", _SECTION_DEFAULTS["grid"])
     _validated("config.grid", grid_create, **grid)
-    norm = _filled(raw.get("norm", {}), "config.norm", dataclasses.asdict(NormSpec()))
+    norm = _filled(raw.get("norm", {}), "config.norm", _SECTION_DEFAULTS["norm"])
     _validated("config.norm", NormSpec, **norm)
+    for key, value in (("grid", grid), ("norm", norm)):
+        if fname.startswith("ode_") and value != _SECTION_DEFAULTS[key]:
+            raise ConfigError(f"config.{key}", "an ODE family reads no grid or norm")
 
     initial = _filled(raw.get("initial", {}), "config.initial", {},
                       ["value"] if fname.startswith("ode_") else ["preset", "table"])
@@ -394,7 +399,7 @@ def parse_config(path) -> ExperimentSpec:
 
     seed = raw.get("seed", 0)
     _validated("config.seed", _integer, seed, 0)
-    if "audit" in tasks and "seed" not in raw:
+    if {"audit", "telescoping"} & set(tasks) and "seed" not in raw:
         raise ConfigError("config.seed",
                           "a seed is required when randomized tasks are selected")
 
@@ -432,10 +437,15 @@ def build_family(spec: ExperimentSpec):
     norm = NormSpec(**spec.norm)
     initial = _build_initial_grid_state(spec, grid)
 
-    if name == "heat":
-        params = HeatDriftParams.create(fam_cfg["drift"], fam_cfg["sigma"],
-                                        grid.dim)
-        return make_heat_family(params, norm, grid), initial
+    if name in ("heat", "perturbation"):  # heat is a perturbation's default base
+        base = (make_heat_family(HeatDriftParams.create(
+                    fam_cfg["drift"], fam_cfg["sigma"], grid.dim), norm, grid)
+                if fam_cfg.get("base", "heat") == "heat"
+                else make_identity_base_family(grid, norm))
+        if name == "heat":
+            return base, initial
+        pert = perturbation_preset(**fam_cfg["psi"])
+        return make_perturbation_family(base, pert, grid), initial
     if name == "gexp":
         cost = cost_preset(**fam_cfg["cost"])
         lg_cfg = fam_cfg["lambda_grid"]
@@ -455,12 +465,6 @@ def build_family(spec: ExperimentSpec):
                                         fam_cfg["trust_horizon"], fam_cfg["M"],
                                         fam_cfg["p"])
         return family, dataclasses.replace(initial, extension_mode="clamp")
-    if name == "perturbation":
-        base = (make_heat_family(HeatDriftParams.create(
-                    fam_cfg["drift"], fam_cfg["sigma"], grid.dim), norm, grid)
-                if fam_cfg["base"] == "heat" else make_identity_base_family(grid, norm))
-        pert = perturbation_preset(**fam_cfg["psi"])
-        return make_perturbation_family(base, pert, grid), initial
     raise ConfigError("config.family.name", f"unknown family {name!r}")
 
 

@@ -354,9 +354,12 @@ def alpha_beta_audit(family: GeneratingFamilyDescriptor, n_samples: int,
         d(x0, I(t)x)        <= alpha(R, t) + AUDIT_SLACK,
         d(I(t)x, I(t)y)     <= beta(R, t) d(x, y) + AUDIT_SLACK,
 
-    plus the composition laws of alpha and beta on sampled (R, s, t) triples.
-    The ball and d(x, y) are measured in the full norm, the images through
-    the family's comparison mask.
+    plus the composition laws alpha(alpha(R, s), t) <= alpha(R, s + t) and
+    beta(R, s) beta(R, t) <= beta(R, s + t) on sampled (R, s, t) triples,
+    each with the slack AUDIT_SLACK max(1, right side), relative to the size
+    of its terms as in check_family_contract.  The ball and d(x, y) are
+    measured in the full norm, the images through the family's comparison
+    mask.
     Violations become report entries (with the seed), never exceptions.
     """
     rng = np.random.default_rng(seed)
@@ -364,10 +367,10 @@ def alpha_beta_audit(family: GeneratingFamilyDescriptor, n_samples: int,
     checks = []
     violations = []
 
-    def record(kind, margin, **info):
+    def record(kind, margin, scale=1.0, **info):
         entry = {"check": kind, "margin": float(margin), "seed": seed, **info}
         checks.append(entry)
-        if margin < -AUDIT_SLACK:
+        if margin < -AUDIT_SLACK * scale:
             violations.append(entry)
 
     # alpha and beta refer to the whole space: d(x, y) is taken over every
@@ -393,11 +396,10 @@ def alpha_beta_audit(family: GeneratingFamilyDescriptor, n_samples: int,
         Rr = rng.uniform(0.0, 2.0 * R)
         s = rng.uniform(0.0, 1.0)
         t = rng.uniform(0.0, 1.0)
-        record("alpha_law",
-               family.alpha(Rr, s + t) - family.alpha(family.alpha(Rr, s), t),
+        a, b = family.alpha(Rr, s + t), family.beta(Rr, s + t)
+        record("alpha_law", a - family.alpha(family.alpha(Rr, s), t), max(1.0, a),
                R=Rr, s=s, t=t)
-        record("beta_law",
-               family.beta(Rr, s + t) - family.beta(Rr, s) * family.beta(Rr, t),
+        record("beta_law", b - family.beta(Rr, s) * family.beta(Rr, t), max(1.0, b),
                R=Rr, s=s, t=t)
 
     return AuditReport(

@@ -535,14 +535,37 @@ def kernel_family(name: str, step, grid: Grid, norm: NormSpec, drifts, sigmas,
     step realizes I(t); drifts, sigmas and costs are the candidates'
     coefficients as kernel_generator takes them, which gives the declared
     generator.  The envelopes are alpha(R, t) = e^{omega t} R and
-    beta(R, t) = e^{omega t}; omega = 0 is the contraction alpha = R,
-    beta = 1.  Gaussian kernels (one sigma per candidate and axis) set the
-    generator collar; per-node coefficients (lognormal transitions) have no
+    beta(R, t) = e^{omega t}, and params records omega.  Per-node
+    coefficients (lognormal transitions) take the caller's omega, have no
     kernel width in x, and their comparisons go through comparison_mask.
+
+    Gaussian kernels (one sigma per candidate and axis) set the generator
+    collar and work out omega from the rates r+-_ca of _jump_rates: 0 in
+    the sup norm, where each chain is positive of mass 1, and when no
+    candidate moves.  In the weighted norm with p = 2 the weight is 1/w,
+    w = 1 + |x|^2, and chain c maps w to exactly
+    Q_c w = sum_a 2 x_a b_ca + S_c, S_c = sum_a (r+ + r-)_ca h_a^2, for
+    central and upwind rates alike, as (r+ - r-)_ca h_a = b_ca.  With
+    2|x| <= w and 1 <= w, Q_c w <= (|b_c| + S_c) w <= omega w for
+    omega = 1 + max_c S_c + max_c |b_c|^2, so the positive e^{t Q_c} maps
+    |f| <= ||f|| w, which the extension beyond the box keeps, below
+    e^{omega t} ||f|| w.  The max over candidates of e^{t Q_c} f - cost_c t
+    then moves by at most e^{omega t} ||f - g|| w between f and g, and
+    I(t)0 = 0 (costs >= 0, one of them 0), which gives both envelopes.  No
+    bound is proved for other p: a moving set raises ValueError there.
     """
     zero = sample_function("zero", grid) if zero is None else zero
     drifts, sigmas, costs = (np.asarray(v, dtype=np.float64)
                              for v in (drifts, sigmas, costs))
+    if sigmas.ndim == 2:
+        omega = 0.0
+        if norm.kind == "weighted" and (drifts.any() or sigmas.any()):
+            if norm.p != 2:
+                raise ValueError(f"{name}: a moving Gaussian set needs the "
+                                 f"weighted norm with p = 2, got p = {norm.p!r}")
+            up, down = _jump_rates(drifts, sigmas**2, np.array(grid.h))
+            omega = 1.0 + float(np.max(np.sum((up + down) * np.square(grid.h), axis=1))
+                                + np.max(np.sum(drifts**2, axis=1)))
     fam = GeneratingFamilyDescriptor(
         name=name,
         step=step,
@@ -554,7 +577,7 @@ def kernel_family(name: str, step, grid: Grid, norm: NormSpec, drifts, sigmas,
         minus_conjugate=True,
         comparison_mask=comparison_mask,
         kernel_sigma_max=float(np.max(np.abs(sigmas))) if sigmas.ndim == 2 else 0.0,
-        params=params,
+        params={**params, "omega": omega},
     )
     check_family_contract(fam, probe_states=[zero])
     return fam
@@ -563,7 +586,8 @@ def kernel_family(name: str, step, grid: Grid, norm: NormSpec, drifts, sigmas,
 def make_heat_family(params: HeatDriftParams, norm: NormSpec,
                      grid: Grid) -> GeneratingFamilyDescriptor:
     """Heat-with-drift generating family, a single candidate without cost:
-    a sup-norm contraction."""
+    a contraction in the sup norm, of growth rate omega (kernel_family) in
+    the weighted norm with p = 2."""
     return kernel_family(
         "heat", lambda t, f: heat_drift_step(f, t, params), grid, norm,
         [params.drift], [params.sigma], [0.0],

@@ -18,9 +18,10 @@ The first three are one candidate set each: the nodewise max over
 candidates c of (a linear Gaussian or lognormal transition - cost_c t).  Each
 builds its candidates' drifts, scales and costs once, and
 families_linear.kernel_family wraps them as a GeneratingFamilyDescriptor with
-envelopes alpha(R, t) = e^{omega t} R, beta(R, t) = e^{omega t} and, as the
-generator, the same max over the generators of the candidates' grid chains
-minus their costs.  The Euler and perturbation families declare
+envelopes alpha(R, t) = e^{omega t} R, beta(R, t) = e^{omega t}, omega
+worked out from the candidates (robust GBM's given), and, as the generator,
+the same max over the generators of the candidates' grid chains minus their
+costs.  The Euler and perturbation families declare
 their own envelopes and generators; a perturbation family's params carry its
 base family and Psi.
 """
@@ -267,12 +268,13 @@ def _gexp_candidates(lambda_grid: LambdaGrid, cost: CostFunction, dim: int):
 
 def make_gexp_family(lambda_grid: LambdaGrid, cost: CostFunction, grid: Grid,
                      norm: NormSpec | None = None) -> GeneratingFamilyDescriptor:
-    """Convex expectation family on the sup-norm space.
+    """Convex expectation family, by default on the sup-norm space.
 
-    A contraction (alpha(R,t) = R, beta = 1); the generator is the max over
-    the drift grid of (1/2) Lap f + <lam, grad f> - L(lam), that is
-    (1/2) Lap f + H(grad f) with H the drift-grid conjugate of the cost, so
-    that generator comparisons see the same discretization as the step.
+    A contraction there (alpha(R,t) = R, beta = 1), of growth rate omega
+    (kernel_family) in the weighted norm with p = 2; the generator is the
+    max over the drift grid of (1/2) Lap f + <lam, grad f> - L(lam), that
+    is (1/2) Lap f + H(grad f) with H the drift-grid conjugate of the cost,
+    so that generator comparisons see the same discretization as the step.
     """
     drifts, sigmas, costs = _gexp_candidates(lambda_grid, cost, grid.dim)
     return kernel_family(
@@ -314,35 +316,23 @@ def _g_expectation_candidates(sigma_lambda_set: SigmaLambdaSet, dim: int):
             np.array([per_axis(sig) for sig, _ in pairs]), np.zeros(len(pairs)))
 
 
-def _g_expectation_omega(sigma_lambda_set: SigmaLambdaSet) -> float:
-    """Growth rate max{1 + sup |sigma|^2 + sup |lambda|^2, sup sqrt(2)|lambda|}
-    for the weighted-space envelopes."""
-    sup_s2 = max(float(np.sum(np.square(np.atleast_1d(s)))) for s, _ in
-                 sigma_lambda_set.pairs)
-    sup_l = max(float(np.linalg.norm(np.atleast_1d(l))) for _, l in
-                sigma_lambda_set.pairs)
-    return max(1.0 + sup_s2 + sup_l**2, math.sqrt(2.0) * sup_l)
-
-
 def make_g_expectation_family(sigma_lambda_set: SigmaLambdaSet, grid: Grid,
                               norm: NormSpec | None = None
                               ) -> GeneratingFamilyDescriptor:
     """Sublinear expectation family.
 
     Default is the sup-norm space, where the sup of Gaussian transitions is a
-    contraction (alpha(R,t) = R, beta = 1).  With a weighted norm the
-    envelopes grow like e^{omega t}.
+    contraction (alpha(R,t) = R, beta = 1).  With the weighted norm (p = 2)
+    the envelopes grow like e^{omega t}, omega from kernel_family.
     """
     norm = norm or NormSpec(kind="sup")
-    omega = 0.0 if norm.kind == "sup" else _g_expectation_omega(sigma_lambda_set)
     drifts, sigmas, costs = _g_expectation_candidates(sigma_lambda_set, grid.dim)
     return kernel_family(
         "g_expectation", lambda t, f: _sup_heat_step(f, t, drifts, sigmas, costs),
         grid, norm, drifts, sigmas, costs,
         {"kind": "g_expectation",
          "pairs": [tuple(c) for c in np.hstack([sigmas, drifts]).tolist()],
-         "omega": omega, "norm": norm.kind},
-        omega=omega)
+         "norm": norm.kind})
 
 
 def gbm_trusted_radius(mu_sigma_pairs, x_max: float, horizon: float) -> float:
@@ -387,9 +377,7 @@ def make_robust_gbm_family(pairs, grid: Grid, trust_horizon: float,
                for mu, sig in pairs]
     if not members:
         raise ValueError("the (mu, sigma) set must be nonempty")
-    norm = NormSpec(kind="weighted", p=p)
     pairs = [(mp.mu, mp.sigma) for mp in members]
-    omega = gbm_growth_rate(pairs, p)
     x_max = grid.x_max[0]
     radius = gbm_trusted_radius(pairs, x_max, trust_horizon)
     x = grid.axis(0)
@@ -408,12 +396,11 @@ def make_robust_gbm_family(pairs, grid: Grid, trust_horizon: float,
 
     mus, sigs = np.array(pairs).T
     return kernel_family(
-        "robust_gbm", step, grid, norm,
+        "robust_gbm", step, grid, NormSpec(kind="weighted", p=p),
         np.multiply.outer(mus, x)[:, None], np.multiply.outer(sigs, x)[:, None],
         np.zeros(len(pairs)),
-        {"kind": "robust_gbm", "pairs": pairs, "p": p, "omega": omega,
-         "trusted_radius": radius},
-        omega=omega,
+        {"kind": "robust_gbm", "pairs": pairs, "p": p, "trusted_radius": radius},
+        omega=gbm_growth_rate(pairs, p),
         zero=GridFunction(grid, 1, np.zeros((grid.n_nodes, 1)),
                           extension_mode="clamp"),
         comparison_mask=trusted)
@@ -556,31 +543,28 @@ def perturbation_step(f: GridFunction, t: float,
 def make_perturbation_family(base_family: GeneratingFamilyDescriptor,
                              pert: PerturbationSpec,
                              grid: Grid) -> GeneratingFamilyDescriptor:
-    """Perturbed family with alpha(R,t) = e^{2Kt} max(R,1) and
-    beta(R,t) = e^{L_R t}; generator = base generator + Psi(f).
+    """Perturbed family with alpha(R,t) = e^{(omega + 2K)t} max(R,1) and
+    beta(R,t) = e^{(omega + L_R)t}; generator = base generator + Psi(f).
 
-    The base, heat or the identity, is a contraction, so its growth rate
-    adds nothing to the envelopes.  The perturbation is probed for
-    Psi(0) = 0 and the declared linear growth before the family is built.
+    omega is the growth rate of the base, heat or the identity, from its
+    params.  The perturbation is probed for Psi(0) = 0 and the declared
+    linear growth before the family is built.
     """
     if not _is_linear_base(base_family):
         raise ValueError("base family must be a linear heat or identity semigroup")
     _probe_perturbation(pert)
-    K = pert.growth_k
+    K, omega = pert.growth_k, base_family.params["omega"]
     zero = sample_function("zero", grid)
     base_gen = base_family.analytic_generator
-
-    def step(t, f):
-        return perturbation_step(f, t, base_family, pert)
 
     def generator(f):
         return with_values(f, base_gen(f).values + pert.psi(f.values))
 
     fam = GeneratingFamilyDescriptor(
         name=f"perturbation_{base_family.name}_{pert.name}",
-        step=step,
-        alpha=lambda R, t: math.exp(2.0 * K * t) * max(R, 1.0),
-        beta=lambda R, t: math.exp(pert.lip_profile(R) * t),
+        step=lambda t, f: perturbation_step(f, t, base_family, pert),
+        alpha=lambda R, t: math.exp((omega + 2.0 * K) * t) * max(R, 1.0),
+        beta=lambda R, t: math.exp((omega + pert.lip_profile(R)) * t),
         zero_state=zero,
         norm=base_family.norm,
         analytic_generator=generator,

@@ -89,6 +89,11 @@ class TestParseConfig:
         cfg = dict(MINIMAL_ODE, tasks=["evolve", "audit"])
         with pytest.raises(ConfigError, match="seed"):
             parse_config(write_config(tmp_path, cfg))
+        # telescoping draws its second state from the seed
+        cfg = {"family": {"name": "perturbation"}, "schedule": {"t_list": [0.5]},
+               "tasks": ["telescoping"]}
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(write_config(tmp_path, cfg))
 
     def test_even_grid_rejected(self, tmp_path):
         cfg = {"family": {"name": "heat"}, "grid": {"n_points": 100},
@@ -509,6 +514,9 @@ class TestMainEntry:
               schedule={"t_list": [0.5]}), "config.family.M"),
         (dict(HEAT_41, family={"name": "robust_gbm", "pairs": [[0.1]]},
               schedule={"t_list": [0.5]}), "config.family.pairs[0]"),
+        # an ODE family reads no grid or norm
+        (dict(MINIMAL_ODE, grid={"dim": 2, "n_points": 5}), "config.grid"),
+        (dict(MINIMAL_ODE, norm={"kind": "weighted", "p": 5}), "config.norm"),
     ])
     def test_parse_time_config_errors(self, tmp_path, capsys, cfg, field):
         with pytest.raises(ConfigError) as exc:
@@ -595,6 +603,20 @@ class TestMainEntry:
         assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("family", [
+        {"name": "heat"}, {"name": "gexp", "lambda_grid": [-1.0, 0.0, 1.0]},
+        {"name": "g_expectation"}, {"name": "perturbation"}])
+    def test_moving_gaussian_set_needs_p_two(self, tmp_path, capsys, family):
+        # no growth rate is proved for a moving Gaussian set at p != 2
+        cfg = dict(self.HEAT_41, family=family, norm={"kind": "weighted", "p": 3.0},
+                   schedule={"t_list": [0.5]}, tasks=["evolve"])
+        out = tmp_path / "o"
+        assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert "config error: config.family: " in capsys.readouterr().err
+        assert not out.exists()
+        cfg["norm"]["p"] = 2.0
+        assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
 
     def test_missing_table_exits_two(self, tmp_path, capsys):
         cfg = dict(self.HEAT_41, initial={"table": str(tmp_path / "missing.csv")},

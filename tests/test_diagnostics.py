@@ -318,6 +318,16 @@ class TestAlphaBetaAudit:
                                   t_list=[0.25, 0.5], seed=42)
         assert report.violation_count == 0
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_law_rounding_is_no_violation(self, grid_small, seed):
+        # omega = 17: alpha(R, s + t) reaches e^34 R, where the direct and the
+        # composed value differ by rounding far beyond an absolute 1e-8
+        fam = make_g_expectation_family(SigmaLambdaSet(pairs=((4.0, 0.0),)),
+                                        grid_small, norm=NormSpec("weighted", p=2.0))
+        assert fam.params["omega"] == pytest.approx(17.0, rel=1e-12)
+        report = alpha_beta_audit(fam, n_samples=4, R=1.0, t_list=[0.25], seed=seed)
+        assert report.violation_count == 0
+
     @pytest.fixture(scope="class")
     def masked_gbm_family(self, gbm_grid):
         from semiflow.families_nonlinear import make_robust_gbm_family
