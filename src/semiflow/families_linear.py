@@ -7,13 +7,13 @@ Two kernels are provided:
   is the nearest-neighbour Markov chain on the grid with the central rates
   sigma^2 / (2 h^2) +- b / (2 h) where they are monotone (|b| h <= sigma^2)
   and the upwind rates sigma^2 / (2 h^2) + b^+- / h elsewhere (Kushner &
-  Dupuis).  Pure diffusion is the discrete Gaussian e^{-lambda} I_k(lambda),
-  lambda = sigma^2 t / h^2; sigma = 0 is the upwind Poisson shift.  The step
-  is the exact semigroup exp(t Q) of the chain's generator Q, so it is
-  monotone, conserves constants on the lattice, satisfies
-  I(s) I(t) = I(s + t) away from the box edges, and kernel_generator is Q
-  itself.  Outside the box f reads 0 (zero extension) or its edge value
-  (clamp).
+  Dupuis), chosen from the unscaled (b, sigma, h).  Pure diffusion is the
+  discrete Gaussian e^{-lambda} I_k(lambda), lambda = sigma^2 t / h^2;
+  sigma = 0 is the upwind Poisson shift.  A step of dt at any level is the
+  exact semigroup exp(dt Q) of the chain's generator Q, so it is monotone,
+  conserves constants on the lattice, satisfies I(s) I(t) = I(s + t) away
+  from the box edges, and kernel_generator is Q itself.  Outside the box f
+  reads 0 (zero extension) or its edge value (clamp).
 
   The step of one dt is the same for all 2^n steps of a level, so it is
   compiled once into a step plan per axis and dt: the characteristic
@@ -156,12 +156,15 @@ def gbm_growth_rate(mu_sigma_pairs, p: float) -> float:
 # the nearest-neighbour chains and their step plans
 # ---------------------------------------------------------------------------
 
-def _jump_rates(drift, var, h: float):
-    """Rates (up, down) of the nearest-neighbour chain on spacing h with mean
-    drift and variance var per unit time: the central rates
-    var / (2 h^2) +- drift / (2 h) where they are monotone (|drift| h <= var),
-    else the upwind rates var / (2 h^2) + drift^+- / h.  var = 0 gives the
-    upwind Poisson shift, var = drift = 0 the identity."""
+def _jump_rates(drift, sigma, h):
+    """Rates (up, down) per unit time of the nearest-neighbour chain on
+    spacing h with drift b and diffusion scale sigma: the central rates
+    sigma^2 / (2 h^2) +- b / (2 h) where they are monotone
+    (|b| h <= sigma^2), else the upwind rates sigma^2 / (2 h^2) + b^+- / h.
+    sigma = 0 gives the upwind Poisson shift, sigma = b = 0 the identity.
+    The one place a chain is chosen, from the unscaled (b, sigma, h): a
+    step of dt runs dt times these rates."""
+    var = sigma * sigma
     diffuse = var / (2.0 * h * h)
     central = np.abs(drift) * h <= var
     up = diffuse + np.where(central, drift / (2.0 * h), np.maximum(drift, 0.0) / h)
@@ -223,12 +226,12 @@ class _AxisPlan:
     spectra: np.ndarray
 
 
-def _build_axis_plan(n: int, h: float, shifts: np.ndarray, s: np.ndarray,
-                     ext_mode: str) -> _AxisPlan:
-    """Compile the plan of one axis of n nodes for one-step shifts b dt and
-    scales sigma sqrt(dt): the rates times dt are the expected jumps."""
-    up, down = _jump_rates(shifts, s * s, h)
-    rate, mean = up + down, up - down
+def _build_axis_plan(n: int, h: float, drift: np.ndarray, sigma: np.ndarray,
+                     dt: float, ext_mode: str) -> _AxisPlan:
+    """Compile the plan of one axis of n nodes for one dt: the chain rates of
+    drift and sigma times dt are the expected jumps of one step."""
+    up, down = _jump_rates(drift, sigma, h)
+    rate, mean = dt * (up + down), dt * (up - down)
     reach = _reach(float(np.max(rate)), float(np.max(np.abs(mean))))
     clamp = ext_mode == "clamp"
     nfft = _fft_size(n + (2 if clamp else 1) * reach)
@@ -240,7 +243,7 @@ def _build_axis_plan(n: int, h: float, shifts: np.ndarray, s: np.ndarray,
     sin_xi = np.sin(xi)
     spectra = _stepped_spectra(rate, mean, cosm1, sin_xi)
     if spectra is None:
-        psi = np.empty((shifts.size, xi.size), complex)
+        psi = np.empty((drift.size, xi.size), complex)
         np.multiply.outer(rate, cosm1, out=psi.real)
         np.multiply.outer(mean, sin_xi, out=psi.imag)
         spectra = np.exp(psi, out=psi)
@@ -312,12 +315,10 @@ def _stepped_spectra(rate: np.ndarray, mean: np.ndarray, cosm1: np.ndarray,
 def _axis_plan(grid: Grid, a: int, t: float, drifts: np.ndarray,
                sigmas: np.ndarray, ext_mode: str) -> _AxisPlan:
     """The plan of grid axis a and dt, held in the slot ("heat", a)."""
-    shifts = drifts * t
-    s = sigmas * math.sqrt(t)
-    key = (grid.x_max[a], grid.n_points[a], t, shifts.tobytes(), s.tobytes(),
+    key = (grid.x_max[a], grid.n_points[a], t, drifts.tobytes(), sigmas.tobytes(),
            ext_mode)
     return _last_plan(("heat", a), key, lambda: _build_axis_plan(
-        grid.n_points[a], grid.h[a], shifts, s, ext_mode))
+        grid.n_points[a], grid.h[a], drifts, sigmas, t, ext_mode))
 
 
 def _extended_spectrum(plan: _AxisPlan, data: np.ndarray) -> np.ndarray:
@@ -358,18 +359,14 @@ def heat_multi_step(f: GridFunction, t: float, drifts: np.ndarray,
                     sigmas: np.ndarray) -> np.ndarray:
     """Batch of heat-with-drift steps sharing one input state.
 
-    drifts has shape (C, dim); sigmas shape (C,) (isotropic per candidate) or
-    (C, dim) for diagonal diffusion.  Returns values of shape (C, n_nodes, m).
+    drifts and sigmas have shape (C, dim), one coefficient per candidate and
+    axis (diagonal diffusion).  Returns values of shape (C, n_nodes, m).
     Each axis applies the cached plan of its dt: on a 2D grid axis 0 runs
     over all candidates at once, then axis 1 runs slab by slab, candidate c
     with its own kernel on its own slab.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    drifts = np.atleast_2d(np.asarray(drifts, dtype=np.float64))
-    sigmas = np.asarray(sigmas, dtype=np.float64)
-    if sigmas.ndim == 1:
-        sigmas = np.repeat(sigmas[:, None], f.grid.dim, axis=1)
     C = drifts.shape[0]
     if t == 0.0:
         return np.broadcast_to(f.values, (C, *f.values.shape)).copy()
@@ -488,34 +485,33 @@ def gbm_step(f: GridFunction, t: float, params: GbmParams) -> GridFunction:
     return with_values(f, out)
 
 
-def kernel_generator(f: GridFunction, drifts, sigmas, costs) -> GridFunction:
+def kernel_generator(f: GridFunction, up, down, costs) -> GridFunction:
     """The generator of a candidate set: nodewise max over candidates c of
 
         sum_a r+_ca (f(x + h_a) - f(x)) + r-_ca (f(x - h_a) - f(x)) - cost_c,
 
-    the generator of the chains the heat step runs, with the rates of
-    _jump_rates for drift b_ca and variance sigma_ca^2.  Neighbours outside
-    the box read the state's extension, as the step does: 0, or the edge
-    value under clamp.  The arrays drifts b and sigmas have shape (C, dim),
-    one coefficient per candidate and axis, or (C, dim, n_nodes) for
-    coefficients that vary by node (mu x and sigma x for GBM); costs has
+    the generator of the chains the heat step runs, with the rate table
+    up = r+, down = r- that kernel_family takes from _jump_rates.
+    Neighbours outside the box read the state's extension, as the step
+    does: 0, or the edge value under clamp.  up and down have shape
+    (C, dim), one rate per candidate and axis, or (C, dim, n_nodes) for
+    rates that vary by node (those of mu x and sigma x for GBM); costs has
     shape (C,).
     """
     grid = f.grid
     mesh = f.as_mesh()
     flat = (costs.size,) + (1,) * (grid.dim + 1)
-    per_node = flat if drifts.ndim == 2 else (costs.size, *grid.n_points, 1)
+    per_node = flat if up.ndim == 2 else (costs.size, *grid.n_points, 1)
     mode = "edge" if f.extension_mode == "clamp" else "constant"
     total = -costs.reshape(flat)
     for a in range(grid.dim):
-        up, down = _jump_rates(drifts[:, a].reshape(per_node),
-                               sigmas[:, a].reshape(per_node) ** 2, grid.h[a])
         width = [(0, 0)] * mesh.ndim
         width[a] = (1, 1)
         ext = np.moveaxis(np.pad(mesh, width, mode=mode), a, 0)
         fwd = np.moveaxis(ext[2:], 0, a) - mesh
         bwd = np.moveaxis(ext[:-2], 0, a) - mesh
-        total = total + up * fwd + down * bwd
+        total = (total + up[:, a].reshape(per_node) * fwd
+                 + down[:, a].reshape(per_node) * bwd)
     vals = np.max(total, axis=0)
     return with_values(f, vals.reshape(grid.n_nodes, f.codomain_dim))
 
@@ -532,15 +528,17 @@ def kernel_family(name: str, step, grid: Grid, norm: NormSpec, drifts, sigmas,
     """Descriptor of a family I(t)f = max over candidates c of (linear
     Gaussian or lognormal transition of c - cost_c t).
 
-    step realizes I(t); drifts, sigmas and costs are the candidates'
-    coefficients as kernel_generator takes them, which gives the declared
+    step realizes I(t); drifts b and sigmas have shape (C, dim), or
+    (C, dim, n_nodes) where they vary by node (mu x and sigma x for GBM),
+    and costs shape (C,).  kernel_generator reads the rates r+-_ca of
+    _jump_rates(b, sigma, h), computed once here, as the declared
     generator.  The envelopes are alpha(R, t) = e^{omega t} R and
     beta(R, t) = e^{omega t}, and params records omega.  Per-node
     coefficients (lognormal transitions) take the caller's omega, have no
     kernel width in x, and their comparisons go through comparison_mask.
 
     Gaussian kernels (one sigma per candidate and axis) set the generator
-    collar and work out omega from the rates r+-_ca of _jump_rates: 0 in
+    collar and work out omega from these rates r+-_ca: 0 in
     the sup norm, where each chain is positive of mass 1, and when no
     candidate moves.  In the weighted norm with p = 2 the weight is 1/w,
     w = 1 + |x|^2, and chain c maps w to exactly
@@ -557,13 +555,14 @@ def kernel_family(name: str, step, grid: Grid, norm: NormSpec, drifts, sigmas,
     zero = sample_function("zero", grid) if zero is None else zero
     drifts, sigmas, costs = (np.asarray(v, dtype=np.float64)
                              for v in (drifts, sigmas, costs))
+    up, down = _jump_rates(drifts, sigmas,
+                           np.reshape(grid.h, (-1,) + (1,) * (drifts.ndim - 2)))
     if sigmas.ndim == 2:
         omega = 0.0
         if norm.kind == "weighted" and (drifts.any() or sigmas.any()):
             if norm.p != 2:
                 raise ValueError(f"{name}: a moving Gaussian set needs the "
                                  f"weighted norm with p = 2, got p = {norm.p!r}")
-            up, down = _jump_rates(drifts, sigmas**2, np.array(grid.h))
             omega = 1.0 + float(np.max(np.sum((up + down) * np.square(grid.h), axis=1))
                                 + np.max(np.sum(drifts**2, axis=1)))
     fam = GeneratingFamilyDescriptor(
@@ -573,7 +572,7 @@ def kernel_family(name: str, step, grid: Grid, norm: NormSpec, drifts, sigmas,
         beta=lambda R, t: math.exp(omega * t),
         zero_state=zero,
         norm=norm,
-        analytic_generator=lambda f: kernel_generator(f, drifts, sigmas, costs),
+        analytic_generator=lambda f: kernel_generator(f, up, down, costs),
         minus_conjugate=True,
         comparison_mask=comparison_mask,
         kernel_sigma_max=float(np.max(np.abs(sigmas))) if sigmas.ndim == 2 else 0.0,

@@ -60,10 +60,6 @@ def reference_axis_apply(mesh, h, t, drifts, sigmas, ext_mode):
 
 
 def reference_multi_step(f, t, drifts, sigmas):
-    drifts = np.atleast_2d(np.asarray(drifts, dtype=np.float64))
-    sigmas = np.asarray(sigmas, dtype=np.float64)
-    if sigmas.ndim == 1:
-        sigmas = np.repeat(sigmas[:, None], f.grid.dim, axis=1)
     C = drifts.shape[0]
     mesh = f.as_mesh()
     g = f.grid
@@ -95,7 +91,7 @@ def test_1d_mixed_candidates(ext_mode, t):
     g = grid_create(1, 4.0, 81)
     f = _state(g, ext_mode, columns=2)
     drifts = np.array([[-2.0], [-0.5], [0.0], [0.7], [1.5], [0.3]])
-    sigmas = np.array([1.0, 0.5, 0.0, 1.0, 0.25, 0.0])
+    sigmas = np.array([[1.0], [0.5], [0.0], [1.0], [0.25], [0.0]])
     ref = reference_multi_step(f, t, drifts, sigmas)
     got = heat_multi_step(f, t, drifts, sigmas)
     assert np.max(np.abs(got - ref)) <= 1e-13
@@ -109,8 +105,8 @@ def test_narrow_and_wide_kernels():
     h = g.h[0]
     f = _state(g, "clamp")
     drifts = np.array([[-1.0], [0.0], [1.0], [1.0], [-4.0]])
-    sigmas = np.array([1.0, 1.0, 0.5, 0.1, 0.3])
-    assert np.all(np.abs(drifts[3:, 0]) * h > sigmas[3:] ** 2)
+    sigmas = np.array([[1.0], [1.0], [0.5], [0.1], [0.3]])
+    assert np.all(np.abs(drifts[3:]) * h > sigmas[3:] ** 2)
     assert 2.0**-16 / h**2 <= 1e-2
     for t in (2.0**-16, 2.0**-10, 2.0**-4, 0.5):
         ref = reference_multi_step(f, t, drifts, sigmas)
@@ -124,12 +120,20 @@ def test_shifts_beyond_kernel_reach(ext_mode):
     # moves them out of the box
     g = grid_create(1, 2.0, 41)
     f = _state(g, ext_mode)
-    t = 0.01
     drifts = np.array([[-450.0], [-120.0], [0.0], [120.0], [450.0], [150.0]])
-    sigmas = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
-    ref = reference_multi_step(f, t, drifts, sigmas)
-    got = heat_multi_step(f, t, drifts, sigmas)
-    assert np.max(np.abs(got - ref)) <= 1e-13
+    sigmas = np.array([[1.0], [1.0], [1.0], [1.0], [1.0], [0.0]])
+    cases = [(0.01, drifts, sigmas)]
+    # on the edge |b| h = sigma^2, where sigma^2 rounds below |b| h, the
+    # step runs the generator's upwind chain at every dt, also where
+    # sqrt(dt) is inexact
+    b = np.linspace(-3.0, 3.0, 61)[2]
+    sigma = math.sqrt(abs(b) * g.h[0])
+    assert sigma * sigma < abs(b) * g.h[0]
+    cases += [(2.0**-k, np.array([[b]]), np.array([[sigma]])) for k in range(1, 7)]
+    for t, drifts, sigmas in cases:
+        ref = reference_multi_step(f, t, drifts, sigmas)
+        got = heat_multi_step(f, t, drifts, sigmas)
+        assert np.max(np.abs(got - ref)) <= 1e-13, t
 
 
 @pytest.mark.parametrize("ext_mode", ["zero", "clamp"])
@@ -153,8 +157,7 @@ def test_spectra_match_bessel_weights(t):
     h = g.h[0]
     drifts = np.array([0.0, 0.0, 1.0, -0.5, 2.0])
     sigmas = np.array([1.0, 0.25, 1.0, 0.5, 0.3])  # the last is upwind
-    plan = fl._build_axis_plan(g.n_points[0], h, drifts * t, sigmas * math.sqrt(t),
-                               "zero")
+    plan = fl._build_axis_plan(g.n_points[0], h, drifts, sigmas, t, "zero")
     nfft = plan.nfft
     r = np.arange(nfft)
     k = np.where(r <= nfft // 2, r, r - nfft)  # index r holds displacement k
@@ -186,9 +189,15 @@ def skellam_tail(k, up, down):
     return float(np.sum(np.exp(logp)))
 
 
-def old_rule_nfft(n, h, shifts, s, ext_mode):
+def step_rates(h, drifts, sigmas, t):
+    """The expected up and down jumps of one step of dt = t."""
+    up, down = fl._jump_rates(drifts, sigmas, h)
+    return t * up, t * down
+
+
+def old_rule_nfft(n, h, drifts, sigmas, t, ext_mode):
     """The FFT length of a fixed reach, |mean| + 8 sd and a 30-node tail."""
-    up, down = fl._jump_rates(shifts, s * s, h)
+    up, down = step_rates(h, drifts, sigmas, t)
     reach = math.ceil(np.max(np.abs(up - down) + 8.0 * np.sqrt(up + down))) + 30
     return fl._fft_size(n + (2 if ext_mode == "clamp" else 1) * reach)
 
@@ -197,15 +206,14 @@ def check_reach(n, h, drifts, sigmas, t, ext_mode):
     """The plan's reach holds at most _TAIL_MASS of each candidate's law on
     each side, each half of its extension covers the reach, and its FFT is
     no longer than under the old rule."""
-    shifts, s = drifts * t, sigmas * math.sqrt(t)
-    up, down = fl._jump_rates(shifts, s * s, h)
+    up, down = step_rates(h, drifts, sigmas, t)
     reach = fl._reach(float(np.max(up + down)), float(np.max(np.abs(up - down))))
     for u, d in zip(up, down):
         assert skellam_tail(reach, u, d) <= fl._TAIL_MASS
         assert skellam_tail(reach, d, u) <= fl._TAIL_MASS
-    plan = fl._build_axis_plan(n, h, shifts, s, ext_mode)
+    plan = fl._build_axis_plan(n, h, drifts, sigmas, t, ext_mode)
     assert (plan.nfft - n) // (2 if ext_mode == "clamp" else 1) >= reach
-    assert plan.nfft <= old_rule_nfft(n, h, shifts, s, ext_mode)
+    assert plan.nfft <= old_rule_nfft(n, h, drifts, sigmas, t, ext_mode)
 
 
 DYADIC_DT = [2.0**-k for k in range(1, 17)]
@@ -226,7 +234,7 @@ def test_reach_of_narrow_kernels():
     drifts = np.array([-0.5, 0.0, 0.1])
     sigmas = np.array([0.2, 0.3, 0.0])
     for t in (2.0**-16, 2.0**-14, 2.0**-12):
-        up, down = fl._jump_rates(drifts * t, (sigmas * sigmas) * t, h)
+        up, down = step_rates(h, drifts, sigmas, t)
         assert np.max(up + down) <= 1e-2
         check_reach(81, h, drifts, sigmas, t, "zero")
         check_reach(81, h, drifts, sigmas, t, "clamp")
@@ -257,7 +265,7 @@ def test_reach_of_2d_g_expectation_sets(pairs):
 def test_reach_without_jumps():
     # identity candidates need no extension beyond one node
     assert fl._reach(0.0, 0.0) == 1
-    plan = fl._build_axis_plan(41, 0.1, np.zeros(2), np.zeros(2), "clamp")
+    plan = fl._build_axis_plan(41, 0.1, np.zeros(2), np.zeros(2), 1.0, "clamp")
     assert plan.nfft == fl._fft_size(43)
 
 
@@ -298,15 +306,15 @@ def stepped(monkeypatch):
     return taken
 
 
-def direct_spectra(plan, h, shifts, s):
+def direct_spectra(plan, h, drifts, sigmas, t):
     """np.exp(dt psi) of every candidate at the plan's rFFT frequencies, with
-    the rates of _jump_rates."""
-    up, down = fl._jump_rates(shifts, s * s, h)
+    the rates of _jump_rates times dt = t."""
+    up, down = fl._jump_rates(drifts, sigmas, h)
     xi = np.arange(plan.nfft // 2 + 1) * (2.0 * math.pi / plan.nfft)
     half = np.sin(0.5 * xi)
-    psi = np.empty((shifts.size, xi.size), complex)
-    np.multiply.outer(up + down, -2.0 * half * half, out=psi.real)
-    np.multiply.outer(up - down, np.sin(xi), out=psi.imag)
+    psi = np.empty((drifts.size, xi.size), complex)
+    np.multiply.outer(t * (up + down), -2.0 * half * half, out=psi.real)
+    np.multiply.outer(t * (up - down), np.sin(xi), out=psi.imag)
     return np.exp(psi)
 
 
@@ -326,10 +334,10 @@ def test_stepped_spectra_match_direct_exp(n, ext_mode, stepped):
     for C in (3, 41, 201):
         lams = drift_grid(C)
         for t in [*2.0 ** np.arange(-16, 1, 3), 2.0]:
-            shifts, s = lams * t, np.full(C, math.sqrt(t))
-            plan = fl._build_axis_plan(n, h, shifts, s, ext_mode)
+            ones = np.ones(C)
+            plan = fl._build_axis_plan(n, h, lams, ones, t, ext_mode)
             assert stepped.pop()
-            err = np.max(np.abs(plan.spectra - direct_spectra(plan, h, shifts, s)))
+            err = np.max(np.abs(plan.spectra - direct_spectra(plan, h, lams, ones, t)))
             assert err <= 1e-13, (C, t)
 
 
@@ -340,8 +348,7 @@ def test_stepped_spectra_match_bessel_weights(t, stepped):
     g = grid_create(1, 4.0, 81)
     h = g.h[0]
     drifts = np.linspace(-2.0, 2.0, 9)
-    plan = fl._build_axis_plan(g.n_points[0], h, drifts * t, np.full(9, math.sqrt(t)),
-                               "zero")
+    plan = fl._build_axis_plan(g.n_points[0], h, drifts, np.ones(9), t, "zero")
     assert stepped == [True]
     nfft = plan.nfft
     r = np.arange(nfft)
@@ -364,10 +371,10 @@ def test_stepped_spectra_match_bessel_weights(t, stepped):
 def test_other_candidate_sets_keep_direct_exp(drifts, sigmas, t, stepped):
     g = grid_create(1, 4.0, 81)
     h = g.h[0]
-    shifts, s = np.array(drifts) * t, np.array(sigmas) * math.sqrt(t)
-    plan = fl._build_axis_plan(g.n_points[0], h, shifts, s, "clamp")
+    drifts, sigmas = np.array(drifts), np.array(sigmas)
+    plan = fl._build_axis_plan(g.n_points[0], h, drifts, sigmas, t, "clamp")
     assert stepped == [False]
-    assert np.array_equal(plan.spectra, direct_spectra(plan, h, shifts, s))
+    assert np.array_equal(plan.spectra, direct_spectra(plan, h, drifts, sigmas, t))
 
 
 def test_certify_wide_plans_are_stepped(tmp_path, stepped):

@@ -63,7 +63,7 @@ def test_alternating_kernels_build_each_plan_once(monkeypatch):
     heat_state = random_bumps(grid_create(2, 3.0, 41), seed=1)
     gbm_state = _gbm_state(81)
     for _ in range(4):
-        heat_multi_step(heat_state, 2.0**-5, np.array([[0.5, -1.0]]), np.ones(1))
+        heat_multi_step(heat_state, 2.0**-5, np.array([[0.5, -1.0]]), np.ones((1, 2)))
         for params in (a, b):
             gbm_step(gbm_state, 2.0**-5, params)
     assert builds == {"heat": 2, "gbm": 2}
