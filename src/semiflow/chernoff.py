@@ -24,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .state_space import NonFiniteValuesError, NormSpec, distance as grid_distance
+from .state_space import (NonFiniteValuesError, NormSpec, _is_finite_number,
+                          distance as grid_distance)
 
 __all__ = [
     "DyadicPartition",
@@ -107,7 +108,10 @@ class GeneratingFamilyDescriptor:
     Lipschitz envelopes of the family (alpha(R, t) maps the ball radius, beta
     the Lipschitz constant on B(x0, R)).  analytic_generator is the optional
     closed-form generator.  minus_conjugate marks families for which the
-    order-conjugate family f -> -I(t)(-f) is meaningful.
+    order-conjugate family f -> -I(t)(-f) is meaningful.  reach(t), where
+    declared, is the distance in x beyond which I(t) moves at most a
+    negligible share of mass, so a node farther than that from the box edge
+    does not read the state's extension.
     """
 
     name: str
@@ -119,7 +123,7 @@ class GeneratingFamilyDescriptor:
     analytic_generator: Callable | None = None
     minus_conjugate: bool = False
     comparison_mask: np.ndarray | None = None
-    kernel_sigma_max: float = 0.0
+    reach: Callable[[float], float] | None = None
     params: dict = field(default_factory=dict)
 
     def distance(self, x, y) -> float:
@@ -211,8 +215,9 @@ def chernoff_limits(family: GeneratingFamilyDescriptor, times, state,
     steps_total included; a step that turns non-finite raises with the index
     that a separate run would report.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be a positive number, got {tol!r}")
+    if not (_is_finite_number(tol) and tol > 0):
+        raise ValueError("tol must be a positive number within the float range, "
+                         f"got {tol!r}")
     if n_min > n_max:
         raise ValueError("n_min must be <= n_max")
     times = list(dict.fromkeys(times))

@@ -75,6 +75,7 @@ from .state_space import (
     NormSpec,
     PRESET_NAMES,
     VectorState,
+    _is_finite_number,
     grid_create,
     lipschitz_constant_estimate,
     read_csv_table,
@@ -188,7 +189,7 @@ def _integer(value, least):
 
 
 def _number(value, least=-sys.float_info.max):
-    if type(value) not in (int, float) or not least <= value <= sys.float_info.max:
+    if not (_is_finite_number(value) and least <= value):
         bound = f" >= {least:g}" if least > -sys.float_info.max else ""
         raise ValueError(f"must be a finite number{bound}, got {value!r}")
 
@@ -356,9 +357,9 @@ def parse_config(path) -> ExperimentSpec:
     schedule = _filled(raw.get("schedule", {}), "config.schedule",
                        copy.deepcopy(_SCHEDULE_DEFAULTS),
                        ["defect_t", "monotonicity_t"])
-    if type(schedule["tol"]) not in (int, float) or not schedule["tol"] > 0:
+    if not (_is_finite_number(schedule["tol"]) and schedule["tol"] > 0):
         raise ConfigError("config.schedule.tol",
-                          "tolerance must be a positive number")
+                          "tolerance must be a positive finite number")
     for key in ("n_min", "n_max"):
         _validated(f"config.schedule.{key}", check_level, schedule[key])
     if schedule["n_min"] > schedule["n_max"]:

@@ -5,7 +5,8 @@ generating family into measured reports:
 
 * generator_estimate compares the Chernoff difference quotients
   (S(h)f - f)/h against the declared analytic generator on an interior
-  collar, tracking the error trend as h is halved.
+  collar, tracking the error trend as h is halved; errors below the
+  round-off floor 1e-10 max(1, ||Af||) read as 0 in the trend.
 * gen_condition_probe measures the stability quantity
   ||(I(2^-n)^k (f + lam g) - I(2^-n)^k f)/lam - g|| over a sampled (k, n)
   matrix; for linear families this collapses to ||I(pi) g - g|| exactly.
@@ -21,8 +22,11 @@ generating family into measured reports:
 Verdict thresholds are artifact choices: a state is called bounded when the
 ratios of the three finest levels agree within 10 percent, diverging when
 the last three level-to-level growth factors all exceed 1.2, and
-inconclusive otherwise.  Sup-norm comparisons involving kernels exclude an interior
-collar of 2 nodes plus 8 sqrt(h_max) kernel standard deviations.
+inconclusive otherwise.  Generator comparisons on a grid keep an interior
+collar: the nodes at least 2 grid spacings plus the family's reach(h_max)
+inside every face, where a step of h_max reads the state's extension with
+at most 1e-16 of its mass, and inside the family's comparison mask.  Every
+tolerance is a positive finite number (chernoff.chernoff_limits).
 """
 
 from __future__ import annotations
@@ -76,6 +80,8 @@ AUDIT_SLACK = 1e-8
 VERDICTS = ("bounded", "inconclusive", "diverging")
 GENERATOR_EXTRA_LEVELS = 4  # levels a generator probe may run past its own
 _RATIO_FLOOR = 1e-14
+# generator errors below this times max(1, ||Af||) are round-off
+_GENERATOR_FLOOR = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +204,15 @@ class GeneratorTable(Record):
     flagged: tuple[bool, ...]  # True where the Chernoff limit did not converge
 
 
-def _quotient_error(family, f, evolved, h, mask):
-    quotient = with_values(f, (evolved.values - f.values) / h)
-    return grid_distance(quotient, family.analytic_generator(f), family.norm,
-                         mask=mask)
-
-
 def default_collar_mask(family: GeneratingFamilyDescriptor, f: GridFunction,
                         h_max: float) -> np.ndarray | None:
-    """Interior collar: 2 nodes plus 8 sqrt(h_max) kernel standard deviations."""
+    """Interior collar: the nodes at least 2 grid spacings plus the family's
+    reach(h_max) inside every face, and inside its comparison mask.  A node
+    there reads the state's extension with at most the reach's tail mass,
+    so the quotients compare the generator, not the box edge."""
     if not isinstance(family.zero_state, GridFunction):
         return None
-    margin = 2 * max(f.grid.h) + 8.0 * family.kernel_sigma_max * math.sqrt(h_max)
+    margin = 2 * max(f.grid.h) + (family.reach(h_max) if family.reach else 0.0)
     mask = interior_mask(f.grid, margin)
     if family.comparison_mask is not None:
         mask = mask & family.comparison_mask
@@ -236,7 +239,10 @@ def generator_estimate(family: GeneratingFamilyDescriptor, f, h_levels,
     Each S(h)f is computed by chernoff_limit starting at the smallest level
     at which h is dyadic.  h_levels must be strictly decreasing and dyadic at
     a level <= n_max.  A non-convergent limit flags its entry but does not
-    abort the table.
+    abort the table.  The trend reads errors below the round-off floor
+    1e-10 max(1, ||Af||), Af the declared generator on the mask, as 0: a
+    generator reproduced to round-off is decreasing, whatever its round-off
+    does as h halves.  The table reports the errors as measured.
     """
     if family.analytic_generator is None:
         raise ValueError(f"{family.name}: no analytic generator declared")
@@ -251,17 +257,22 @@ def generator_estimate(family: GeneratingFamilyDescriptor, f, h_levels,
             raise ValueError(f"h={h!r} is not dyadic at any level <= n_max={n_max}")
     if mask is None:
         mask = default_collar_mask(family, f, max(hs))
+    generator = family.analytic_generator(f)
+    floor = _GENERATOR_FLOOR * max(1.0, grid_distance(
+        generator, with_values(f, np.zeros_like(f.values)), family.norm, mask=mask))
     errors = []
     flagged = []
     for h, level in zip(hs, levels):
         evolved, rep = chernoff_limit(family, h, f, tol=tol, n_min=level,
                                       n_max=max(n_max, level + GENERATOR_EXTRA_LEVELS))
         flagged.append(not rep.converged)
-        errors.append(_quotient_error(family, f, evolved, h, mask))
+        quotient = with_values(f, (evolved.values - f.values) / h)
+        errors.append(grid_distance(quotient, generator, family.norm, mask=mask))
     return GeneratorTable(
         h_levels=tuple(hs),
         errors=tuple(errors),
-        monotone_decreasing=_trend_is_decreasing(errors),
+        monotone_decreasing=_trend_is_decreasing([0.0 if e <= floor else e
+                                                  for e in errors]),
         smallest_error=float(min(errors)),
         flagged=tuple(flagged),
     )

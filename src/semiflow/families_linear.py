@@ -61,8 +61,9 @@ tensor-product application of the 1D kernel along each axis.
 
 Every grid family has one form: the nodewise max over a finite candidate set
 of (one of these linear transitions - cost t).  kernel_family builds the
-descriptor of such a set, with envelopes e^{omega t} and the generator
-kernel_generator, the same max taken over the candidates' chain generators.
+descriptor of such a set, with envelopes e^{omega t}, the reach of its
+chains by _reach, and the generator kernel_generator, the same max taken
+over the candidates' chain generators.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ from .state_space import (
     Grid,
     GridFunction,
     NormSpec,
+    _is_finite_number,
     sample_function,
     with_values,
 )
@@ -97,8 +99,8 @@ __all__ = [
     "gbm_growth_rate",
 ]
 
-# Gaussian cutoff, in standard deviations, of perfbench's heat tap counts;
-# the plans size their reach by _reach.
+# Gaussian cutoff, in standard deviations, read by perfbench's heat tap
+# counts only; the package's one reach rule is _reach.
 KERNEL_CUTOFF_SIGMAS = 8.0
 
 
@@ -115,13 +117,14 @@ class HeatDriftParams:
 
     @staticmethod
     def create(drift, sigma, dim: int = 1) -> "HeatDriftParams":
-        d = (float(drift),) * dim if np.isscalar(drift) else tuple(float(v) for v in drift)
-        s = (float(sigma),) * dim if np.isscalar(sigma) else tuple(float(v) for v in sigma)
+        d = (drift,) * dim if np.isscalar(drift) else tuple(drift)
+        s = (sigma,) * dim if np.isscalar(sigma) else tuple(sigma)
         if len(d) != dim or len(s) != dim:
             raise ValueError("drift/sigma length must match dim")
-        if not all(np.isfinite(d)) or not all(np.isfinite(s)):
-            raise ValueError("params must be finite")
-        return HeatDriftParams(drift=d, sigma=s)
+        if not all(map(_is_finite_number, d + s)):
+            raise ValueError(f"drift and sigma must be finite numbers, got "
+                             f"{drift!r}, {sigma!r}")
+        return HeatDriftParams(drift=tuple(map(float, d)), sigma=tuple(map(float, s)))
 
 
 @dataclass(frozen=True)
@@ -135,8 +138,7 @@ class GbmParams:
     quad_points: int = 64
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Real) and math.isfinite(v)
-                   for v in (self.mu, self.sigma)):
+        if not all(map(_is_finite_number, (self.mu, self.sigma))):
             raise ValueError(f"GBM mu and sigma must be finite numbers, got "
                              f"{self.mu!r}, {self.sigma!r}")
         if (not isinstance(self.quad_points, numbers.Integral)
@@ -534,11 +536,14 @@ def kernel_family(name: str, step, grid: Grid, norm: NormSpec, drifts, sigmas,
     _jump_rates(b, sigma, h), computed once here, as the declared
     generator.  The envelopes are alpha(R, t) = e^{omega t} R and
     beta(R, t) = e^{omega t}, and params records omega.  Per-node
-    coefficients (lognormal transitions) take the caller's omega, have no
-    kernel width in x, and their comparisons go through comparison_mask.
+    coefficients (lognormal transitions) take the caller's omega, declare no
+    reach in x, and their comparisons go through comparison_mask.
 
-    Gaussian kernels (one sigma per candidate and axis) set the generator
-    collar and work out omega from these rates r+-_ca: 0 in
+    Gaussian kernels (one sigma per candidate and axis) declare reach(t),
+    the largest over the axes a of _reach(t max_c (r+ + r-)_ca,
+    t max_c |r+ - r-|_ca) h_a: beyond it one step of t moves at most
+    _TAIL_MASS of any candidate's mass; it is 0 on an axis where no
+    candidate moves.  They work out omega from the same rates: 0 in
     the sup norm, where each chain is positive of mass 1, and when no
     candidate moves.  In the weighted norm with p = 2 the weight is 1/w,
     w = 1 + |x|^2, and chain c maps w to exactly
@@ -565,6 +570,7 @@ def kernel_family(name: str, step, grid: Grid, norm: NormSpec, drifts, sigmas,
                                  f"weighted norm with p = 2, got p = {norm.p!r}")
             omega = 1.0 + float(np.max(np.sum((up + down) * np.square(grid.h), axis=1))
                                 + np.max(np.sum(drifts**2, axis=1)))
+        rate, mean = np.max(up + down, axis=0), np.max(np.abs(up - down), axis=0)
     fam = GeneratingFamilyDescriptor(
         name=name,
         step=step,
@@ -575,7 +581,9 @@ def kernel_family(name: str, step, grid: Grid, norm: NormSpec, drifts, sigmas,
         analytic_generator=lambda f: kernel_generator(f, up, down, costs),
         minus_conjugate=True,
         comparison_mask=comparison_mask,
-        kernel_sigma_max=float(np.max(np.abs(sigmas))) if sigmas.ndim == 2 else 0.0,
+        reach=None if sigmas.ndim != 2 else lambda t: max(
+            _reach(t * r, t * m) * h if r else 0.0
+            for r, m, h in zip(rate, mean, grid.h)),
         params={**params, "omega": omega},
     )
     check_family_contract(fam, probe_states=[zero])

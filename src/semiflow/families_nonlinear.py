@@ -50,6 +50,7 @@ from .state_space import (
     GridFunction,
     NormSpec,
     VectorState,
+    _is_finite_number,
     distance as grid_distance,
     sample_function,
     with_values,
@@ -300,9 +301,11 @@ class SigmaLambdaSet:
         if len(self.pairs) == 0:
             raise ValueError("uncertainty set must be nonempty")
         for p in self.pairs:
-            for v in np.ravel(np.asarray(p[0])).tolist() + np.ravel(np.asarray(p[1])).tolist():
-                if not math.isfinite(v):
-                    raise ValueError("uncertainty set entries must be finite")
+            # dtype object keeps each entry as given: a bool stays a bool
+            if not all(_is_finite_number(v) for part in (p[0], p[1])
+                       for v in np.ravel(np.asarray(part, dtype=object))):
+                raise ValueError("uncertainty set entries must be finite numbers, "
+                                 f"got {p!r}")
 
 
 def _g_expectation_candidates(sigma_lambda_set: SigmaLambdaSet, dim: int):
@@ -370,7 +373,7 @@ def make_robust_gbm_family(pairs, grid: Grid, trust_horizon: float,
     """
     if grid.dim != 1:
         raise ValueError("GBM operator is one-dimensional")
-    if not 0.0 <= trust_horizon < math.inf:
+    if not (_is_finite_number(trust_horizon) and trust_horizon >= 0):
         raise ValueError("trust horizon must be a finite number >= 0, got "
                          f"{trust_horizon!r}")
     members = [GbmParams(mu=mu, sigma=sig, quad_points=quad_points)
@@ -569,7 +572,7 @@ def make_perturbation_family(base_family: GeneratingFamilyDescriptor,
         norm=base_family.norm,
         analytic_generator=generator,
         minus_conjugate=False,
-        kernel_sigma_max=base_family.kernel_sigma_max,
+        reach=base_family.reach,
         params={"kind": "perturbation", "base": base_family.params.get("kind"),
                 "psi": pert.name, "growth_k": K,
                 "base_family": base_family, "perturbation": pert},

@@ -61,8 +61,9 @@ def _is_integer(value) -> bool:
 
 
 def _is_finite_number(value) -> bool:
-    """A real number, not a bool, within the float range: the comparisons
-    are exact for integers of any size and false for NaN."""
+    """The package's one rule for a finite number: a real number, not a
+    bool or a string, within the float range.  The comparisons are exact
+    for integers of any size and false for NaN and +-inf."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and -sys.float_info.max <= value <= sys.float_info.max)
 

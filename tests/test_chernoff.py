@@ -243,9 +243,10 @@ class TestChernoffLimits:
         with pytest.raises(NonDyadicTimeError):
             chernoff_limits(ode_decay_family, (0.5, math.pi / 4), VectorState([1.0]))
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf, True])
     def test_tol_must_be_positive(self, ode_decay_family, tol):
-        # a NaN tol would pass tol <= 0 and run every level to n_max
+        # a NaN tol would pass tol <= 0 and run every level to n_max; an
+        # infinite one would call every limit converged at its first delta
         with pytest.raises(ValueError, match="tol must be a positive number"):
             chernoff_limits(ode_decay_family, (0.5,), VectorState([1.0]), tol)
 

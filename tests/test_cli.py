@@ -274,6 +274,21 @@ class TestRunExperiment:
         h2 = {o["path"]: o["sha256"] for o in m2["outputs"]}
         assert h1 == h2
 
+    def test_generator_reproduced_to_round_off_passes(self, tmp_path):
+        # quotient errors of about 1e-13 that grow as h halves are round-off
+        cfg = {
+            "family": {"name": "heat", "drift": 0.5, "sigma": 1.0},
+            "grid": {"dim": 1, "x_max": 6.0, "n_points": 601},
+            "norm": {"kind": "weighted", "p": 2},
+            "initial": {"preset": "identity"},
+            "schedule": {"t_list": [0.5]},
+            "tasks": ["generator"],
+        }
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        report = json.loads((out / "generator.json").read_text())
+        assert report["passed"] and max(report["table"]["errors"]) <= 1e-12
+
     def test_failing_check_fails_manifest(self, tmp_path):
         # an unreachable tolerance turns the evolve convergence flag false
         cfg = dict(MINIMAL_ODE,
@@ -517,6 +532,8 @@ class TestMainEntry:
         # an ODE family reads no grid or norm
         (dict(MINIMAL_ODE, grid={"dim": 2, "n_points": 5}), "config.grid"),
         (dict(MINIMAL_ODE, norm={"kind": "weighted", "p": 5}), "config.norm"),
+        # an infinite tol would pass every limit at its first delta
+        (dict(HEAT_41, schedule={"t_list": [0.5], "tol": math.inf}), "tol"),
     ])
     def test_parse_time_config_errors(self, tmp_path, capsys, cfg, field):
         with pytest.raises(ConfigError) as exc:

@@ -10,6 +10,7 @@ from conftest import random_bumps
 from semiflow.chernoff import apply_partition, chernoff_limit, dyadic_partition
 from semiflow.diagnostics import (
     alpha_beta_audit,
+    default_collar_mask,
     gen_condition_probe,
     generator_estimate,
     invariance_probe,
@@ -18,19 +19,27 @@ from semiflow.diagnostics import (
     random_ball_state,
     symmetric_lipschitz_certificate,
 )
-from semiflow.families_linear import HeatDriftParams, make_heat_family
+from semiflow.families_linear import (
+    HeatDriftParams,
+    make_heat_family,
+    make_identity_base_family,
+)
 from semiflow.families_nonlinear import (
     SigmaLambdaSet,
     make_g_expectation_family,
+    make_perturbation_family,
+    perturbation_preset,
     quadratic_cost,
     user_lambda_grid,
     make_gexp_family,
 )
 from semiflow.state_space import (
+    GridFunction,
     NormSpec,
     VectorState,
     ball_mask,
     grid_create,
+    interior_mask,
     negate,
     sample_function,
 )
@@ -178,6 +187,67 @@ class TestGeneratorEstimate:
                                    tol=1e-3, mask=mask)
         assert table.monotone_decreasing
         assert table.errors[-1] <= 5e-2
+
+    # the collar's grid and state, and the default h_levels 2^-4 ... 2^-8
+    COLLAR_GRID = grid_create(1, 6.0, 601)
+    H_LEVELS = [2.0**-k for k in range(4, 9)]
+
+    @pytest.mark.parametrize("make", [
+        lambda g: make_heat_family(HeatDriftParams.create(1.0, 0.0), NormSpec("sup"), g),
+        lambda g: make_heat_family(HeatDriftParams.create(2.0, 0.1), NormSpec("sup"), g),
+        lambda g: make_gexp_family(user_lambda_grid(np.arange(-20, 21) / 10.0),
+                                   quadratic_cost(0.5), g),
+        lambda g: make_g_expectation_family(SigmaLambdaSet(tuple(
+            (s, lam) for s in (0.5, 1.0) for lam in (-1.0, 0.0, 1.0))), g),
+    ], ids=["heat_b1_s0", "heat_b2_s0.1", "gexp_drifts_-2_2", "g_expectation"])
+    def test_collar_keeps_what_the_edge_does_not_reach(self, make):
+        # a step of h_max reads the same at every collar node whether the
+        # state extends by zeros or by its edge values
+        fam = make(self.COLLAR_GRID)
+        f = sample_function("cauchy_bump", self.COLLAR_GRID)
+        clamped = GridFunction(f.grid, 1, f.values, extension_mode="clamp")
+        mask = default_collar_mask(fam, f, self.H_LEVELS[0])
+        gap = np.abs(fam.step(self.H_LEVELS[0], f).values
+                     - fam.step(self.H_LEVELS[0], clamped).values)[:, 0]
+        assert np.count_nonzero(mask) > f.grid.n_nodes // 2
+        assert np.max(gap[mask]) <= 1e-12
+        assert np.max(gap) > 1e-12  # the edge is reached, outside the collar
+
+    def test_reach_by_kind_of_family(self, robust_gbm_family):
+        # no move, no reach; a perturbation moves as its base; per-node
+        # rates declare none and compare through their trusted mask
+        g = self.COLLAR_GRID
+        heat = make_heat_family(HeatDriftParams.create(1.0, 0.0), NormSpec("sup"), g)
+        assert make_identity_base_family(g, NormSpec("sup")).reach(1.0) == 0.0
+        pert = make_perturbation_family(heat, perturbation_preset("sin"), g)
+        assert pert.reach(0.25) == heat.reach(0.25) > heat.reach(2.0**-4) > 0.0
+        assert robust_gbm_family.reach is None
+        z = robust_gbm_family.zero_state
+        assert np.array_equal(default_collar_mask(robust_gbm_family, z, 0.25),
+                              robust_gbm_family.comparison_mask
+                              & interior_mask(z.grid, 2 * z.grid.h[0]))
+
+    def test_pure_drift_quotients_are_first_order(self):
+        # the upwind shift's quotient errs by about h b^2 |f''| / 2: each
+        # error is half the one before once the collar leaves the box edge out
+        g = self.COLLAR_GRID
+        fam = make_heat_family(HeatDriftParams.create(1.0, 0.0), NormSpec("sup"), g)
+        table = generator_estimate(fam, sample_function("cauchy_bump", g),
+                                   self.H_LEVELS)
+        assert all(b <= 0.55 * a for a, b in zip(table.errors, table.errors[1:])), \
+            table.errors
+        assert table.monotone_decreasing and not any(table.flagged)
+
+    def test_round_off_errors_read_as_decreasing(self):
+        # the drift generator of f(x) = x is reproduced to round-off, which
+        # grows as h halves; the verdict reads it as 0, the table as measured
+        g = self.COLLAR_GRID
+        fam = make_heat_family(HeatDriftParams.create(0.5, 1.0),
+                               NormSpec("weighted", p=2), g)
+        table = generator_estimate(fam, sample_function("identity", g),
+                                   self.H_LEVELS)
+        assert 0.0 < max(table.errors) <= 1e-12
+        assert table.monotone_decreasing and not any(table.flagged)
 
     @pytest.mark.parametrize("hs", [[0.0], [0.25, 0.0], [-0.25]])
     def test_h_levels_must_be_positive(self, ode_decay_family, hs):

@@ -50,6 +50,16 @@ def brute_force_chain(f, t, lam, sig, i):
 
 
 class TestHeatDriftStep:
+    @pytest.mark.parametrize("drift,sigma,dim", [
+        ("0.5", 1.0, 1), (True, 1.0, 1), (0.5, False, 1), (math.nan, 1.0, 1),
+        (0.5, math.inf, 1), pytest.param(10**400, 1.0, 1, id="beyond-floats"),
+        ((0.5, True), (1.0, 1.0), 2),
+        ((0.5, 0.5), (1.0, "1"), 2)])
+    def test_params_are_finite_numbers(self, drift, sigma, dim):
+        # never a string or a bool cast to a float
+        with pytest.raises(ValueError, match="drift and sigma must be finite numbers"):
+            HeatDriftParams.create(drift, sigma, dim)
+
     def test_zero_function_fixed(self, grid_small):
         z = sample_function("zero", grid_small)
         out = heat_drift_step(z, 0.7, HeatDriftParams.create(1.0, 1.0, 1))
@@ -308,7 +318,7 @@ class TestFamilyDescriptors:
 
     @pytest.mark.parametrize("mu,sigma,quad_points", [
         (0.0, 0.2, 64.7), (0.0, 0.2, 64.0), (0.0, 0.2, True), (0.0, 0.2, "64"),
-        (math.nan, 0.2, 64), (0.0, math.inf, 64), ("0.1", 0.2, 64)])
+        (math.nan, 0.2, 64), (0.0, math.inf, 64), ("0.1", 0.2, 64), (True, 0.2, 64)])
     def test_gbm_member_rules(self, mu, sigma, quad_points):
         # a member's mu and sigma are finite numbers and its quadrature an
         # integer >= 8, checked when the member is made, not at its first step

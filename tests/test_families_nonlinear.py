@@ -203,6 +203,14 @@ class TestGexpFamily:
 
 
 class TestGExpectationStep:
+    @pytest.mark.parametrize("pairs", [
+        ((True, 0.0),), ((0.5, "1"),), ((0.5, 0.0), (math.nan, 0.0)),
+        ((0.5, math.inf),), (((0.5, True), 0.0),), ((0.5, (1.0, "0")),)])
+    def test_pairs_are_finite_numbers(self, pairs):
+        # scalar and per-axis entries alike, never a string or a bool
+        with pytest.raises(ValueError, match="entries must be finite numbers"):
+            SigmaLambdaSet(pairs)
+
     def test_singleton_pair_is_heat(self, grid_small):
         f = sample_function("gaussian_bump", grid_small)
         uset = SigmaLambdaSet(pairs=((1.0, 0.0),))
@@ -327,7 +335,7 @@ class TestRobustGbm:
                     flagged += flag
         assert 0 < flagged < len(pairs) * len(radii) * len(times)
 
-    @pytest.mark.parametrize("horizon", [-0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("horizon", [-0.5, math.nan, math.inf, True])
     def test_trust_horizon_rule(self, gbm_grid, horizon):
         with pytest.raises(ValueError, match="trust horizon must be a finite number >= 0"):
             make_robust_gbm_family(((0.1, 0.2),), gbm_grid, horizon)

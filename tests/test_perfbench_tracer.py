@@ -4,9 +4,13 @@ perfbench/tracer.py wraps the public functions of every semiflow module and
 checks that the bindings in its REQUIRED_BINDINGS are wrapped, so a change
 that renames or drops one of them breaks the traced benchmark runs.  Its
 heat counters read the arguments of heat_multi_step after every call, so a
-change to those arguments breaks the traced runs too.
+change to those arguments breaks the traced runs too.  Its self-checks
+count step calls under chernoff_limit against the reported steps_total and
+distance calls against the limits' deltas, so a change that steps or
+measures outside the traced bindings fails the traced runs as well.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -31,12 +35,51 @@ assert len(tr.c.heat_taps) == 5 and tr.c.heat_flop > 0, tr.c.heat_taps
 """
 
 
-def test_tracer_installs():
+# one heat experiment through run_experiment, traced as perfbench/child.py
+# traces a workload: evolve at two times, the defect and the generator
+EXPERIMENT = """
+import time
+import semiflow.cli as cli
+spec = cli.parse_config(CONFIG)
+tr.begin_experiment(0)
+t0 = time.perf_counter()
+manifest = cli.run_experiment(spec, out_dir=OUT)
+wall_s = time.perf_counter() - t0
+assert manifest["passed"], manifest
+assert tr.c.limit_steps_total > 0 and tr.c.grid_deltas > 0
+# share.covered is timing-dependent; every other self-check is exact
+failed = [e for e in tracer.self_checks(tr, tracer.layer_metrics(tr, wall_s))
+          if not e.startswith("named layers cover")]
+assert not failed, failed
+"""
+
+HEAT_CONFIG = {
+    "family": {"name": "heat", "drift": 0.5, "sigma": 1.0},
+    "grid": {"dim": 1, "x_max": 4.0, "n_points": 81},
+    "initial": {"preset": "gaussian_bump"},
+    "schedule": {"t_list": [0.25, 0.5], "tol": 1e-3, "n_max": 10},
+    "tasks": ["evolve", "defect", "generator"],
+}
+
+
+def run_traced(code):
+    """Run code in a fresh process after tr = tracer.install()."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     code = ("import sys; sys.path.insert(0, 'perfbench'); import tracer; "
-            "tr = tracer.install()" + STEP)
+            "tr = tracer.install()" + code)
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_installs():
+    run_traced(STEP)
+
+
+def test_traced_experiment_keeps_the_trace_invariants(tmp_path):
+    config = tmp_path / "heat.json"
+    config.write_text(json.dumps(HEAT_CONFIG))
+    run_traced(f"\nCONFIG = {str(config)!r}\nOUT = {str(tmp_path / 'out')!r}"
+               + EXPERIMENT)
