@@ -107,11 +107,13 @@ class GeneratingFamilyDescriptor:
     step(t, x) realizes I(t); alpha and beta are the declared bound and
     Lipschitz envelopes of the family (alpha(R, t) maps the ball radius, beta
     the Lipschitz constant on B(x0, R)).  analytic_generator is the optional
-    closed-form generator.  minus_conjugate marks families for which the
-    order-conjugate family f -> -I(t)(-f) is meaningful.  reach(t), where
-    declared, is the distance in x beyond which I(t) moves at most a
-    negligible share of mass, so a node farther than that from the box edge
-    does not read the state's extension.
+    closed-form generator.  conjugate_step(t, f), where declared, returns
+    the pair (I(t)f, I(t)(-f)), from which the order-conjugate family
+    f -> -I(t)(-f) is certified; kernel families take both from one linear
+    batch (families_linear.kernel_family).  reach(t), where declared, is
+    the distance in x beyond which I(t) moves at most a negligible share of
+    mass, so a node farther than that from the box edge does not read the
+    state's extension.
     """
 
     name: str
@@ -121,7 +123,7 @@ class GeneratingFamilyDescriptor:
     zero_state: object
     norm: NormSpec | None = None
     analytic_generator: Callable | None = None
-    minus_conjugate: bool = False
+    conjugate_step: Callable | None = None
     comparison_mask: np.ndarray | None = None
     reach: Callable[[float], float] | None = None
     params: dict = field(default_factory=dict)

@@ -115,7 +115,8 @@ _SCHEDULE_DEFAULTS = {
 # Most steps one selected task may take; a schedule that allows more is a
 # config error.  A limit over a span T takes fewer than T 2^(n_max+1) steps;
 # generator limits go GENERATOR_EXTRA_LEVELS past n_max; a certificate ladder
-# (two states when symmetric) up to level n takes fewer than T 2^(n+1) steps.
+# up to level n takes T 2^n steps, or symmetric T 2^n linear batches that
+# serve both states, and is budgeted T 2^(n+1).
 # Every shipped config and benchmark workload stays below 2^18.
 MAX_LIMIT_STEPS = 2**27
 TASK_NAMES = ("evolve", "defect", "generator", "certificate", "audit",
@@ -537,12 +538,11 @@ def _task_certificate(spec, family, state):
     sched = spec.schedule
     levels = sched["certificate_levels"]
     T = sched["certificate_horizon"]
-    if family.minus_conjugate:
-        plus, minus, joint = diag.symmetric_lipschitz_certificate(
+    if family.conjugate_step is not None:
+        plus, minus, verdict = diag.symmetric_lipschitz_certificate(
             family, state, T, levels)
         result = {"task": "certificate", "plus": plus.to_json_dict(),
-                  "minus": minus.to_json_dict(), "joint_verdict": joint}
-        verdict = joint
+                  "minus": minus.to_json_dict(), "joint_verdict": verdict}
     else:
         cert = diag.lipschitz_certificate(family, state, T, levels)
         result = {"task": "certificate", "certificate": cert.to_json_dict()}

@@ -12,8 +12,9 @@ generating family into measured reports:
   matrix; for linear families this collapses to ||I(pi) g - g|| exactly.
 * lipschitz_certificate estimates the time-Lipschitz ratio d(I(t)x, x)/t
   over dyadic ladders and classifies the state as bounded / diverging /
-  inconclusive; the symmetric variant repeats the probe for the
-  order-conjugate family f -> -I(t)(-f).
+  inconclusive; the symmetric variant also probes the order-conjugate
+  family f -> -I(t)(-f), whose images the family's conjugate step gives
+  with those of I(t)f from one linear batch per ladder time.
 * alpha_beta_audit samples random states in a ball and checks the declared
   boundedness and Lipschitz envelopes together with their composition laws.
 * partition_monotonicity_check measures the minimal nodewise increment of
@@ -115,20 +116,13 @@ def _classify(ratios) -> str:
     return "inconclusive"
 
 
-def _images(family: GeneratingFamilyDescriptor, states, times):
-    """Yield (t, [I(t)x for x in states]) at each time in turn: every state
-    takes a time before the next time, so consecutive steps share one dt and
-    one step plan."""
-    for t in times:
-        yield t, [family.step(t, x) for x in states]
-
-
-def _certificates(family: GeneratingFamilyDescriptor, states, T: float,
-                  levels, state_ids) -> list[LipschitzCertificate]:
+def _certificates(family: GeneratingFamilyDescriptor, states, images,
+                  T: float, levels, state_ids) -> list[LipschitzCertificate]:
     """One certificate per state from r_n = max over the level-n ladder
     t in {2^-n, 2 2^-n, ..., T} of d(I(t)x, x)/t, the levels read in
-    increasing order with repeats dropped.  The ladders share their times,
-    so each I(t)x is evaluated once."""
+    increasing order with repeats dropped.  images(t) returns the images
+    I(t)x of the states, in order; the ladders share their times, so it is
+    called once per time."""
     if T <= 0:
         raise ValueError("horizon must be positive")
     parts = [dyadic_partition(T, n) for n in sorted(set(levels))]
@@ -136,8 +130,8 @@ def _certificates(family: GeneratingFamilyDescriptor, states, T: float,
         raise ValueError("need at least one level")
     ladders = [[k * p.step for k in range(1, p.step_count + 1)] for p in parts]
     times = dict.fromkeys(t for ladder in ladders for t in ladder)
-    quotients = {t: [family.distance(im, x) / t for im, x in zip(images, states)]
-                 for t, images in _images(family, states, times)}
+    quotients = {t: [family.distance(im, x) / t for im, x in zip(images(t), states)]
+                 for t in times}
     certs = []
     for i, state_id in enumerate(state_ids):
         # each max starts from 0.0, so a NaN quotient never wins
@@ -159,8 +153,8 @@ def lipschitz_certificate(family: GeneratingFamilyDescriptor, x, T: float,
                           levels, state_id: str = "state") -> LipschitzCertificate:
     """Probe d(I(t)x, x)/t over the dyadic ladders t in {2^-n, 2 2^-n, ..., T},
     reading the levels in increasing order."""
-    cert, = _certificates(family, [x], T, levels, [state_id])
-    return cert
+    return _certificates(family, [x], lambda t: [family.step(t, x)], T, levels,
+                         [state_id])[0]
 
 
 def symmetric_lipschitz_certificate(family: GeneratingFamilyDescriptor,
@@ -169,13 +163,16 @@ def symmetric_lipschitz_certificate(family: GeneratingFamilyDescriptor,
     """Certificates for f under I and under the conjugate I^-(t)f = -I(t)(-f).
 
     Since the norm is symmetric, the conjugate ratio equals the plain ratio
-    of -f, so the minus certificate probes -f under I.  The joint verdict is
-    the worse of the two: bounded only if both coordinates are bounded.
+    of -f, so the minus certificate probes -f under I.  The family's
+    conjugate step gives I(t)f and I(t)(-f) together, from one linear batch
+    at each ladder time.  The joint verdict is the worse of the two: bounded
+    only if both coordinates are bounded.
     """
-    if not family.minus_conjugate:
+    if family.conjugate_step is None:
         raise ValueError(f"{family.name}: conjugate family is not available")
-    cert_plus, cert_minus = _certificates(family, [f, negate(f)], T, levels,
-                                          [f"{state_id}+", f"{state_id}-"])
+    cert_plus, cert_minus = _certificates(
+        family, [f, negate(f)], lambda t: family.conjugate_step(t, f), T, levels,
+        [f"{state_id}+", f"{state_id}-"])
     joint = max(cert_plus.verdict, cert_minus.verdict, key=VERDICTS.index)
     return cert_plus, cert_minus, joint
 
@@ -389,10 +386,12 @@ def alpha_beta_audit(family: GeneratingFamilyDescriptor, n_samples: int,
     dxy = [grid_distance(x, states[(i + 1) % n_samples], family.norm)
            for i, x in enumerate(states)]
     # I(t)x_i serves the bound check of sample i, the x side of its Lipschitz
-    # check and the y side of sample i - 1's
+    # check and the y side of sample i - 1's; every sample takes a time before
+    # the next time, so consecutive steps share one dt and one step plan
     ts = [0.0] + [float(t) for t in t_list]
     margins = {}
-    for t, images in _images(family, states, ts):
+    for t in ts:
+        images = [family.step(t, x) for x in states]
         for i, im in enumerate(images):
             margins["bounded", i, t] = family.alpha(R, t) - family.norm_of(im)
             margins["lipschitz", i, t] = (

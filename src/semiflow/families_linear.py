@@ -61,9 +61,12 @@ tensor-product application of the 1D kernel along each axis.
 
 Every grid family has one form: the nodewise max over a finite candidate set
 of (one of these linear transitions - cost t).  kernel_family builds the
-descriptor of such a set, with envelopes e^{omega t}, the reach of its
-chains by _reach, and the generator kernel_generator, the same max taken
-over the candidates' chain generators.
+descriptor of such a set from the set's linear batch, with envelopes
+e^{omega t}, the reach of its chains by _reach, and the generator
+kernel_generator, the same max taken over the candidates' chain generators.
+One batch serves the images of f and of -f: the transitions are linear and
+rounding is symmetric in sign, so the batch of -f is minus that of f, bit
+for bit, and the symmetric certificate steps each ladder time once.
 """
 
 from __future__ import annotations
@@ -522,22 +525,34 @@ def kernel_generator(f: GridFunction, up, down, costs) -> GridFunction:
 # family descriptors
 # ---------------------------------------------------------------------------
 
-def kernel_family(name: str, step, grid: Grid, norm: NormSpec, drifts, sigmas,
-                  costs, params: dict, omega: float = 0.0,
+def kernel_family(name: str, transitions, grid: Grid, norm: NormSpec, drifts,
+                  sigmas, costs, params: dict, omega: float = 0.0,
                   zero: GridFunction | None = None,
                   comparison_mask: np.ndarray | None = None
                   ) -> GeneratingFamilyDescriptor:
     """Descriptor of a family I(t)f = max over candidates c of (linear
     Gaussian or lognormal transition of c - cost_c t).
 
-    step realizes I(t); drifts b and sigmas have shape (C, dim), or
-    (C, dim, n_nodes) where they vary by node (mu x and sigma x for GBM),
-    and costs shape (C,).  kernel_generator reads the rates r+-_ca of
-    _jump_rates(b, sigma, h), computed once here, as the declared
-    generator.  The envelopes are alpha(R, t) = e^{omega t} R and
-    beta(R, t) = e^{omega t}, and params records omega.  Per-node
-    coefficients (lognormal transitions) take the caller's omega, declare no
-    reach in x, and their comparisons go through comparison_mask.
+    transitions(t, f) returns the candidates' linear batch B of shape
+    (C, n_nodes, m), f's own values at t = 0.  The step is
+    max_c (B_c - cost_c t), the costs subtracted from B in place unless
+    every cost is 0, so a set with a cost returns a fresh batch; at t = 0 it
+    returns f itself.  The conjugate step returns (I(t)f, I(t)(-f)) from
+    the same B: the transitions are linear and IEEE rounding is symmetric
+    in sign, so the batch of -f is -B bit for bit and
+    I(t)(-f) = max_c (-B_c - cost_c t) = -min_c (B_c + cost_c t) exactly.
+    That minimum runs over the candidates into one (n_nodes, m) array
+    before the costs leave B: batch-sized temporaries cost as much in page
+    faults as the second batch they save.
+
+    drifts b and sigmas have shape (C, dim), or (C, dim, n_nodes) where they
+    vary by node (mu x and sigma x for GBM), and costs shape (C,).
+    kernel_generator reads the rates r+-_ca of _jump_rates(b, sigma, h),
+    computed once here, as the declared generator.  The envelopes are
+    alpha(R, t) = e^{omega t} R and beta(R, t) = e^{omega t}, and params
+    records omega.  Per-node coefficients (lognormal transitions) take the
+    caller's omega, declare no reach in x, and their comparisons go through
+    comparison_mask.
 
     Gaussian kernels (one sigma per candidate and axis) declare reach(t),
     the largest over the axes a of _reach(t max_c (r+ + r-)_ca,
@@ -571,6 +586,24 @@ def kernel_family(name: str, step, grid: Grid, norm: NormSpec, drifts, sigmas,
             omega = 1.0 + float(np.max(np.sum((up + down) * np.square(grid.h), axis=1))
                                 + np.max(np.sum(drifts**2, axis=1)))
         rate, mean = np.max(up + down, axis=0), np.max(np.abs(up - down), axis=0)
+
+    def upper(batch, t):
+        if costs.any():
+            batch -= (costs * t)[:, None, None]
+        return np.max(batch, axis=0)
+
+    def step(t, f):
+        if t == 0.0:
+            return f  # an audit steps every sample at t = 0
+        return with_values(f, upper(transitions(t, f), t))
+
+    def conjugate_step(t, f):
+        batch = transitions(t, f)
+        low = np.full(batch.shape[1:], np.inf)
+        for b, k in zip(batch, costs * t):
+            np.minimum(low, b + k, out=low)
+        return with_values(f, upper(batch, t)), with_values(f, -low)
+
     fam = GeneratingFamilyDescriptor(
         name=name,
         step=step,
@@ -579,7 +612,7 @@ def kernel_family(name: str, step, grid: Grid, norm: NormSpec, drifts, sigmas,
         zero_state=zero,
         norm=norm,
         analytic_generator=lambda f: kernel_generator(f, up, down, costs),
-        minus_conjugate=True,
+        conjugate_step=conjugate_step,
         comparison_mask=comparison_mask,
         reach=None if sigmas.ndim != 2 else lambda t: max(
             _reach(t * r, t * m) * h if r else 0.0
@@ -595,9 +628,10 @@ def make_heat_family(params: HeatDriftParams, norm: NormSpec,
     """Heat-with-drift generating family, a single candidate without cost:
     a contraction in the sup norm, of growth rate omega (kernel_family) in
     the weighted norm with p = 2."""
+    drift, sigma = np.array([params.drift]), np.array([params.sigma])
     return kernel_family(
-        "heat", lambda t, f: heat_drift_step(f, t, params), grid, norm,
-        [params.drift], [params.sigma], [0.0],
+        "heat", lambda t, f: heat_multi_step(f, t, drift, sigma), grid, norm,
+        drift, sigma, [0.0],
         {"kind": "heat", "drift": params.drift, "sigma": params.sigma})
 
 
@@ -606,5 +640,5 @@ def make_identity_base_family(grid: Grid, norm: NormSpec) -> GeneratingFamilyDes
     Lipschitz perturbations: one candidate with no drift, no diffusion and
     no cost."""
     still = np.zeros((1, grid.dim))
-    return kernel_family("identity_base", lambda t, f: f, grid, norm, still,
-                         still, [0.0], {"kind": "identity_base"})
+    return kernel_family("identity_base", lambda t, f: f.values[None], grid, norm,
+                         still, still, [0.0], {"kind": "identity_base"})

@@ -16,14 +16,16 @@ All of these are one-step operators built from the linear kernels:
 
 The first three are one candidate set each: the nodewise max over
 candidates c of (a linear Gaussian or lognormal transition - cost_c t).  Each
-builds its candidates' drifts, scales and costs once, and
-families_linear.kernel_family wraps them as a GeneratingFamilyDescriptor with
-envelopes alpha(R, t) = e^{omega t} R, beta(R, t) = e^{omega t}, omega
-worked out from the candidates (robust GBM's given), and, as the generator,
-the same max over the generators of the candidates' grid chains minus their
-costs.  The Euler and perturbation families declare
-their own envelopes and generators; a perturbation family's params carry its
-base family and Psi.
+builds its candidates' drifts, scales and costs once and passes their linear
+batch, heat_multi_step or the members' gbm_step values, to
+families_linear.kernel_family.  That builds the step and the conjugate step,
+the images of f and -f from one batch, and wraps them as a
+GeneratingFamilyDescriptor with envelopes alpha(R, t) = e^{omega t} R,
+beta(R, t) = e^{omega t}, omega worked out from the candidates (robust GBM's
+given), and, as the generator, the same max over the generators of the
+candidates' grid chains minus their costs.  The Euler and perturbation
+families declare their own envelopes and generators and no conjugate step; a
+perturbation family's params carry its base family and Psi.
 """
 
 from __future__ import annotations
@@ -115,8 +117,8 @@ class CostFunction:
 
 def quadratic_cost(a: float, dim: int = 1) -> CostFunction:
     """L(lam) = a |lam|^2; the witness radius solves a r^2 = c r, i.e. r = c/a."""
-    if a <= 0:
-        raise ValueError("quadratic coefficient must be positive")
+    if not (_is_finite_number(a) and a > 0):
+        raise ValueError(f"quadratic coefficient must be a finite number > 0, got {a!r}")
 
     def ev(lams):
         lams = np.atleast_2d(lams)
@@ -129,8 +131,8 @@ def quadratic_cost(a: float, dim: int = 1) -> CostFunction:
 
 def indicator_cost(lo: float, hi: float) -> CostFunction:
     """L = 0 on [lo, hi] and +inf outside (one-dimensional drift sets)."""
-    if hi < lo:
-        raise ValueError("need lo <= hi")
+    if not (all(map(_is_finite_number, (lo, hi))) and lo <= hi):
+        raise ValueError(f"need finite numbers lo <= hi, got {lo!r}, {hi!r}")
     anchor = min(max(0.0, lo), hi)
 
     def ev(lams):
@@ -172,12 +174,13 @@ class LambdaGrid:
     provenance: str = "user"
 
     def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.lambdas, dtype=np.float64))
+        # dtype object keeps each entry as given: a bool stays a bool
+        arr = np.atleast_2d(np.asarray(self.lambdas, dtype=object))
         if arr.shape[0] == 0:
             raise ValueError("drift grid must be nonempty")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("drift grid entries must be finite")
-        object.__setattr__(self, "lambdas", arr)
+        if not all(map(_is_finite_number, arr.flat)):
+            raise ValueError("drift grid entries must be finite numbers")
+        object.__setattr__(self, "lambdas", arr.astype(np.float64))
 
     @property
     def dim(self) -> int:
@@ -185,7 +188,7 @@ class LambdaGrid:
 
 
 def user_lambda_grid(values, dim: int = 1) -> LambdaGrid:
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values, dtype=object)
     if arr.ndim == 1:
         arr = arr[:, None] if dim == 1 else arr.reshape(-1, dim)
     return LambdaGrid(lambdas=arr, provenance="user")
@@ -241,18 +244,6 @@ def auto_lambda_grid(cost: CostFunction, lip_c: float) -> LambdaGrid:
 # convex drift-control expectation
 # ---------------------------------------------------------------------------
 
-def _sup_heat_step(f: GridFunction, t: float, drifts: np.ndarray,
-                   sigmas: np.ndarray, costs: np.ndarray) -> GridFunction:
-    """Nodewise max over candidates c of (heat step with drift drifts[c]
-    and scales sigmas[c], minus costs[c] t); t = 0 returns f unchanged."""
-    if t == 0.0:
-        return f
-    batch = heat_multi_step(f, t, drifts, sigmas)
-    if costs.any():
-        batch -= (costs * t)[:, None, None]
-    return with_values(f, np.max(batch, axis=0))
-
-
 def _gexp_candidates(lambda_grid: LambdaGrid, cost: CostFunction, dim: int):
     """(drifts, sigmas, costs) of a drift grid: unit diffusion, finite costs."""
     lams = lambda_grid.lambdas
@@ -279,7 +270,7 @@ def make_gexp_family(lambda_grid: LambdaGrid, cost: CostFunction, grid: Grid,
     """
     drifts, sigmas, costs = _gexp_candidates(lambda_grid, cost, grid.dim)
     return kernel_family(
-        "gexp", lambda t, f: _sup_heat_step(f, t, drifts, sigmas, costs), grid,
+        "gexp", lambda t, f: heat_multi_step(f, t, drifts, sigmas), grid,
         norm or NormSpec(kind="sup"), drifts, sigmas, costs,
         {"kind": "gexp", "cost": cost.name,
          "n_lambda": int(lambda_grid.lambdas.shape[0]),
@@ -331,7 +322,7 @@ def make_g_expectation_family(sigma_lambda_set: SigmaLambdaSet, grid: Grid,
     norm = norm or NormSpec(kind="sup")
     drifts, sigmas, costs = _g_expectation_candidates(sigma_lambda_set, grid.dim)
     return kernel_family(
-        "g_expectation", lambda t, f: _sup_heat_step(f, t, drifts, sigmas, costs),
+        "g_expectation", lambda t, f: heat_multi_step(f, t, drifts, sigmas),
         grid, norm, drifts, sigmas, costs,
         {"kind": "g_expectation",
          "pairs": [tuple(c) for c in np.hstack([sigmas, drifts]).tolist()],
@@ -349,7 +340,7 @@ def gbm_trusted_radius(mu_sigma_pairs, x_max: float, horizon: float) -> float:
 def _gbm_escape_mass(x: float, t: float, mu: float, sigma: float,
                      x_max: float) -> float:
     """P(x X_t > x_max) at a node x >= 0, X_t the one-step lognormal factor."""
-    if x == 0.0 or sigma == 0.0:
+    if x == 0.0 or sigma == 0.0 or t == 0.0:
         return float(x * math.exp(mu * t) > x_max)
     z = (math.log(x_max / x) - (mu - sigma * sigma / 2.0) * t) / (
         abs(sigma) * math.sqrt(t))
@@ -387,19 +378,16 @@ def make_robust_gbm_family(pairs, grid: Grid, trust_horizon: float,
     trusted = np.abs(x) <= radius
     edge = float(np.max(np.abs(x[trusted])))
 
-    def step(t, f):
-        if t == 0.0:
-            return f
+    def transitions(t, f):
         if any(_gbm_escape_mass(edge, t, mu, sig, x_max) > GBM_ESCAPE_THRESHOLD
                for mu, sig in pairs):
             warnings.warn("robust_gbm: escaping lognormal mass exceeds "
-                          "threshold inside the trusted interior", stacklevel=2)
-        return with_values(f, np.max([gbm_step(f, t, mp).values for mp in members],
-                                     axis=0))
+                          "threshold inside the trusted interior", stacklevel=3)
+        return np.array([gbm_step(f, t, mp).values for mp in members])
 
     mus, sigs = np.array(pairs).T
     return kernel_family(
-        "robust_gbm", step, grid, NormSpec(kind="weighted", p=p),
+        "robust_gbm", transitions, grid, NormSpec(kind="weighted", p=p),
         np.multiply.outer(mus, x)[:, None], np.multiply.outer(sigs, x)[:, None],
         np.zeros(len(pairs)),
         {"kind": "robust_gbm", "pairs": pairs, "p": p, "trusted_radius": radius},
@@ -466,7 +454,6 @@ def make_ode_family(vf: VectorField) -> GeneratingFamilyDescriptor:
         beta=lambda R, t: math.exp(vf.lip_profile(R) * t),
         zero_state=zero,
         analytic_generator=lambda x: VectorState(np.asarray(vf.func(x.coordinates))),
-        minus_conjugate=False,
         params={"kind": "ode", "field": vf.name, "growth_k": K},
     )
     check_family_contract(fam, probe_states=[zero, VectorState(np.ones(vf.dim))])
@@ -571,7 +558,6 @@ def make_perturbation_family(base_family: GeneratingFamilyDescriptor,
         zero_state=zero,
         norm=base_family.norm,
         analytic_generator=generator,
-        minus_conjugate=False,
         reach=base_family.reach,
         params={"kind": "perturbation", "base": base_family.params.get("kind"),
                 "psi": pert.name, "growth_k": K,

@@ -2,10 +2,14 @@
 formulas it replaced: kernel_generator against the generator of each
 candidate's grid chain and, where the chain's rates are central, against
 each family's own central-difference formula; and the heat and robust GBM
-family steps against their public step functions."""
+family steps against their public step functions; and the conjugate step,
+the images of f and -f from one linear batch, against two steps."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import legendre_transform, random_bumps
 from semiflow.families_linear import (
@@ -14,6 +18,7 @@ from semiflow.families_linear import (
     gbm_step,
     heat_drift_step,
     make_heat_family,
+    make_identity_base_family,
 )
 from semiflow.families_nonlinear import (
     SigmaLambdaSet,
@@ -23,7 +28,7 @@ from semiflow.families_nonlinear import (
     quadratic_cost,
     user_lambda_grid,
 )
-from semiflow.state_space import GridFunction, NormSpec, grid_create
+from semiflow.state_space import GridFunction, NormSpec, grid_create, negate
 
 GRIDS = {"1d": grid_create(1, 4.0, 161), "2d": grid_create(2, (3.0, 4.0), (41, 51))}
 HEAT = {"1d": HeatDriftParams.create(0.5, 1.5, 1),
@@ -252,3 +257,43 @@ def test_robust_gbm_step_is_max_of_gbm_steps(t):
     ref = np.maximum.reduce([gbm_step(f, t, GbmParams(mu=mu, sigma=sig)).values
                              for mu, sig in GBM_PAIRS])
     assert np.array_equal(fam.step(t, f).values, ref)
+
+
+# -- the conjugate step against two steps ---------------------------------------
+
+SMALL = {"1d": grid_create(1, 4.0, 41), "2d": grid_create(2, (3.0, 4.0), (9, 11)),
+         "gbm": grid_create(1, 8.0, 81)}
+CONJUGATE_FAMILIES = {
+    "gexp_1d": make_gexp_family(user_lambda_grid(LAMBDAS["1d"]), quadratic_cost(0.5),
+                                SMALL["1d"]),
+    "gexp_2d": make_gexp_family(user_lambda_grid(LAMBDAS["2d"], dim=2),
+                                quadratic_cost(0.5, dim=2), SMALL["2d"]),
+    "g_expectation_1d": make_g_expectation_family(SigmaLambdaSet(PAIRS["1d"]),
+                                                  SMALL["1d"]),
+    "g_expectation_2d": make_g_expectation_family(SigmaLambdaSet(PAIRS["2d"]),
+                                                  SMALL["2d"]),
+    "heat_1d": make_heat_family(HEAT["1d"], NormSpec("sup"), SMALL["1d"]),
+    "heat_2d": make_heat_family(HEAT["2d"], NormSpec("sup"), SMALL["2d"]),
+    "identity_base": make_identity_base_family(SMALL["1d"], NormSpec("sup")),
+    "robust_gbm": make_robust_gbm_family(GBM_PAIRS, SMALL["gbm"], 1.0),
+}
+# dyadic ladder times, non-dyadic times as an audit takes them, and t = 0
+TIMES = st.one_of(st.sampled_from([0.0, 2.0**-8, 0.125, 0.5]),
+                  st.floats(1e-3, 0.5))
+
+
+@pytest.mark.parametrize("name, ext_mode", [
+    (name, mode) for name in CONJUGATE_FAMILIES for mode in ("zero", "clamp")
+    if name != "robust_gbm" or mode == "clamp"])  # the GBM step needs clamp
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), t=TIMES)
+def test_conjugate_step_equals_two_steps(name, ext_mode, data, t):
+    fam = CONJUGATE_FAMILIES[name]
+    grid = fam.zero_state.grid
+    values = data.draw(arrays(np.float64, (grid.n_nodes, 1),
+                              elements=st.floats(-1e3, 1e3)))
+    f = GridFunction(grid, 1, values, ext_mode)
+    plus, minus = fam.conjugate_step(t, f)
+    # value equality: the images of -f may differ from two steps in signed zeros
+    assert np.array_equal(plus.values, fam.step(t, f).values)
+    assert np.array_equal(minus.values, fam.step(t, negate(f)).values)

@@ -211,6 +211,23 @@ class TestGExpectationStep:
         with pytest.raises(ValueError, match="entries must be finite numbers"):
             SigmaLambdaSet(pairs)
 
+    @pytest.mark.parametrize("values", [
+        [True, "0.5", 0.0], [True, 0.0], ["0.5", 0.0], [0.0, math.nan],
+        [0.0, -math.inf], [[0.0, False], [0.5, 0.5]]])
+    def test_drift_grid_entries_are_finite_numbers(self, values):
+        # never cast to a float first: [True, 0.0] is not the drifts [1.0, 0.0]
+        with pytest.raises(ValueError, match="entries must be finite numbers"):
+            user_lambda_grid(values, dim=np.ndim(values))
+
+    @pytest.mark.parametrize("make", [
+        lambda: quadratic_cost(True), lambda: quadratic_cost("0.5"),
+        lambda: quadratic_cost(math.inf), lambda: indicator_cost(True, "2"),
+        lambda: indicator_cost(-1.0, "2"), lambda: indicator_cost(-math.inf, 1.0)])
+    def test_cost_parameters_are_finite_numbers(self, make):
+        # a ValueError from the rule, not a TypeError from a comparison
+        with pytest.raises(ValueError, match="finite number"):
+            make()
+
     def test_singleton_pair_is_heat(self, grid_small):
         f = sample_function("gaussian_bump", grid_small)
         uset = SigmaLambdaSet(pairs=((1.0, 0.0),))

@@ -35,8 +35,8 @@ assert len(tr.c.heat_taps) == 5 and tr.c.heat_flop > 0, tr.c.heat_taps
 """
 
 
-# one heat experiment through run_experiment, traced as perfbench/child.py
-# traces a workload: evolve at two times, the defect and the generator
+# one experiment through run_experiment, traced as perfbench/child.py traces
+# a workload, followed by the checks of its test
 EXPERIMENT = """
 import time
 import semiflow.cli as cli
@@ -46,19 +46,30 @@ t0 = time.perf_counter()
 manifest = cli.run_experiment(spec, out_dir=OUT)
 wall_s = time.perf_counter() - t0
 assert manifest["passed"], manifest
-assert tr.c.limit_steps_total > 0 and tr.c.grid_deltas > 0
 # share.covered is timing-dependent; every other self-check is exact
 failed = [e for e in tracer.self_checks(tr, tracer.layer_metrics(tr, wall_s))
           if not e.startswith("named layers cover")]
 assert not failed, failed
 """
 
+# a heat experiment: evolve at two times, the defect and the generator
 HEAT_CONFIG = {
     "family": {"name": "heat", "drift": 0.5, "sigma": 1.0},
     "grid": {"dim": 1, "x_max": 4.0, "n_points": 81},
     "initial": {"preset": "gaussian_bump"},
     "schedule": {"t_list": [0.25, 0.5], "tol": 1e-3, "n_max": 10},
     "tasks": ["evolve", "defect", "generator"],
+}
+
+# a gexp experiment running the symmetric certificate alone, over the
+# 0.25 * 2^6 = 16 times of its finest ladder
+CERTIFICATE_CONFIG = {
+    "family": {"name": "gexp", "cost": {"name": "quadratic", "a": 0.5},
+               "lambda_grid": [-1.0, -0.5, 0.0, 0.5, 1.0]},
+    "grid": {"dim": 1, "x_max": 4.0, "n_points": 81},
+    "initial": {"preset": "gaussian_bump"},
+    "schedule": {"certificate_horizon": 0.25, "certificate_levels": [3, 4, 5, 6]},
+    "tasks": ["certificate"],
 }
 
 
@@ -78,8 +89,24 @@ def test_tracer_installs():
     run_traced(STEP)
 
 
+def run_traced_experiment(tmp_path, config, checks):
+    """Run config traced through run_experiment, then the code checks."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    run_traced(f"\nCONFIG = {str(path)!r}\nOUT = {str(tmp_path / 'out')!r}"
+               + EXPERIMENT + checks)
+
+
 def test_traced_experiment_keeps_the_trace_invariants(tmp_path):
-    config = tmp_path / "heat.json"
-    config.write_text(json.dumps(HEAT_CONFIG))
-    run_traced(f"\nCONFIG = {str(config)!r}\nOUT = {str(tmp_path / 'out')!r}"
-               + EXPERIMENT)
+    run_traced_experiment(
+        tmp_path, HEAT_CONFIG,
+        "assert tr.c.limit_steps_total > 0 and tr.c.grid_deltas > 0\n")
+
+
+def test_traced_certificate_takes_one_traced_batch_per_time(tmp_path):
+    # the images of f and -f come from one heat_multi_step call per ladder
+    # time, made through the traced binding although outside family.step
+    run_traced_experiment(
+        tmp_path, CERTIFICATE_CONFIG,
+        "calls = sum(n == tr.nid['heat_multi_step'] for n in tr.name)\n"
+        "assert calls == 16, calls\n")

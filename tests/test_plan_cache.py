@@ -8,6 +8,7 @@ import numpy as np
 
 from conftest import random_bumps
 from semiflow import families_linear as fl
+from semiflow import families_nonlinear as fn
 from semiflow.diagnostics import alpha_beta_audit, symmetric_lipschitz_certificate
 from semiflow.families_linear import GbmParams, gbm_step, heat_multi_step
 from semiflow.families_nonlinear import make_gexp_family, quadratic_cost, user_lambda_grid
@@ -30,16 +31,39 @@ def _gbm_state(n):
     return GridFunction(g, 1, g.axis(0)[:, None], "clamp")
 
 
-def test_certificate_ladder_builds_one_plan_per_time(monkeypatch):
-    builds = _count_builds(monkeypatch)
-    fl._PLANS.clear()
-    # a certificate ladder steps both states at each of its 32 times in turn
+def _certify_ladder():
+    """The symmetric certificate of a gexp state of 1201 nodes and 41 drifts
+    over the 32 times of its level-8 ladder."""
     g = grid_create(1, 6.0, 1201)
     fam = make_gexp_family(user_lambda_grid(np.linspace(-2.0, 2.0, 41)),
                            quadratic_cost(0.5), g)
     symmetric_lipschitz_certificate(fam, random_bumps(g, seed=3), 0.125,
                                     [4, 5, 6, 7, 8])
+
+
+def test_certificate_ladder_builds_one_plan_per_time(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    fl._PLANS.clear()
+    # a certificate ladder takes its 32 times in turn
+    _certify_ladder()
     assert list(fl._PLANS) == [("heat", 0)]
+    assert builds == {"heat": 32, "gbm": 0}
+
+
+def test_symmetric_certificate_takes_one_batch_per_time(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    times = []
+
+    def counted(f, t, drifts, sigmas, _step=fn.heat_multi_step):
+        times.append(t)
+        return _step(f, t, drifts, sigmas)
+
+    monkeypatch.setattr(fn, "heat_multi_step", counted)
+    fl._PLANS.clear()
+    # one linear batch at each of the 32 times serves the images of both
+    # states, f and -f
+    _certify_ladder()
+    assert len(times) == len(set(times)) == 32
     assert builds == {"heat": 32, "gbm": 0}
 
 
