@@ -27,10 +27,9 @@ Two kernels are provided:
   zeros or edge values beyond the reach of every kernel: the smallest k at
   which the Chernoff bound of each candidate's Skellam law N+ - N- puts at
   most 1e-16 of its mass beyond +-k (_reach), so the wrapped mass stays
-  below 1e-16 on each side.  A step applies the plan to all
+  below 1e-16 on each side.  On a 1D grid a step applies the plan to all
   candidates in one batched FFT convolution (numpy.fft), over chunks of
-  candidates: on a 2-core Xeon the plane_2d benchmark ran 2.1-2.7 s with one
-  unchunked batch against 1.4-1.5 s chunked, at 3 MB more peak RSS.
+  candidates, so that no temporary holds the spectra of all of them.
 
 * the geometric Brownian motion operator f(x) -> E[f(x X_t)] with
   X_t = exp((mu - sigma^2/2) t + sigma W_t), evaluated by Gauss-Hermite
@@ -56,8 +55,14 @@ and dt), and the old plan is dropped before a new one is built.  All steps
 of a level share one dt and a robust family steps its members in turn, so a
 level builds each plan once, and the cache holds at most one plan per slot.
 
-In 2D only diagonal (and scalar) diffusion matrices are supported, through
-tensor-product application of the 1D kernel along each axis.
+In 2D only diagonal (and scalar) diffusion matrices are supported: a
+candidate is the tensor product of its chains along the two axes, applied by
+the plane transform (_plane_step).  The state, extended along both axes, is
+transformed once per step, rFFT along axis 1 and FFT along axis 0; each
+candidate multiplies that spectrum by its spectra along both axes and
+inverts it, an FFT along axis 0 and an inverse rFFT along axis 1.  A step of
+C candidates makes 2 + 2C FFT calls, all writing into buffers held from step
+to step (_plane_workspace), which the plan cache does not hold.
 
 Every grid family has one form: the nodewise max over a finite candidate set
 of (one of these linear transitions - cost t).  kernel_family builds the
@@ -188,6 +193,8 @@ _TAIL_Z = math.sqrt(-2.0 * _LOG_TAIL_MASS)
 _STEPPED_TOL = 1e-13
 # (key, plan) of the last plan of each slot, see _last_plan.
 _PLANS: dict = {}
+# The buffers of the last plane step, see _plane_workspace.
+_WORKSPACE: dict = {}
 
 
 def _last_plan(slot, key, build):
@@ -326,38 +333,85 @@ def _axis_plan(grid: Grid, a: int, t: float, drifts: np.ndarray,
         grid.n_points[a], grid.h[a], drifts, sigmas, t, ext_mode))
 
 
-def _extended_spectrum(plan: _AxisPlan, data: np.ndarray) -> np.ndarray:
-    """rFFT along axis 2 of data extended to nfft nodes: by zeros, or in
-    clamp mode by the last value and then, wrapping round to node 0, the
-    first value."""
-    if not plan.clamp:
-        return np.fft.rfft(data, plan.nfft, axis=2)
-    n = plan.n
-    mid = n + (plan.nfft - n) // 2
-    ext = np.empty((*data.shape[:2], plan.nfft, data.shape[3]))
-    ext[:, :, :n] = data
-    ext[:, :, n:mid] = data[:, :, -1:]
-    ext[:, :, mid:] = data[:, :, :1]
-    return np.fft.rfft(ext, axis=2)
+def _pad(ext: np.ndarray, n: int, clamp: bool) -> None:
+    """Fill ext beyond its first n entries along axis 0 with zeros, or in
+    clamp mode with entry n - 1 and then, wrapping round to entry 0, entry 0."""
+    if not clamp:
+        ext[n:] = 0.0
+        return
+    mid = n + (ext.shape[0] - n) // 2
+    ext[n:mid] = ext[n - 1]
+    ext[mid:] = ext[0]
 
 
 def _apply_axis_plan(plan: _AxisPlan, data: np.ndarray, out: np.ndarray) -> None:
-    """Apply a plan along axis 2 of data, shape (B, P, n, Q), into out, shape
-    (C, P, n, Q).
-
-    B is 1 (all candidates read the same data) or C (candidate c reads
-    data[c]); out may be data itself.  FFT work runs over chunks of
-    candidates, so no temporary holds the spectra of all of them.
-    """
-    shared = data.shape[0] == 1
-    spectra = plan.spectra[:, None, :, None]
-    freq = _extended_spectrum(plan, data) if shared else None
-    per = max(1, _CHUNK_BYTES // (32 * spectra.shape[2] * data.shape[1]
-                                  * data.shape[3]))
+    """Apply a plan of C candidates along axis 0 of data, shape (n, m), into
+    out, shape (C, n, m).  The inverse FFTs run over chunks of candidates, so
+    no temporary holds the spectra of all of them."""
+    if plan.clamp:
+        ext = np.empty((plan.nfft, data.shape[1]))
+        ext[:plan.n] = data
+        _pad(ext, plan.n, True)
+        freq = np.fft.rfft(ext, axis=0)
+    else:
+        freq = np.fft.rfft(data, plan.nfft, axis=0)
+    spectra = plan.spectra[:, :, None]
+    per = max(1, _CHUNK_BYTES // (32 * spectra.shape[1] * data.shape[1]))
     for c0 in range(0, spectra.shape[0], per):
         c = slice(c0, c0 + per)
-        f_hat = freq if shared else _extended_spectrum(plan, data[c])
-        out[c] = np.fft.irfft(spectra[c] * f_hat, plan.nfft, axis=2)[:, :, :plan.n]
+        out[c] = np.fft.irfft(spectra[c] * freq, plan.nfft, axis=1)[:, :plan.n]
+
+
+def _plane_workspace(shape: tuple) -> dict:
+    """The buffers of a plane step whose extended state has shape
+    (nfft0, nfft1, m): the state ext, its rFFT half along axis 1, and its
+    plane spectrum spec and one candidate's product work, both laid out
+    (nfft1 // 2 + 1, m, nfft0) so that the axis-0 transforms of each
+    candidate run over contiguous rows.  They are held from call to call, so
+    that no step page-faults on fresh temporaries, and rebuilt only when the
+    shape changes."""
+    if _WORKSPACE.get("shape") != shape:
+        _WORKSPACE.clear()  # frees the old buffers before the new ones exist
+        nfft0, nfft1, m = shape
+        spectral = (nfft1 // 2 + 1, m, nfft0)
+        _WORKSPACE.update(shape=shape, ext=np.empty(shape),
+                          half=np.empty((nfft0, nfft1 // 2 + 1, m), complex),
+                          spec=np.empty(spectral, complex),
+                          work=np.empty(spectral, complex))
+    return _WORKSPACE
+
+
+def _plane_step(plans: list, mesh: np.ndarray, out: np.ndarray) -> None:
+    """Apply the plans of axes 0 and 1 to mesh, shape (n0, n1, m), into out,
+    shape (C, n0, n1, m): candidate c runs the tensor product of row c of
+    each plan.
+
+    The state is extended along both axes and transformed once, rFFT along
+    axis 1 and FFT along axis 0.  Each candidate multiplies that plane
+    spectrum by its full-length axis-0 spectrum, the Hermitian completion of
+    its rFFT row, and its axis-1 spectrum, then inverts by an FFT along
+    axis 0, of which the n0 rows of the box are kept, and an inverse rFFT
+    along axis 1, of which the n1 columns are kept.  Every transform and
+    product writes into the workspace.
+    """
+    p0, p1 = plans
+    n0, n1 = p0.n, p1.n
+    ws = _plane_workspace((p0.nfft, p1.nfft, mesh.shape[2]))
+    ext, half, spec, work = ws["ext"], ws["half"], ws["spec"], ws["work"]
+    box = ext[:n0]
+    box[:, :n1] = mesh
+    _pad(box.swapaxes(0, 1), n1, p1.clamp)
+    _pad(ext, n0, p0.clamp)
+    np.fft.rfft(ext, axis=1, out=half)
+    np.fft.fft(half, axis=0, out=spec.transpose(2, 0, 1))
+    rows = np.concatenate(
+        (p0.spectra, np.conj(p0.spectra[:, (p0.nfft - 1) // 2:0:-1])), axis=1)
+    for c in range(out.shape[0]):
+        np.multiply(spec, rows[c], out=work)
+        np.multiply(work, p1.spectra[c, :, None, None], out=work)
+        np.fft.ifft(work, axis=2, out=work)
+        np.fft.irfft(work[:, :, :n0], p1.nfft, axis=0, out=box.transpose(1, 2, 0))
+        out[c] = box[:, :n1]
 
 
 def heat_multi_step(f: GridFunction, t: float, drifts: np.ndarray,
@@ -365,27 +419,31 @@ def heat_multi_step(f: GridFunction, t: float, drifts: np.ndarray,
     """Batch of heat-with-drift steps sharing one input state.
 
     drifts and sigmas have shape (C, dim), one coefficient per candidate and
-    axis (diagonal diffusion).  Returns values of shape (C, n_nodes, m).
-    Each axis applies the cached plan of its dt: on a 2D grid axis 0 runs
-    over all candidates at once, then axis 1 runs slab by slab, candidate c
-    with its own kernel on its own slab.
+    axis (diagonal diffusion); other shapes raise ValueError.  Returns a
+    fresh array of values of shape (C, n_nodes, m).  Each axis applies the
+    cached plan of its dt: on a 1D grid all candidates at once, in chunks,
+    and on a 2D grid through the plane step, which transforms the state
+    once and inverts each candidate's product.
     """
+    grid = f.grid
+    dim = grid.dim
+    if drifts.ndim != 2 or drifts.shape[1] != dim or sigmas.shape != drifts.shape:
+        raise ValueError(f"drifts and sigmas must have shape (C, {dim}), got "
+                         f"{drifts.shape} and {sigmas.shape}")
     if t < 0:
         raise ValueError("t must be nonnegative")
     C = drifts.shape[0]
     if t == 0.0:
         return np.broadcast_to(f.values, (C, *f.values.shape)).copy()
 
-    grid = f.grid
     plans = [_axis_plan(grid, a, t, drifts[:, a], sigmas[:, a], f.extension_mode)
-             for a in range(grid.dim)]
-    n0 = grid.n_points[0]
-    data = f.values.reshape(1, 1, n0, -1)
-    out = np.empty((C, 1, n0, data.shape[3]))
-    _apply_axis_plan(plans[0], data, out)
-    if grid.dim == 2:
-        slabs = out.reshape(C, n0, grid.n_points[1], f.codomain_dim)
-        _apply_axis_plan(plans[1], slabs, slabs)
+             for a in range(dim)]
+    mesh = f.as_mesh()
+    out = np.empty((C, *mesh.shape))
+    if dim == 1:
+        _apply_axis_plan(plans[0], mesh, out)
+    else:
+        _plane_step(plans, mesh, out)
     return out.reshape(C, grid.n_nodes, f.codomain_dim)
 
 

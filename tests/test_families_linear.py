@@ -13,6 +13,7 @@ from semiflow.families_linear import (
     gbm_growth_rate,
     gbm_step,
     heat_drift_step,
+    heat_multi_step,
     make_heat_family,
 )
 from semiflow.families_nonlinear import gbm_trusted_radius, make_robust_gbm_family
@@ -73,6 +74,20 @@ class TestHeatDriftStep:
         f = sample_function("zero", grid_small)
         with pytest.raises(ValueError):
             heat_drift_step(f, -0.1, HeatDriftParams.create(0.0, 1.0, 1))
+
+    @pytest.mark.parametrize("dim,drifts,sigmas", [
+        (1, [[0.5, 9.0]], [[1.0, 7.0]]),  # a second column on a 1D grid
+        (2, [[0.5]], [[1.0]]),            # one column on a 2D grid
+        (1, [0.5], [1.0]),                # 1-D arrays
+        (2, [[0.5, 0.5]], [[1.0, 1.0], [1.0, 1.0]]),  # C differs
+        (1, [[[0.5]]], [[[1.0]]]),        # 3-D arrays
+    ])
+    @pytest.mark.parametrize("t", [0.0, 0.25])
+    def test_coefficients_of_shape_c_by_dim(self, dim, drifts, sigmas, t):
+        # never a column ignored or an IndexError: (C, dim) or ValueError
+        f = sample_function("gaussian_bump", grid_create(dim, 2.0, 21))
+        with pytest.raises(ValueError, match=rf"shape \(C, {dim}\)"):
+            heat_multi_step(f, t, np.array(drifts), np.array(sigmas))
 
     @pytest.mark.parametrize("t,lam,sig", [
         (0.5, 0.0, 1.0), (0.25, 2.0, 1.0), (0.01, -1.0, 0.5), (2.0**-12, 3.0, 1.0),

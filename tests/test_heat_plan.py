@@ -148,6 +148,23 @@ def test_2d_anisotropic_mixed(ext_mode):
         assert np.max(np.abs(got - ref)) <= 1e-13
 
 
+@pytest.mark.parametrize("ext_mode", ["zero", "clamp"])
+@pytest.mark.parametrize("t", [2.0**-16, 2.0**-8, 0.25])
+def test_plane_step(ext_mode, t):
+    # codomain m = 2 on an anisotropic grid, whose axes get different FFT
+    # lengths; candidates still along axis 0 or along axis 1, and a single
+    # candidate
+    g = grid_create(2, (3.0, 2.0), (41, 81))
+    f = _state(g, ext_mode, columns=2)
+    drifts = np.array([[0.0, 1.5], [-1.0, 0.0], [0.7, -0.4]])
+    sigmas = np.array([[0.0, 0.5], [1.0, 0.0], [1.0, 0.25]])
+    for c in (slice(None), slice(2, 3)):
+        ref = reference_multi_step(f, t, drifts[c], sigmas[c])
+        got = heat_multi_step(f, t, drifts[c], sigmas[c])
+        assert np.max(np.abs(got - ref)) <= 1e-13
+        assert fl._PLANS["heat", 0][1].nfft != fl._PLANS["heat", 1][1].nfft
+
+
 @pytest.mark.parametrize("t", [2.0**-16, 2.0**-6, 0.5])
 def test_spectra_match_bessel_weights(t):
     # the chain's displacement K = N+ - N- has the Skellam law
@@ -391,8 +408,8 @@ def test_certify_wide_plans_are_stepped(tmp_path, stepped):
 
 def test_plane_2d_plans_are_shorter(tmp_path, monkeypatch):
     # every plan of the plane_2d chain: 241 nodes per axis under clamp, six
-    # (sigma, lambda) candidates at dt 2^-7 and 2^-8 (the fixed 30-node
-    # tail margin made them 360 long)
+    # (sigma, lambda) candidates at dt 2^-5 and 2^-6, whose plans are 320
+    # and 300 long (the fixed 30-node tail margin made them 360 long)
     workloads = load_module("perfbench/workloads.py")
     exps = workloads.make_workload("plane_2d", 1, tmp_path / "in", tmp_path / "out")
     nffts = []
