@@ -12,12 +12,16 @@ reports non-convergence instead of hunting for convergent subsequences.
 
 Only dyadic times t = k 2^-n are accepted; these are exactly representable
 in binary floating point, so the partition arithmetic is exact.
+
+The rules for a level (check_level) and a tolerance (check_tol), and the
+composition laws of the envelopes (envelope_law_gaps), are stated here once:
+the family builders' contract check, the envelope audit and the CLI call
+them.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -25,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .state_space import (NonFiniteValuesError, NormSpec, _is_finite_number,
-                          distance as grid_distance)
+                          _is_integer, distance as grid_distance)
 
 __all__ = [
     "DyadicPartition",
@@ -35,6 +39,8 @@ __all__ = [
     "NonFiniteStateError",
     "NonDyadicTimeError",
     "check_level",
+    "check_tol",
+    "envelope_law_gaps",
     "dyadic_partition",
     "smallest_dyadic_level",
     "apply_partition",
@@ -69,10 +75,18 @@ def smallest_dyadic_level(t: float) -> int:
     return float(t).as_integer_ratio()[1].bit_length() - 1
 
 
-def check_level(n) -> None:
-    """The rule for a partition level: a nonnegative integer."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"level must be a nonnegative integer, got {n!r}")
+def check_level(n, least: int = 0) -> None:
+    """The rule for a partition level: a nonnegative integer, at least
+    least (n_max is at least n_min)."""
+    if not _is_integer(n) or n < least:
+        raise ValueError(f"level must be a nonnegative integer >= {least}, got {n!r}")
+
+
+def check_tol(tol) -> None:
+    """The rule for a convergence tolerance: a positive finite number."""
+    if not (_is_finite_number(tol) and tol > 0):
+        raise ValueError("tol must be a positive number within the float range, "
+                         f"got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -144,30 +158,34 @@ _ENVELOPE_TRIPLES = (
 )
 
 
-def check_family_contract(family: GeneratingFamilyDescriptor, probe_states=()):
-    """Validate I(0) = id on probes and the composition laws of alpha, beta.
+def envelope_law_gaps(family: GeneratingFamilyDescriptor, R, s, t):
+    """The composition laws of the envelopes at (R, s, t), as
+    ((alpha gap, alpha(R, s+t)), (beta gap, beta(R, s+t))): the gaps
 
-    alpha must satisfy alpha(alpha(R,s),t) <= alpha(R,s+t) and beta must
-    satisfy beta(R,s)beta(R,t) <= beta(R,s+t) on sampled triples.
-    """
+        alpha(R, s+t) - alpha(alpha(R, s), t)   and
+        beta(R, s+t) - beta(R, s) beta(R, t)
+
+    are >= 0 where the laws hold, and each comes with its right side, the
+    scale of its slack."""
+    a, b = family.alpha(R, s + t), family.beta(R, s + t)
+    return ((a - family.alpha(family.alpha(R, s), t), a),
+            (b - family.beta(R, s) * family.beta(R, t), b))
+
+
+def check_family_contract(family: GeneratingFamilyDescriptor, probe_states=()):
+    """Validate I(0) = id on probes and the composition laws of alpha, beta
+    (envelope_law_gaps) on sampled triples, each within the slack
+    1e-9 (1 + right side)."""
     for x in probe_states:
         y = family.step(0.0, x)
         if family.distance(x, y) != 0.0:
             raise ValueError(f"{family.name}: step(0, x) != x")
-    tol = 1e-9
     for R, s, t in _ENVELOPE_TRIPLES:
-        a_comp = family.alpha(family.alpha(R, s), t)
-        a_direct = family.alpha(R, s + t)
-        if a_comp > a_direct * (1 + tol) + tol:
-            raise ValueError(
-                f"{family.name}: alpha composition law fails at (R,s,t)=({R},{s},{t})"
-            )
-        b_comp = family.beta(R, s) * family.beta(R, t)
-        b_direct = family.beta(R, s + t)
-        if b_comp > b_direct * (1 + tol) + tol:
-            raise ValueError(
-                f"{family.name}: beta composition law fails at (R,s,t)=({R},{s},{t})"
-            )
+        for law, (gap, right) in zip(("alpha", "beta"),
+                                     envelope_law_gaps(family, R, s, t)):
+            if gap < -1e-9 * (1 + right):
+                raise ValueError(f"{family.name}: {law} composition law fails at "
+                                 f"(R,s,t)=({R},{s},{t})")
 
 
 class Record:
@@ -217,11 +235,9 @@ def chernoff_limits(family: GeneratingFamilyDescriptor, times, state,
     steps_total included; a step that turns non-finite raises with the index
     that a separate run would report.
     """
-    if not (_is_finite_number(tol) and tol > 0):
-        raise ValueError("tol must be a positive number within the float range, "
-                         f"got {tol!r}")
-    if n_min > n_max:
-        raise ValueError("n_min must be <= n_max")
+    check_tol(tol)
+    check_level(n_min)
+    check_level(n_max, n_min)
     times = list(dict.fromkeys(times))
     for t in times:
         if t != 0.0:

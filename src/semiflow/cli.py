@@ -14,8 +14,12 @@ Command line:
     semiflow plot <csv> <svg>
 
 Exit codes: 0 every asserted check passed, 1 an asserted check failed,
-2 config error.  The environment variable SEMIFLOW_OUT overrides the default
-output directory.
+2 config error, an output path that names a file included.  The environment
+variable SEMIFLOW_OUT overrides the default output directory.
+
+Every input rule is stated once, in the library module that applies it;
+parse_config calls that statement at the field's own path and reports its
+text there.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .chernoff import (
     DEFAULT_TOL,
     Record,
     check_level,
+    check_tol,
     chernoff_limits,
     dyadic_partition,
     evolve_path,
@@ -76,6 +81,7 @@ from .state_space import (
     PRESET_NAMES,
     VectorState,
     _is_finite_number,
+    _is_integer,
     grid_create,
     lipschitz_constant_estimate,
     read_csv_table,
@@ -185,7 +191,7 @@ def _validated(path, build, *args, **kwargs):
 
 
 def _integer(value, least):
-    if type(value) is not int or value < least:
+    if not _is_integer(value) or value < least:
         raise ValueError(f"must be an integer >= {least}, got {value!r}")
 
 
@@ -239,13 +245,20 @@ def _check_pairs(value, path):
         _numbers(pair, f"{path}[{i}]")
 
 
-def _entries(schedule, key, least, check, *args):
-    """schedule[key], which must be a list of at least `least` entries, each
-    passed through check(entry, *args) at its own field path."""
+def _list(schedule, key, least):
+    """(field path, schedule[key]), which must be a list of at least `least`
+    entries."""
     path = f"config.schedule.{key}"
     entries = schedule[key]
     if not isinstance(entries, list) or len(entries) < least:
         raise ConfigError(path, f"must be a list of {least} or more entries")
+    return path, entries
+
+
+def _entries(schedule, key, least, check, *args):
+    """schedule[key], a _list each entry of which is passed through
+    check(entry, *args) at its own field path."""
+    path, entries = _list(schedule, key, least)
     for i, entry in enumerate(entries):
         _validated(f"{path}[{i}]", check, entry, *args)
     return entries
@@ -253,9 +266,10 @@ def _entries(schedule, key, least, check, *args):
 
 def _check_tasks(schedule, tasks):
     """The times the selected tasks derive from the schedule must be dyadic
-    at the levels those tasks run them at: the generator starts each h at
-    its smallest dyadic level, which must lie within n_max.  The steps each
-    task can take must stay within MAX_LIMIT_STEPS."""
+    at the levels those tasks run them at: each h of the generator follows
+    diagnostics.check_h_level and the certificate horizon
+    diagnostics.check_horizon.  The steps each task can take must stay
+    within MAX_LIMIT_STEPS."""
     path = "config.schedule"
     top = schedule["n_max"] + 1
     # task -> (the field setting its levels, span, level): < span 2^level steps
@@ -273,27 +287,25 @@ def _check_tasks(schedule, tasks):
         budget["monotonicity"] = ("monotonicity_levels",
                                   schedule["monotonicity_t"], max(levels) + 1)
     if "generator" in tasks:
-        hs = _entries(schedule, "h_levels", 1, dyadic_partition, schedule["n_max"])
+        hpath, hs = _list(schedule, "h_levels", 1)
         for i, h in enumerate(hs):
-            if not h > 0 or (i and h >= hs[i - 1]):
-                raise ConfigError(f"{path}.h_levels[{i}]",
-                                  "must be positive and strictly decreasing")
+            _validated(f"{hpath}[{i}]", diag.check_h_level, h, schedule["n_max"],
+                       hs[i - 1] if i else math.inf)
         budget["generator"] = ("n_max", sum(hs), top + diag.GENERATOR_EXTRA_LEVELS)
     if "certificate" in tasks:
         levels = _entries(schedule, "certificate_levels", 1, check_level)
         T = schedule["certificate_horizon"]
-        _validated(f"{path}.certificate_horizon", dyadic_partition, T,
-                   min(levels))
-        if not T > 0:
-            raise ConfigError(f"{path}.certificate_horizon", "must be positive")
+        # at the lowest level alone: the budget below bounds the others
+        _validated(f"{path}.certificate_horizon", diag.check_horizon, T, [min(levels)])
         budget["certificate"] = ("certificate_levels", T, max(levels) + 1)
     if "audit" in tasks:
         _validated(f"{path}.audit_samples", _integer, schedule["audit_samples"], 1)
         _validated(f"{path}.audit_radius", _number, schedule["audit_radius"], 0)
         _entries(schedule, "audit_times", 1, _number, 0)
     for task, (key, span, level) in budget.items():
-        # compared in log2: 2.0**level overflows
-        if span > 0 and math.log2(span) + level > math.log2(MAX_LIMIT_STEPS):
+        # compared in log2, the integer level with a float: 2.0**level and
+        # float(level) overflow
+        if span > 0 and level > math.log2(MAX_LIMIT_STEPS) - math.log2(span):
             raise ConfigError(f"{path}.{key}", f"{task} may take up to {span:g}"
                               f" * 2^{level} steps, more than {MAX_LIMIT_STEPS}")
 
@@ -358,13 +370,9 @@ def parse_config(path) -> ExperimentSpec:
     schedule = _filled(raw.get("schedule", {}), "config.schedule",
                        copy.deepcopy(_SCHEDULE_DEFAULTS),
                        ["defect_t", "monotonicity_t"])
-    if not (_is_finite_number(schedule["tol"]) and schedule["tol"] > 0):
-        raise ConfigError("config.schedule.tol",
-                          "tolerance must be a positive finite number")
-    for key in ("n_min", "n_max"):
-        _validated(f"config.schedule.{key}", check_level, schedule[key])
-    if schedule["n_min"] > schedule["n_max"]:
-        raise ConfigError("config.schedule.n_max", "must be >= n_min")
+    _validated("config.schedule.tol", check_tol, schedule["tol"])
+    _validated("config.schedule.n_min", check_level, schedule["n_min"])
+    _validated("config.schedule.n_max", check_level, schedule["n_max"], schedule["n_min"])
     ts = _entries(schedule, "t_list", 1, dyadic_partition, schedule["n_min"])
     prev = 0.0
     for i, t in enumerate(ts):
@@ -626,7 +634,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> dict:
     """
     family, state = _validated("config.family", build_family, spec)
     outdir = Path(out_dir or spec.output_dir or os.environ.get("SEMIFLOW_OUT", "out"))
-    outdir.mkdir(parents=True, exist_ok=True)
+    # an output path that names a file is a config error, before any write
+    _validated(str(outdir), outdir.mkdir, parents=True, exist_ok=True)
 
     limits = _shared_limits(spec, family, state)
     writes: list[str] = []

@@ -6,7 +6,8 @@ generating family into measured reports:
 * generator_estimate compares the Chernoff difference quotients
   (S(h)f - f)/h against the declared analytic generator on an interior
   collar, tracking the error trend as h is halved; errors below the
-  round-off floor 1e-10 max(1, ||Af||) read as 0 in the trend.
+  round-off floor 1e-10 max(1, ||Af||) read as 0 in the trend.  Each step
+  size h follows the one rule check_h_level, which the CLI also calls.
 * gen_condition_probe measures the stability quantity
   ||(I(2^-n)^k (f + lam g) - I(2^-n)^k f)/lam - g|| over a sampled (k, n)
   matrix; for linear families this collapses to ||I(pi) g - g|| exactly.
@@ -14,9 +15,11 @@ generating family into measured reports:
   over dyadic ladders and classifies the state as bounded / diverging /
   inconclusive; the symmetric variant also probes the order-conjugate
   family f -> -I(t)(-f), whose images the family's conjugate step gives
-  with those of I(t)f from one linear batch per ladder time.
+  with those of I(t)f from one linear batch per ladder time.  The horizon
+  follows the one rule check_horizon, which the CLI also calls.
 * alpha_beta_audit samples random states in a ball and checks the declared
-  boundedness and Lipschitz envelopes together with their composition laws.
+  boundedness and Lipschitz envelopes together with their composition laws,
+  whose gaps chernoff.envelope_law_gaps states once.
 * partition_monotonicity_check measures the minimal nodewise increment of
   the dyadic iterates across refinement levels for sup-type families.
 
@@ -26,8 +29,9 @@ the last three level-to-level growth factors all exceed 1.2, and
 inconclusive otherwise.  Generator comparisons on a grid keep an interior
 collar: the nodes at least 2 grid spacings plus the family's reach(h_max)
 inside every face, where a step of h_max reads the state's extension with
-at most 1e-16 of its mass, and inside the family's comparison mask.  Every
-tolerance is a positive finite number (chernoff.chernoff_limits).
+at most 1e-16 of its mass, and inside the family's comparison mask; a
+collar that keeps no node is an error, not a pass (state_space.distance).
+Every tolerance follows the rule of chernoff.check_tol.
 """
 
 from __future__ import annotations
@@ -44,11 +48,13 @@ from .chernoff import (
     apply_partition,
     chernoff_limit,
     dyadic_partition,
+    envelope_law_gaps,
     smallest_dyadic_level,
 )
 from .state_space import (
     GridFunction,
     VectorState,
+    _is_finite_number,
     distance as grid_distance,
     interior_mask,
     negate,
@@ -60,6 +66,8 @@ __all__ = [
     "AuditReport",
     "GeneratorTable",
     "generator_estimate",
+    "check_h_level",
+    "check_horizon",
     "gen_condition_probe",
     "lipschitz_certificate",
     "symmetric_lipschitz_certificate",
@@ -116,6 +124,16 @@ def _classify(ratios) -> str:
     return "inconclusive"
 
 
+def check_horizon(T, levels) -> list:
+    """The rule for a certificate horizon: a positive finite number, dyadic
+    at the lowest ladder level, and so at every level above it.  Returns
+    the partitions of [0, T] at the levels, in increasing order with
+    repeats dropped."""
+    if not (_is_finite_number(T) and T > 0):
+        raise ValueError(f"horizon must be a positive finite number, got {T!r}")
+    return [dyadic_partition(T, n) for n in sorted(set(levels))]
+
+
 def _certificates(family: GeneratingFamilyDescriptor, states, images,
                   T: float, levels, state_ids) -> list[LipschitzCertificate]:
     """One certificate per state from r_n = max over the level-n ladder
@@ -123,9 +141,7 @@ def _certificates(family: GeneratingFamilyDescriptor, states, images,
     increasing order with repeats dropped.  images(t) returns the images
     I(t)x of the states, in order; the ladders share their times, so it is
     called once per time."""
-    if T <= 0:
-        raise ValueError("horizon must be positive")
-    parts = [dyadic_partition(T, n) for n in sorted(set(levels))]
+    parts = check_horizon(T, levels)
     if not parts:
         raise ValueError("need at least one level")
     ladders = [[k * p.step for k in range(1, p.step_count + 1)] for p in parts]
@@ -228,30 +244,41 @@ def _trend_is_decreasing(errors, blip_factor: float = 1.2) -> bool:
     return blips <= 1
 
 
+def check_h_level(h, n_max: int, previous: float = math.inf) -> int:
+    """The rule for a generator step size h that follows previous (inf for
+    the first): a positive finite number, below previous, and dyadic at a
+    level <= n_max.  Returns that smallest dyadic level."""
+    if not (_is_finite_number(h) and h > 0):
+        raise ValueError(f"h_levels must be positive finite numbers, got {h!r}")
+    if h >= previous:
+        raise ValueError(f"h_levels must be strictly decreasing, got {h!r} after "
+                         f"{previous!r}")
+    level = smallest_dyadic_level(h)
+    if level > n_max:
+        raise ValueError(f"h={h!r} is not dyadic at any level <= n_max={n_max}")
+    return level
+
+
 def generator_estimate(family: GeneratingFamilyDescriptor, f, h_levels,
                        tol: float = 1e-3, n_max: int = DEFAULT_N_MAX,
                        mask: np.ndarray | None = None) -> GeneratorTable:
     """Difference-quotient check of the analytic generator.
 
     Each S(h)f is computed by chernoff_limit starting at the smallest level
-    at which h is dyadic.  h_levels must be strictly decreasing and dyadic at
-    a level <= n_max.  A non-convergent limit flags its entry but does not
-    abort the table.  The trend reads errors below the round-off floor
-    1e-10 max(1, ||Af||), Af the declared generator on the mask, as 0: a
-    generator reproduced to round-off is decreasing, whatever its round-off
-    does as h halves.  The table reports the errors as measured.
+    at which h is dyadic.  Each h follows the rule of check_h_level:
+    positive, strictly decreasing and dyadic at a level <= n_max.  A
+    non-convergent limit flags its entry but does not abort the table.  The
+    trend reads errors below the round-off floor 1e-10 max(1, ||Af||), Af
+    the declared generator on the mask, as 0: a generator reproduced to
+    round-off is decreasing, whatever its round-off does as h halves.  The
+    table reports the errors as measured.  A mask that keeps no node raises
+    ValueError.
     """
     if family.analytic_generator is None:
         raise ValueError(f"{family.name}: no analytic generator declared")
+    levels = [check_h_level(h, n_max, previous)
+              for previous, h in zip([math.inf, *h_levels], h_levels)]
     hs = [float(h) for h in h_levels]
-    if not all(h > 0 for h in hs):
-        raise ValueError(f"h_levels must be positive, got {h_levels!r}")
-    if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ValueError("h_levels must be strictly decreasing")
-    levels = [smallest_dyadic_level(h) for h in hs]
-    for h, level in zip(hs, levels):
-        if level > n_max:
-            raise ValueError(f"h={h!r} is not dyadic at any level <= n_max={n_max}")
     if mask is None:
         mask = default_collar_mask(family, f, max(hs))
     generator = family.analytic_generator(f)
@@ -364,8 +391,9 @@ def alpha_beta_audit(family: GeneratingFamilyDescriptor, n_samples: int,
 
     plus the composition laws alpha(alpha(R, s), t) <= alpha(R, s + t) and
     beta(R, s) beta(R, t) <= beta(R, s + t) on sampled (R, s, t) triples,
-    each with the slack AUDIT_SLACK max(1, right side), relative to the size
-    of its terms as in check_family_contract.  The ball and d(x, y) are
+    whose gaps chernoff.envelope_law_gaps gives, each with the slack
+    AUDIT_SLACK max(1, right side), relative to the size of its terms as in
+    check_family_contract.  The ball and d(x, y) are
     measured in the full norm, the images through the family's comparison
     mask.
     Violations become report entries (with the seed), never exceptions.
@@ -406,11 +434,9 @@ def alpha_beta_audit(family: GeneratingFamilyDescriptor, n_samples: int,
         Rr = rng.uniform(0.0, 2.0 * R)
         s = rng.uniform(0.0, 1.0)
         t = rng.uniform(0.0, 1.0)
-        a, b = family.alpha(Rr, s + t), family.beta(Rr, s + t)
-        record("alpha_law", a - family.alpha(family.alpha(Rr, s), t), max(1.0, a),
-               R=Rr, s=s, t=t)
-        record("beta_law", b - family.beta(Rr, s) * family.beta(Rr, t), max(1.0, b),
-               R=Rr, s=s, t=t)
+        for kind, (gap, right) in zip(("alpha_law", "beta_law"),
+                                      envelope_law_gaps(family, Rr, s, t)):
+            record(kind, gap, max(1.0, right), R=Rr, s=s, t=t)
 
     return AuditReport(
         family=family.name,

@@ -77,7 +77,6 @@ for bit, and the symmetric certificate steps each ladder time once.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar
@@ -90,7 +89,9 @@ from .state_space import (
     Grid,
     GridFunction,
     NormSpec,
+    _as_axis_tuple,
     _is_finite_number,
+    _is_integer,
     sample_function,
     with_values,
 )
@@ -116,8 +117,9 @@ KERNEL_CUTOFF_SIGMAS = 8.0
 class HeatDriftParams:
     """Drift vector and diffusion scale(s) of the Gaussian transition kernel.
 
-    sigma is a scalar for dim 1; for dim 2 a scalar (isotropic) or a pair of
-    per-axis scales (diagonal diffusion matrix).
+    drift and sigma are each a scalar or per-axis (state_space._as_axis_tuple):
+    for dim 2 a scalar sigma is isotropic and a pair of per-axis scales a
+    diagonal diffusion matrix.
     """
 
     drift: tuple[float, ...]
@@ -125,10 +127,7 @@ class HeatDriftParams:
 
     @staticmethod
     def create(drift, sigma, dim: int = 1) -> "HeatDriftParams":
-        d = (drift,) * dim if np.isscalar(drift) else tuple(drift)
-        s = (sigma,) * dim if np.isscalar(sigma) else tuple(sigma)
-        if len(d) != dim or len(s) != dim:
-            raise ValueError("drift/sigma length must match dim")
+        d, s = _as_axis_tuple(drift, dim), _as_axis_tuple(sigma, dim)
         if not all(map(_is_finite_number, d + s)):
             raise ValueError(f"drift and sigma must be finite numbers, got "
                              f"{drift!r}, {sigma!r}")
@@ -149,9 +148,7 @@ class GbmParams:
         if not all(map(_is_finite_number, (self.mu, self.sigma))):
             raise ValueError(f"GBM mu and sigma must be finite numbers, got "
                              f"{self.mu!r}, {self.sigma!r}")
-        if (not isinstance(self.quad_points, numbers.Integral)
-                or isinstance(self.quad_points, bool)
-                or self.quad_points < self.MIN_QUAD_POINTS):
+        if not _is_integer(self.quad_points) or self.quad_points < self.MIN_QUAD_POINTS:
             raise ValueError("quadrature node count must be an integer >= "
                              f"{self.MIN_QUAD_POINTS}, got {self.quad_points!r}")
 

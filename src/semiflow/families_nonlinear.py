@@ -24,14 +24,16 @@ GeneratingFamilyDescriptor with envelopes alpha(R, t) = e^{omega t} R,
 beta(R, t) = e^{omega t}, omega worked out from the candidates (robust GBM's
 given), and, as the generator, the same max over the generators of the
 candidates' grid chains minus their costs.  The Euler and perturbation
-families declare their own envelopes and generators and no conjugate step; a
-perturbation family's params carry its base family and Psi.
+families share one pair of envelopes, _perturbation_envelopes (an Euler step
+perturbs the identity), and declare their own generators and no conjugate
+step; a perturbation family's params carry its base family and Psi.  Integer
+and per-axis inputs follow the rules of state_space (_is_integer,
+_as_axis_tuple).
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import statistics
 import warnings
 from dataclasses import dataclass
@@ -52,7 +54,9 @@ from .state_space import (
     GridFunction,
     NormSpec,
     VectorState,
+    _as_axis_tuple,
     _is_finite_number,
+    _is_integer,
     distance as grid_distance,
     sample_function,
     with_values,
@@ -292,22 +296,24 @@ class SigmaLambdaSet:
         if len(self.pairs) == 0:
             raise ValueError("uncertainty set must be nonempty")
         for p in self.pairs:
-            # dtype object keeps each entry as given: a bool stays a bool
-            if not all(_is_finite_number(v) for part in (p[0], p[1])
-                       for v in np.ravel(np.asarray(part, dtype=object))):
+            # dtype object keeps each entry as given: a bool stays a bool,
+            # and a nested list stays nested, which no scalar or per-axis
+            # value is
+            parts = [np.asarray(part, dtype=object) for part in (p[0], p[1])]
+            if not all(a.ndim <= 1 and all(map(_is_finite_number, a.flat))
+                       for a in parts):
                 raise ValueError("uncertainty set entries must be finite numbers, "
                                  f"got {p!r}")
 
 
 def _g_expectation_candidates(sigma_lambda_set: SigmaLambdaSet, dim: int):
-    """(drifts, sigmas, costs) of the (sigma, lambda) pairs; a scalar sigma
-    or lambda applies to every axis, and no pair has a cost."""
-    def per_axis(v):
-        return np.broadcast_to(np.asarray(v, dtype=np.float64), (dim,))
-
+    """(drifts, sigmas, costs) of the (sigma, lambda) pairs; each sigma and
+    lambda is a scalar or per-axis (state_space._as_axis_tuple), and no pair
+    has a cost."""
     pairs = sigma_lambda_set.pairs
-    return (np.array([per_axis(lam) for _, lam in pairs]),
-            np.array([per_axis(sig) for sig, _ in pairs]), np.zeros(len(pairs)))
+    return (np.array([_as_axis_tuple(lam, dim) for _, lam in pairs], dtype=float),
+            np.array([_as_axis_tuple(sig, dim) for sig, _ in pairs], dtype=float),
+            np.zeros(len(pairs)))
 
 
 def make_g_expectation_family(sigma_lambda_set: SigmaLambdaSet, grid: Grid,
@@ -413,8 +419,7 @@ class VectorField:
     name: str = "field"
 
     def __post_init__(self):
-        if not (isinstance(self.dim, numbers.Integral) and not isinstance(self.dim, bool)
-                and self.dim >= 1):
+        if not (_is_integer(self.dim) and self.dim >= 1):
             raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
 
 
@@ -432,6 +437,17 @@ def vector_field_preset(name: str, **params) -> VectorField:
                        lip_profile=lambda R: 1.0, name="rotation")
 
 
+def _perturbation_envelopes(omega: float, growth_k: float, lip_profile) -> dict:
+    """The envelopes alpha and beta, as descriptor fields, of a step
+    I(t)x = I0(t)x + t Psi(x) over a linear base I0 of growth rate omega,
+    Psi of linear growth growth_k = K and local Lipschitz profile L_R:
+    alpha(R, t) = e^{(omega + 2K)t} max(R, 1), beta(R, t) = e^{(omega + L_R)t}.
+    An Euler step x + t f(x) is the perturbation of the identity, omega = 0,
+    by f."""
+    return {"alpha": lambda R, t: math.exp((omega + 2.0 * growth_k) * t) * max(R, 1.0),
+            "beta": lambda R, t: math.exp((omega + lip_profile(R)) * t)}
+
+
 def ode_euler_step(x: VectorState, t: float, vf: VectorField) -> VectorState:
     """Explicit Euler: x + t f(x)."""
     if t < 0:
@@ -442,19 +458,19 @@ def ode_euler_step(x: VectorState, t: float, vf: VectorField) -> VectorState:
 
 
 def make_ode_family(vf: VectorField) -> GeneratingFamilyDescriptor:
-    """Euler-step family with alpha(R,t) = e^{2Kt} max(R,1) and
-    beta(R,t) = e^{L_R t}; the generator is the vector field itself."""
-    K = vf.growth_k
+    """Euler-step family, the perturbation of the identity by the field:
+    alpha(R,t) = e^{2Kt} max(R,1) and beta(R,t) = e^{L_R t}
+    (_perturbation_envelopes with omega = 0); the generator is the vector
+    field itself."""
     zero = VectorState(np.zeros(vf.dim))
 
     fam = GeneratingFamilyDescriptor(
         name=f"ode_{vf.name}",
         step=lambda t, x: ode_euler_step(x, t, vf),
-        alpha=lambda R, t: math.exp(2.0 * K * t) * max(R, 1.0),
-        beta=lambda R, t: math.exp(vf.lip_profile(R) * t),
+        **_perturbation_envelopes(0.0, vf.growth_k, vf.lip_profile),
         zero_state=zero,
         analytic_generator=lambda x: VectorState(np.asarray(vf.func(x.coordinates))),
-        params={"kind": "ode", "field": vf.name, "growth_k": K},
+        params={"kind": "ode", "field": vf.name, "growth_k": vf.growth_k},
     )
     check_family_contract(fam, probe_states=[zero, VectorState(np.ones(vf.dim))])
     return fam
@@ -534,7 +550,8 @@ def make_perturbation_family(base_family: GeneratingFamilyDescriptor,
                              pert: PerturbationSpec,
                              grid: Grid) -> GeneratingFamilyDescriptor:
     """Perturbed family with alpha(R,t) = e^{(omega + 2K)t} max(R,1) and
-    beta(R,t) = e^{(omega + L_R)t}; generator = base generator + Psi(f).
+    beta(R,t) = e^{(omega + L_R)t} (_perturbation_envelopes); generator =
+    base generator + Psi(f).
 
     omega is the growth rate of the base, heat or the identity, from its
     params.  The perturbation is probed for Psi(0) = 0 and the declared
@@ -543,7 +560,6 @@ def make_perturbation_family(base_family: GeneratingFamilyDescriptor,
     if not _is_linear_base(base_family):
         raise ValueError("base family must be a linear heat or identity semigroup")
     _probe_perturbation(pert)
-    K, omega = pert.growth_k, base_family.params["omega"]
     zero = sample_function("zero", grid)
     base_gen = base_family.analytic_generator
 
@@ -553,14 +569,14 @@ def make_perturbation_family(base_family: GeneratingFamilyDescriptor,
     fam = GeneratingFamilyDescriptor(
         name=f"perturbation_{base_family.name}_{pert.name}",
         step=lambda t, f: perturbation_step(f, t, base_family, pert),
-        alpha=lambda R, t: math.exp((omega + 2.0 * K) * t) * max(R, 1.0),
-        beta=lambda R, t: math.exp((omega + pert.lip_profile(R)) * t),
+        **_perturbation_envelopes(base_family.params["omega"], pert.growth_k,
+                                  pert.lip_profile),
         zero_state=zero,
         norm=base_family.norm,
         analytic_generator=generator,
         reach=base_family.reach,
         params={"kind": "perturbation", "base": base_family.params.get("kind"),
-                "psi": pert.name, "growth_k": K,
+                "psi": pert.name, "growth_k": pert.growth_k,
                 "base_family": base_family, "perturbation": pert},
     )
     check_family_contract(fam, probe_states=[zero])

@@ -11,6 +11,11 @@ their Euclidean distance.  `distance` and `with_values` serve both kinds.
 Grids always have an odd number of nodes per axis so that the origin is a
 node; node coordinates are computed as (2j - (n-1)) * X_max / (n-1), which
 makes the node set exactly symmetric and places 0.0 exactly on the grid.
+
+The package's rules for an integer (_is_integer), a finite number
+(_is_finite_number) and a scalar or per-axis value (_as_axis_tuple) are
+stated here once; every module and the CLI call them.  A distance over a
+mask that keeps no node raises ValueError rather than reading 0.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ class NonFiniteValuesError(ValueError):
 
 
 def _as_axis_tuple(value, dim):
+    """The package's one rule for a scalar or per-axis value: a scalar
+    applies to every axis, anything else has exactly dim entries."""
     if np.ndim(value) == 0:
         return (value,) * dim
     out = tuple(value)
@@ -57,6 +64,7 @@ def _as_axis_tuple(value, dim):
 
 
 def _is_integer(value) -> bool:
+    """The package's one rule for an integer: an Integral, not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
@@ -257,10 +265,6 @@ def sample_function(preset_or_table, grid: Grid) -> GridFunction:
     table = np.asarray(preset_or_table, dtype=np.float64)
     if table.ndim == 1:
         table = table[:, None]
-    if table.shape[0] != grid.n_nodes:
-        raise ValueError(
-            f"table has {table.shape[0]} rows, grid has {grid.n_nodes} nodes"
-        )
     return GridFunction(grid, table.shape[1], table, extension_mode="clamp")
 
 
@@ -272,7 +276,8 @@ def distance(f, g, norm: NormSpec | None,
              mask: np.ndarray | None = None) -> float:
     """Euclidean for vector states (norm None); node-evaluated for grid
     functions: sup kind is the max Euclidean gap over nodes, weighted kind
-    multiplies the gap by kappa(x) = 1/(1+|x|^p) first."""
+    multiplies the gap by kappa(x) = 1/(1+|x|^p) first.  A mask that keeps
+    no node raises ValueError: a comparison over no node shows nothing."""
     if type(f) is not type(g) or f.values.shape != g.values.shape or (
             getattr(f, "grid", None) != getattr(g, "grid", None)):
         raise ValueError("states live on different grids, codomains or spaces")
@@ -282,7 +287,9 @@ def distance(f, g, norm: NormSpec | None,
     gap = gap * norm.weights(f.grid)
     if mask is not None:
         gap = gap[mask]
-    return float(np.max(gap)) if gap.size else 0.0
+        if not gap.size:
+            raise ValueError("the comparison mask keeps no node")
+    return float(np.max(gap))
 
 
 def lipschitz_constant_estimate(f: GridFunction) -> float:

@@ -289,6 +289,23 @@ class TestRunExperiment:
         report = json.loads((out / "generator.json").read_text())
         assert report["passed"] and max(report["table"]["errors"]) <= 1e-12
 
+    def test_generator_on_an_empty_collar_fails(self, tmp_path, capsys):
+        # reach(2^-4) = 2.8 > x_max = 2: the collar keeps no node, and
+        # errors over no node must not read 0.0 and pass
+        cfg = {
+            "family": {"name": "heat", "drift": 0.5, "sigma": 1.0},
+            "grid": {"dim": 1, "x_max": 2.0, "n_points": 41},
+            "schedule": {"t_list": [0.5]},
+            "tasks": ["generator"],
+        }
+        out = tmp_path / "out"
+        code = main(["verify", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        assert code == 1
+        assert "generator: FAIL" in capsys.readouterr().out
+        report = json.loads((out / "generator.json").read_text())
+        assert not report["passed"]
+        assert report["error"] == "ValueError: the comparison mask keeps no node"
+
     def test_failing_check_fails_manifest(self, tmp_path):
         # an unreachable tolerance turns the evolve convergence flag false
         cfg = dict(MINIMAL_ODE,
@@ -677,6 +694,16 @@ class TestMainEntry:
         bad = tmp_path / "bad.csv"
         bad.write_text("")
         assert main(["plot", str(bad), str(tmp_path / "x.svg")]) == 2
+
+    def test_output_path_naming_a_file_exits_two(self, tmp_path, capsys):
+        # exit 1 is a failed check; an unusable output path is a config error
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        cfg_path = write_config(tmp_path, MINIMAL_ODE)
+        assert main(["run", str(cfg_path), "--out", str(taken)]) == 2
+        assert f"config error: {taken}: " in capsys.readouterr().err
+        assert taken.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEMIFLOW_OUT", str(tmp_path / "envout"))

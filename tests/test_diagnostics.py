@@ -227,6 +227,16 @@ class TestGeneratorEstimate:
                               robust_gbm_family.comparison_mask
                               & interior_mask(z.grid, 2 * z.grid.h[0]))
 
+    def test_empty_collar_is_an_error(self):
+        # reach(2^-4) = 2.8 > x_max = 2: the collar keeps no node, and a
+        # table of errors over no node would read 0.0 and pass
+        g = grid_create(1, 2.0, 41)
+        fam = make_heat_family(HeatDriftParams.create(0.5, 1.0), NormSpec("sup"), g)
+        f = sample_function("gaussian_bump", g)
+        assert not default_collar_mask(fam, f, self.H_LEVELS[0]).any()
+        with pytest.raises(ValueError, match="keeps no node"):
+            generator_estimate(fam, f, self.H_LEVELS)
+
     def test_pure_drift_quotients_are_first_order(self):
         # the upwind shift's quotient errs by about h b^2 |f''| / 2: each
         # error is half the one before once the collar leaves the box edge out

@@ -205,9 +205,11 @@ class TestGexpFamily:
 class TestGExpectationStep:
     @pytest.mark.parametrize("pairs", [
         ((True, 0.0),), ((0.5, "1"),), ((0.5, 0.0), (math.nan, 0.0)),
-        ((0.5, math.inf),), (((0.5, True), 0.0),), ((0.5, (1.0, "0")),)])
+        ((0.5, math.inf),), (((0.5, True), 0.0),), ((0.5, (1.0, "0")),),
+        ((0.5, [[0.0]]),)])
     def test_pairs_are_finite_numbers(self, pairs):
-        # scalar and per-axis entries alike, never a string or a bool
+        # scalar and per-axis entries alike, never a string, a bool or a
+        # nested list
         with pytest.raises(ValueError, match="entries must be finite numbers"):
             SigmaLambdaSet(pairs)
 
@@ -227,6 +229,19 @@ class TestGExpectationStep:
         # a ValueError from the rule, not a TypeError from a comparison
         with pytest.raises(ValueError, match="finite number"):
             make()
+
+    @pytest.mark.parametrize("pair", [(0.5, [0.0]), ([0.5], 0.0),
+                                      (0.5, [0.0, 0.0, 0.0])])
+    def test_per_axis_entries_match_the_grid(self, pair):
+        # scalar or one entry per axis, the rule of Grid and HeatDriftParams:
+        # a one-entry list on the plane is not broadcast to both axes
+        plane = grid_create(2, 2.0, 21)
+        with pytest.raises(ValueError, match="expected 2 per-axis entries"):
+            make_g_expectation_family(SigmaLambdaSet((pair,)), plane)
+        with pytest.raises(ValueError, match="expected 2 per-axis entries"):
+            HeatDriftParams.create(pair[1], pair[0], 2)
+        fam = make_g_expectation_family(SigmaLambdaSet(((0.5, [0.0, 1.0]),)), plane)
+        assert fam.params["pairs"] == [(0.5, 0.5, 0.0, 1.0)]
 
     def test_singleton_pair_is_heat(self, grid_small):
         f = sample_function("gaussian_bump", grid_small)

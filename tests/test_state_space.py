@@ -204,6 +204,17 @@ class TestDistance:
         with pytest.raises(ValueError):
             distance(f, g, NormSpec("sup"))
 
+    def test_mask_keeping_no_node_rejected(self):
+        # a comparison over no node shows nothing: it must not read 0
+        g = grid_create(1, 2.0, 41)
+        f = sample_function("gaussian_bump", g)
+        z = sample_function("zero", g)
+        with pytest.raises(ValueError, match="keeps no node"):
+            distance(f, z, NormSpec("sup"), mask=np.zeros(g.n_nodes, dtype=bool))
+        one = np.zeros(g.n_nodes, dtype=bool)
+        one[20] = True
+        assert distance(f, z, NormSpec("sup"), mask=one) == 1.0
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_metric_properties(self, seed):
