@@ -54,6 +54,8 @@ __all__ = [
 DEFAULT_TOL = 1e-4
 DEFAULT_N_MIN = 4
 DEFAULT_N_MAX = 14
+# The finest level: 2.0**-1074 is the least positive float, 2.0**-1075 is 0.
+MAX_LEVEL = 1074
 
 
 class NonDyadicTimeError(ValueError):
@@ -77,9 +79,11 @@ def smallest_dyadic_level(t: float) -> int:
 
 def check_level(n, least: int = 0) -> None:
     """The rule for a partition level: a nonnegative integer, at least
-    least (n_max is at least n_min)."""
-    if not _is_integer(n) or n < least:
-        raise ValueError(f"level must be a nonnegative integer >= {least}, got {n!r}")
+    least (n_max is at least n_min) and at most MAX_LEVEL, so that its step
+    2^-n is a positive float and no step count of t 2^n is built beyond it."""
+    if not _is_integer(n) or not least <= n <= MAX_LEVEL:
+        raise ValueError(f"level must be a nonnegative integer in [{least}, "
+                         f"{MAX_LEVEL}], got {n!r}")
 
 
 def check_tol(tol) -> None:

@@ -53,7 +53,7 @@ from .chernoff import (
     semigroup_defect,
 )
 from .families_linear import (
-    GbmParams,
+    QUAD_POINTS,
     HeatDriftParams,
     make_heat_family,
     make_identity_base_family,
@@ -100,7 +100,7 @@ _FAMILY_DEFAULTS = {
     "gexp": {"cost": {"name": "quadratic"}, "lambda_grid": "auto"},
     "g_expectation": {"sigmas": [0.5, 1.0], "lambdas": [-1.0, 0.0, 1.0]},
     "robust_gbm": {"pairs": [[0.1, 0.2], [-0.1, 0.2]],
-                   "M": GbmParams.quad_points, "p": NormSpec.p},
+                   "M": QUAD_POINTS, "p": NormSpec.p},
     "perturbation": {"base": "heat", "drift": 0.0, "sigma": 1.0,
                      "psi": {"name": "sin"}},
 }
@@ -335,8 +335,10 @@ def parse_config(path) -> ExperimentSpec:
                                   _FAMILY_DEFAULTS[fname][key]["name"])
         elif key == "lambda_grid":
             _check_lambda_grid(value, path)
-        elif key == "M":
-            _validated(path, _integer, value, GbmParams.MIN_QUAD_POINTS)
+        elif key == "M":  # kept for the configs that name the fixed rule
+            if not (_is_integer(value) and value == QUAD_POINTS):
+                raise ConfigError(path, f"the GBM quadrature is fixed at {QUAD_POINTS}"
+                                  f" nodes: must be the integer {QUAD_POINTS}, got {value!r}")
         elif key == "pairs":
             _check_pairs(value, path)
         elif key == "base":
@@ -472,8 +474,7 @@ def build_family(spec: ExperimentSpec):
         return make_g_expectation_family(SigmaLambdaSet(pairs), grid, norm), initial
     if name == "robust_gbm":
         family = make_robust_gbm_family(fam_cfg["pairs"], grid,
-                                        fam_cfg["trust_horizon"], fam_cfg["M"],
-                                        fam_cfg["p"])
+                                        fam_cfg["trust_horizon"], fam_cfg["p"])
         return family, dataclasses.replace(initial, extension_mode="clamp")
     raise ConfigError("config.family.name", f"unknown family {name!r}")
 

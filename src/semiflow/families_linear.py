@@ -40,20 +40,23 @@ Two kernels are provided:
 
   For one (mu, sigma) member and one dt this operator is a fixed linear
   map, so it is compiled once into a plan over the x >= 0 half of the grid:
-  the interpolation cell of every node and quadrature point, the high
-  weights q w of those points and the quadrature weights q, all as
-  read-only numpy arrays.  A step gathers the values and their
-  differences at the cells and sums them with the weights.  The nodes are
-  exactly symmetric, so the same rows applied to the reversed values serve
-  x <= 0.  A robust family steps its members one by one: for five members
-  one stacked (C, m, Q) gather gave the same bits but took 2.9 ms against
-  1.1 ms for the loop on the same machine, likely a cache effect.
+  the interpolation cell of every node and quadrature point and the high
+  weights q w of those points, as read-only numpy arrays.  The quadrature is
+  one fixed rule, the QUAD_POINTS-node Gauss-Hermite nodes and weights q
+  over sqrt(pi), computed once at import and read-only.  A step gathers the
+  values and their differences at the cells and sums them with the weights.
+  The nodes are exactly symmetric, so the same rows applied to the reversed
+  values serve x <= 0.  A robust family steps its members one by one: for
+  five members one stacked (C, m, Q) gather gave the same bits but took
+  2.9 ms against 1.1 ms for the loop on the same machine, likely a cache
+  effect.
 
-Both kernels keep their plans by one rule, _last_plan: each slot, a grid
-axis of the heat step or a GBM member, holds the plan of its last key (grid
-and dt), and the old plan is dropped before a new one is built.  All steps
-of a level share one dt and a robust family steps its members in turn, so a
-level builds each plan once, and the cache holds at most one plan per slot.
+Every array a step keeps between calls is held by one rule, _last_plan: each
+slot, a grid axis of the heat step, the plane step's buffers or a GBM
+member, holds what its last key (grid and dt, or the extended shape) built,
+and the old entry is dropped before a new one is built.  All steps of a
+level share one dt and a robust family steps its members in turn, so a
+level builds each plan once, and the cache holds at most one entry per slot.
 
 In 2D only diagonal (and scalar) diffusion matrices are supported: a
 candidate is the tensor product of its chains along the two axes, applied by
@@ -62,7 +65,7 @@ transformed once per step, rFFT along axis 1 and FFT along axis 0; each
 candidate multiplies that spectrum by its spectra along both axes and
 inverts it, an FFT along axis 0 and an inverse rFFT along axis 1.  A step of
 C candidates makes 2 + 2C FFT calls, all writing into buffers held from step
-to step (_plane_workspace), which the plan cache does not hold.
+to step in the slot "plane" (_plane_buffers).
 
 Every grid family has one form: the nodewise max over a finite candidate set
 of (one of these linear transitions - cost t).  kernel_family builds the
@@ -78,8 +81,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -91,7 +92,6 @@ from .state_space import (
     NormSpec,
     _as_axis_tuple,
     _is_finite_number,
-    _is_integer,
     sample_function,
     with_values,
 )
@@ -99,6 +99,7 @@ from .state_space import (
 __all__ = [
     "HeatDriftParams",
     "GbmParams",
+    "QUAD_POINTS",
     "heat_drift_step",
     "gbm_step",
     "make_heat_family",
@@ -136,21 +137,15 @@ class HeatDriftParams:
 
 @dataclass(frozen=True)
 class GbmParams:
-    """GBM drift/volatility with the Gauss-Hermite quadrature size: mu and
-    sigma finite numbers, quad_points an integer >= MIN_QUAD_POINTS."""
+    """GBM drift/volatility of one member: mu and sigma finite numbers."""
 
-    MIN_QUAD_POINTS: ClassVar[int] = 8
     mu: float
     sigma: float
-    quad_points: int = 64
 
     def __post_init__(self):
         if not all(map(_is_finite_number, (self.mu, self.sigma))):
             raise ValueError(f"GBM mu and sigma must be finite numbers, got "
                              f"{self.mu!r}, {self.sigma!r}")
-        if not _is_integer(self.quad_points) or self.quad_points < self.MIN_QUAD_POINTS:
-            raise ValueError("quadrature node count must be an integer >= "
-                             f"{self.MIN_QUAD_POINTS}, got {self.quad_points!r}")
 
 
 def gbm_growth_rate(mu_sigma_pairs, p: float) -> float:
@@ -188,10 +183,9 @@ _LOG_TAIL_MASS = math.log(_TAIL_MASS)
 _TAIL_Z = math.sqrt(-2.0 * _LOG_TAIL_MASS)
 # Bound on the error _stepped_spectra may add to a plan's spectra.
 _STEPPED_TOL = 1e-13
-# (key, plan) of the last plan of each slot, see _last_plan.
+# (key, plan) of each slot's last plan, or the plane step's buffers, see
+# _last_plan.
 _PLANS: dict = {}
-# The buffers of the last plane step, see _plane_workspace.
-_WORKSPACE: dict = {}
 
 
 def _last_plan(slot, key, build):
@@ -359,23 +353,18 @@ def _apply_axis_plan(plan: _AxisPlan, data: np.ndarray, out: np.ndarray) -> None
         out[c] = np.fft.irfft(spectra[c] * freq, plan.nfft, axis=1)[:, :plan.n]
 
 
-def _plane_workspace(shape: tuple) -> dict:
+def _plane_buffers(shape: tuple) -> tuple:
     """The buffers of a plane step whose extended state has shape
     (nfft0, nfft1, m): the state ext, its rFFT half along axis 1, and its
     plane spectrum spec and one candidate's product work, both laid out
     (nfft1 // 2 + 1, m, nfft0) so that the axis-0 transforms of each
-    candidate run over contiguous rows.  They are held from call to call, so
-    that no step page-faults on fresh temporaries, and rebuilt only when the
-    shape changes."""
-    if _WORKSPACE.get("shape") != shape:
-        _WORKSPACE.clear()  # frees the old buffers before the new ones exist
-        nfft0, nfft1, m = shape
-        spectral = (nfft1 // 2 + 1, m, nfft0)
-        _WORKSPACE.update(shape=shape, ext=np.empty(shape),
-                          half=np.empty((nfft0, nfft1 // 2 + 1, m), complex),
-                          spec=np.empty(spectral, complex),
-                          work=np.empty(spectral, complex))
-    return _WORKSPACE
+    candidate run over contiguous rows.  They are held in the slot "plane"
+    from call to call, so that no step page-faults on fresh temporaries, and
+    rebuilt only when the shape changes."""
+    nfft0, nfft1, m = shape
+    spectral = (nfft1 // 2 + 1, m, nfft0)
+    return (np.empty(shape), np.empty((nfft0, nfft1 // 2 + 1, m), complex),
+            np.empty(spectral, complex), np.empty(spectral, complex))
 
 
 def _plane_step(plans: list, mesh: np.ndarray, out: np.ndarray) -> None:
@@ -389,12 +378,12 @@ def _plane_step(plans: list, mesh: np.ndarray, out: np.ndarray) -> None:
     its rFFT row, and its axis-1 spectrum, then inverts by an FFT along
     axis 0, of which the n0 rows of the box are kept, and an inverse rFFT
     along axis 1, of which the n1 columns are kept.  Every transform and
-    product writes into the workspace.
+    product writes into the held buffers.
     """
     p0, p1 = plans
     n0, n1 = p0.n, p1.n
-    ws = _plane_workspace((p0.nfft, p1.nfft, mesh.shape[2]))
-    ext, half, spec, work = ws["ext"], ws["half"], ws["spec"], ws["work"]
+    shape = (p0.nfft, p1.nfft, mesh.shape[2])
+    ext, half, spec, work = _last_plan("plane", shape, lambda: _plane_buffers(shape))
     box = ext[:n0]
     box[:, :n1] = mesh
     _pad(box.swapaxes(0, 1), n1, p1.clamp)
@@ -457,12 +446,12 @@ def heat_drift_step(f: GridFunction, t: float, params: HeatDriftParams) -> GridF
 # GBM transition operator
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _gauss_hermite(points: int) -> tuple[np.ndarray, np.ndarray]:
-    z, w = hermgauss(points)
-    z.flags.writeable = False
-    w.flags.writeable = False
-    return z, w
+# The one quadrature of the GBM step: the QUAD_POINTS Gauss-Hermite nodes z
+# and their weights over sqrt(pi), which sum to 1; read-only.
+QUAD_POINTS = 64
+_HERMITE_Z, _HERMITE_Q = hermgauss(QUAD_POINTS)
+_HERMITE_Q /= math.sqrt(math.pi)
+_HERMITE_Z.flags.writeable = _HERMITE_Q.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -471,17 +460,16 @@ class _GbmPlan:
 
     Row k maps the half-grid values b = v[mid:] to the step at node mid + k:
     b[cells[k]] @ q + diff(b)[cells[k]] @ high[k], which is
-    sum_q (q - q w) b[j] + q w b[j + 1] over its cells j.  The nodes are
-    exactly symmetric, so the same rows applied to the reversed values
-    v[mid::-1] give the step at node mid - k.  cells and high are (m, Q)
-    arrays, q the Gauss-Hermite weights over sqrt(pi), all read-only.  cells
+    sum_q (q - q w) b[j] + q w b[j + 1] over its cells j, q the weights of
+    the fixed rule _HERMITE_Q.  The nodes are exactly symmetric, so the same
+    rows applied to the reversed values v[mid::-1] give the step at node
+    mid - k.  cells and high are read-only (m, QUAD_POINTS) arrays.  cells
     is intp, which indexing reads in place; b.take(cells) would copy it on
     every call, because it is read-only.
     """
 
     cells: np.ndarray
     high: np.ndarray
-    q: np.ndarray
 
 
 def _build_gbm_plan(grid: Grid, t: float, params: GbmParams) -> _GbmPlan:
@@ -495,9 +483,8 @@ def _build_gbm_plan(grid: Grid, t: float, params: GbmParams) -> _GbmPlan:
     mid = x.size // 2
     half = x[mid:]
     m = half.size
-    z, w = _gauss_hermite(params.quad_points)
     factors = np.exp((params.mu - params.sigma**2 / 2.0) * t
-                     + params.sigma * math.sqrt(2.0 * t) * z)
+                     + params.sigma * math.sqrt(2.0 * t) * _HERMITE_Z)
     pts = np.multiply.outer(half, factors)
     # clamped before the cast, which is undefined beyond intp; fmin also
     # maps a NaN (0 x inf) to a cell, whose weights stay NaN
@@ -509,11 +496,9 @@ def _build_gbm_plan(grid: Grid, t: float, params: GbmParams) -> _GbmPlan:
     high -= half[cells]
     high /= np.diff(half)[cells]
     np.clip(high, 0.0, 1.0, out=high)
-    q = w / math.sqrt(math.pi)
-    high *= q
-    for a in (cells, high, q):
-        a.flags.writeable = False
-    return _GbmPlan(cells=cells, high=high, q=q)
+    high *= _HERMITE_Q
+    cells.flags.writeable = high.flags.writeable = False
+    return _GbmPlan(cells=cells, high=high)
 
 
 def gbm_step(f: GridFunction, t: float, params: GbmParams) -> GridFunction:
@@ -529,13 +514,13 @@ def gbm_step(f: GridFunction, t: float, params: GbmParams) -> GridFunction:
         raise ValueError("GBM operator requires clamp extension")
     if t == 0.0:
         return f
-    slot = ("gbm", params.mu, params.sigma, params.quad_points)
-    plan = _last_plan(slot, (f.grid, t), lambda: _build_gbm_plan(f.grid, t, params))
+    plan = _last_plan(("gbm", params.mu, params.sigma), (f.grid, t),
+                      lambda: _build_gbm_plan(f.grid, t, params))
     vals = f.values
     mid = vals.shape[0] // 2
 
     def half_step(b):
-        return (b[plan.cells] @ plan.q
+        return (b[plan.cells] @ _HERMITE_Q
                 + np.einsum("kq,kq->k", np.diff(b)[plan.cells], plan.high))
 
     out = np.empty_like(vals)

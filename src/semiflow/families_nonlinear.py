@@ -354,7 +354,6 @@ def _gbm_escape_mass(x: float, t: float, mu: float, sigma: float,
 
 
 def make_robust_gbm_family(pairs, grid: Grid, trust_horizon: float,
-                           quad_points: int = GbmParams.quad_points,
                            p: float = NormSpec.p) -> GeneratingFamilyDescriptor:
     """Robust GBM: nodewise max of GBM transitions over (mu, sigma) pairs.
 
@@ -362,19 +361,19 @@ def make_robust_gbm_family(pairs, grid: Grid, trust_horizon: float,
     alpha(R,t) = e^{omega t} R and beta(R,t) = e^{omega t} with omega the
     max growth rate over the pair set; the generator is the max of
     mu x f' + sigma^2 x^2 f''/2, through the per-node chain rates of
-    kernel_generator.  Each pair is a GbmParams member of quad_points
-    Gauss-Hermite nodes.  Comparisons are restricted to the nodes within
-    gbm_trusted_radius of the trust horizon (a finite number >= 0), and a
-    step warns (never fails) when a member's one-step escape mass at the
-    outermost of them, where the mass is largest, exceeds the threshold.
+    kernel_generator.  Each pair is a GbmParams member, stepped by the
+    fixed Gauss-Hermite rule of gbm_step.  Comparisons are restricted to the
+    nodes within gbm_trusted_radius of the trust horizon (a finite number
+    >= 0), and a step warns (never fails) when a member's one-step escape
+    mass at the outermost of them, where the mass is largest, exceeds the
+    threshold.
     """
     if grid.dim != 1:
         raise ValueError("GBM operator is one-dimensional")
     if not (_is_finite_number(trust_horizon) and trust_horizon >= 0):
         raise ValueError("trust horizon must be a finite number >= 0, got "
                          f"{trust_horizon!r}")
-    members = [GbmParams(mu=mu, sigma=sig, quad_points=quad_points)
-               for mu, sig in pairs]
+    members = [GbmParams(mu=mu, sigma=sig) for mu, sig in pairs]
     if not members:
         raise ValueError("the (mu, sigma) set must be nonempty")
     pairs = [(mp.mu, mp.sigma) for mp in members]

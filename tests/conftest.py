@@ -121,7 +121,7 @@ def perturbation_family(grid_fine):
 def held_gbm_plan(params):
     """The plan that the last GBM step of params left in its cache slot."""
     from semiflow.families_linear import _PLANS
-    return _PLANS["gbm", params.mu, params.sigma, params.quad_points][1]
+    return _PLANS["gbm", params.mu, params.sigma][1]
 
 
 def load_module(relative_path):

@@ -11,6 +11,7 @@ from semiflow.chernoff import (
     NonFiniteStateError,
     apply_partition,
     chernoff_limit,
+    check_level,
     chernoff_limits,
     discrete_semigroup_identity_residual,
     dyadic_partition,
@@ -58,7 +59,18 @@ class TestDyadicPartition:
             dyadic_partition(t, 4)
 
     def test_step_count_exact_where_two_to_the_level_overflows(self):
-        assert dyadic_partition(0.5, 2000).step_count == 2**1999
+        assert dyadic_partition(0.5, 1074).step_count == 2**1073
+
+    @pytest.mark.parametrize("n", [1075, 2000, 10**400], ids=["1075", "2000", "10**400"])
+    def test_level_beyond_the_least_float_step_rejected(self, n):
+        # 2.0**-1075 is 0; the rule rejects the level before any step count
+        # of 0.5 2^n, an integer of n bits, is built
+        assert 2.0**-1074 > 0.0 == 2.0**-1075
+        check_level(1074)
+        with pytest.raises(ValueError, match=r"in \[0, 1074\], got"):
+            check_level(n)
+        with pytest.raises(ValueError, match=r"in \[0, 1074\], got"):
+            dyadic_partition(0.5, n)
 
     def test_smallest_level_search(self):
         assert smallest_dyadic_level(0.75) == 2

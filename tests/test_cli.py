@@ -10,6 +10,7 @@ import pytest
 
 import semiflow
 from conftest import load_module
+from semiflow import families_nonlinear as fn
 from semiflow.chernoff import NonFiniteStateError
 from semiflow.cli import (
     _SCHEDULE_DEFAULTS,
@@ -448,8 +449,8 @@ class TestMainEntry:
         (dict(HEAT_41, schedule={"t_list": [math.inf]}), "t_list[0]"),
         (dict(HEAT_41, schedule={"t_list": "0.5"}), "t_list"),
         (dict(HEAT_41, schedule={"t_list": [0.5], "tol": "1e-3"}), "tol"),
-        # 2.0**2000 overflows a float; the step budget still applies
-        (dict(HEAT_41, schedule={"t_list": [0.5], "n_min": 2000, "n_max": 2000}),
+        # 2.0**1074 overflows a float; the step budget still applies
+        (dict(HEAT_41, schedule={"t_list": [0.5], "n_min": 1074, "n_max": 1074}),
          "n_max"),
         (dict(HEAT_41, schedule=[0.5]), "schedule"),
         (dict(HEAT_41, grid="fine", schedule={"t_list": [0.5]}), "grid"),
@@ -560,6 +561,45 @@ class TestMainEntry:
         assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
         assert "config error" in capsys.readouterr().err
+
+    def test_level_beyond_the_finest_exits_two(self, tmp_path, capsys):
+        # 2^-(10^400) is no float step; the parser rejects the level before
+        # it builds a step count of 10^400 bits
+        cfg = dict(self.HEAT_41, schedule={"t_list": [0.5], "n_min": 10**400,
+                                           "n_max": 10**400})
+        out = tmp_path / "o"
+        assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: config.schedule.n_min:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("M", [10**400, 100000, 64.0], ids=["10**400", "100000", "64.0"])
+    def test_quadrature_size_other_than_64_exits_two(self, tmp_path, capsys,
+                                                      monkeypatch, M):
+        steps = []
+        monkeypatch.setattr(fn, "gbm_step", lambda *args: steps.append(args))
+        cfg = dict(self.HEAT_41, family={"name": "robust_gbm", "M": M},
+                   schedule={"t_list": [0.5]}, tasks=["evolve"])
+        out = tmp_path / "o"
+        assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: config.family.M:")
+        assert not out.exists()
+        assert steps == []
+
+    def test_quadrature_size_64_or_none_runs_as_before(self, tmp_path):
+        # the shipped robust_gbm config names M = 64; without M the run is
+        # the same, byte for byte
+        shipped = json.loads((ROOT / "scripts" / "configs" / "robust_gbm.json").read_text())
+        assert shipped["family"]["M"] == 64
+        family = {k: v for k, v in shipped["family"].items() if k != "M"}
+        hashes = []
+        for fam in (shipped["family"], family):
+            name = str(len(hashes))
+            cfg = dict(shipped, family=fam, tasks=["evolve"])
+            path = write_config(tmp_path, cfg, name=f"{name}.json")
+            manifest = run_experiment(parse_config(path), out_dir=tmp_path / name)
+            assert manifest["passed"]
+            hashes.append([o["sha256"] for o in manifest["outputs"]])
+        assert hashes[0] == hashes[1]
 
     def test_unknown_field_suggests(self, tmp_path):
         cfg = dict(self.HEAT_41, family={"name": "heat", "sigam": 3.0},

@@ -21,7 +21,7 @@ from semiflow.state_space import GridFunction, grid_create
 
 def reference_gbm_step(f, t, params):
     x = f.grid.axis(0)
-    z, w = np.polynomial.hermite.hermgauss(params.quad_points)
+    z, w = np.polynomial.hermite.hermgauss(fl.QUAD_POINTS)
     factors = np.exp((params.mu - params.sigma**2 / 2.0) * t
                      + params.sigma * math.sqrt(2.0 * t) * z)
     pts = x[:, None] * factors[None, :]
@@ -59,12 +59,6 @@ def test_plan_matches_interp_loop(n, mu, sigma):
         _assert_matches_reference(f, 2.0**-k, params)
 
 
-def test_small_quadrature():
-    f = _state(41)
-    _assert_matches_reference(f, 0.25, GbmParams(mu=0.1, sigma=0.4,
-                                                 quad_points=8))
-
-
 def test_codomain_three():
     g = grid_create(1, 8.0, 161)
     x = g.axis(0)
@@ -82,14 +76,14 @@ def test_points_beyond_the_box_read_the_last_cell(mu, sigma):
     _assert_matches_reference(f, 1.0, params)
     plan = held_gbm_plan(params)
     m = plan.cells.shape[0]
-    z = fl._gauss_hermite(params.quad_points)[0]
+    z = fl._HERMITE_Z
     factors = np.exp(mu - sigma**2 / 2.0 + sigma * math.sqrt(2.0) * z)
     beyond = np.multiply.outer(g.axis(0)[m - 1:], factors) > 4.0
     assert beyond.any()
     # a point beyond the box reads the edge value only: the last cell, w = 1
     assert np.all(plan.cells[beyond] == m - 2)
     assert np.array_equal(plan.high[beyond],
-                          np.broadcast_to(plan.q, beyond.shape)[beyond])
+                          np.broadcast_to(fl._HERMITE_Q, beyond.shape)[beyond])
     if sigma == 0.0:
         # the pure drift e^{mu} moves whole rows beyond the box
         assert np.all(beyond, axis=1).any()
@@ -101,7 +95,7 @@ def test_held_plan_is_read_only():
     gbm_step(f, 0.25, params)
     plan = held_gbm_plan(params)
     assert plan.cells.dtype == np.intp
-    for a in (plan.cells, plan.high, plan.q):
+    for a in (plan.cells, plan.high, fl._HERMITE_Z, fl._HERMITE_Q):
         assert not a.flags.writeable
 
 

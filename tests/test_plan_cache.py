@@ -1,5 +1,6 @@
 """The one plan cache of the heat and GBM kernels: each slot, a grid axis of
-the heat step or a GBM member, holds the plan of its last (grid, dt).
+the heat step or a GBM member, holds the plan of its last (grid, dt), and the
+slot "plane" the plane step's buffers of its last extended shape.
 
 Reuse and replacement within one kernel are tested in test_heat_plan and
 test_gbm_plan; these tests count the plans each kernel builds."""
@@ -79,6 +80,44 @@ def test_audit_builds_one_plan_per_probe_time(monkeypatch):
     assert builds == {"heat": 3, "gbm": 0}
 
 
+def _holds_arrays(value) -> bool:
+    if isinstance(value, np.ndarray):
+        return True
+    if isinstance(value, dict):
+        value = list(value.keys()) + list(value.values())
+    elif hasattr(value, "__dataclass_fields__"):
+        value = list(vars(value).values())
+    elif not isinstance(value, (list, tuple)):
+        return False
+    return any(_holds_arrays(v) for v in value)
+
+
+def test_plans_hold_every_array_kept_between_steps():
+    # 1D heat, 2D heat and robust GBM in turn: one entry per axis, the plane
+    # buffers and one entry per member, and no other holder
+    fl._PLANS.clear()
+    line = random_bumps(grid_create(1, 3.0, 41), seed=1)
+    heat_multi_step(line, 2.0**-5, np.array([[0.5]]), np.ones((1, 1)))
+    plane = random_bumps(grid_create(2, 3.0, 41), seed=2)
+    heat_multi_step(plane, 2.0**-5, np.array([[0.5, -1.0]]), np.ones((1, 2)))
+    pairs = ((0.1, 0.2), (-0.1, 0.2), (0.0, 0.3))
+    fam = fn.make_robust_gbm_family(pairs, grid_create(1, 16.0, 161), 0.5)
+    fam.step(2.0**-5, _gbm_state(161))
+    members = {("gbm", mu, sigma) for mu, sigma in pairs}
+    assert set(fl._PLANS) == {("heat", 0), ("heat", 1), "plane"} | members
+    assert len(fl._PLANS) == 3 + len(pairs)
+    # a second plane shape replaces the buffers and adds no slot
+    shape, buffers = fl._PLANS["plane"]
+    wide = random_bumps(grid_create(2, (3.0, 2.0), (41, 61)), seed=3)
+    heat_multi_step(wide, 2.0**-5, np.array([[0.5, -1.0]]), np.ones((1, 2)))
+    assert set(fl._PLANS) == {("heat", 0), ("heat", 1), "plane"} | members
+    assert fl._PLANS["plane"][0] != shape
+    assert all(new is not old for new, old in zip(fl._PLANS["plane"][1], buffers))
+    holders = [name for name, value in vars(fl).items()
+               if isinstance(value, dict) and _holds_arrays(value)]
+    assert holders == ["_PLANS"]
+
+
 def test_alternating_kernels_build_each_plan_once(monkeypatch):
     builds = _count_builds(monkeypatch)
     fl._PLANS.clear()
@@ -91,4 +130,5 @@ def test_alternating_kernels_build_each_plan_once(monkeypatch):
         for params in (a, b):
             gbm_step(gbm_state, 2.0**-5, params)
     assert builds == {"heat": 2, "gbm": 2}
-    assert len(fl._PLANS) == 4
+    # two axes, the plane buffers and two members
+    assert len(fl._PLANS) == 5

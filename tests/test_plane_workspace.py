@@ -1,11 +1,11 @@
 """The 2D heat step's plane transform and the workspace it writes into.
 
 A 2D step transforms the extended state once and inverts each candidate's
-product in buffers held from call to call.  These tests count its FFT calls
-and check that what the buffers hold never reaches a returned batch: each
-batch is fresh, and a step gives the same bits whatever an earlier step
-left in the workspace.  Its accuracy is tested in test_heat_plan against a
-matrix exponential.
+product in buffers held from call to call, in the plan cache's slot
+"plane".  These tests count its FFT calls and check that what the buffers
+hold never reaches a returned batch: each batch is fresh, and a step gives
+the same bits whatever an earlier step left in the workspace.  Its
+accuracy is tested in test_heat_plan against a matrix exponential.
 """
 
 import numpy as np
@@ -55,7 +55,7 @@ def test_batches_outlive_the_next_step():
     second = heat_multi_step(h, 2.0**-5, DRIFTS, SIGMAS)
     assert np.array_equal(first, kept)
     assert np.array_equal(stepped.values, stepped_kept)
-    buffers = [b for b in fl._WORKSPACE.values() if isinstance(b, np.ndarray)]
+    buffers = list(fl._PLANS["plane"][1])
     assert buffers
     for batch in (first, stepped.values, second):
         for other in [first, stepped.values, second, *buffers]:
@@ -83,10 +83,11 @@ def test_steps_do_not_depend_on_the_workspace():
 
     held = [step(k) for k in range(len(calls))]
     for k in range(len(calls)):
-        fl._WORKSPACE.clear()
+        fl._PLANS.pop("plane", None)
         assert np.array_equal(step(k), held[k]), calls[k]
-    # one workspace, for the extended shape of the last plane step
-    assert {k for k, v in fl._WORKSPACE.items() if isinstance(v, np.ndarray)} \
-        == {"ext", "half", "spec", "work"}
-    assert fl._WORKSPACE["shape"] == (fl._PLANS["heat", 0][1].nfft,
-                                      fl._PLANS["heat", 1][1].nfft, 1)
+    # one workspace, for the extended shape of the last plane step: the
+    # buffers ext, half, spec and work
+    shape, buffers = fl._PLANS["plane"]
+    assert len(buffers) == 4 and all(isinstance(b, np.ndarray) for b in buffers)
+    assert shape == (fl._PLANS["heat", 0][1].nfft, fl._PLANS["heat", 1][1].nfft, 1)
+    assert buffers[0].shape == shape
